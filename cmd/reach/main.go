@@ -1,20 +1,13 @@
 // Command reach compares the state-space engines of Section 2.2 on one
-// specification: explicit enumeration (sequential and parallel), BDD-based
+// specification: explicit enumeration, BDD-based
 // symbolic traversal, McMillan unfolding prefix, and stubborn-set
 // partial-order reduction.
 //
 // Usage:
 //
-//	reach [-engine all|explicit|symbolic|unfold|stubborn] [-workers N]
-//	      [-sym-workers N] [-sift] [-timeout D] [-metrics FILE]
-//	      [-trace-json FILE] [-cpuprofile FILE] [-memprofile FILE] file.g
-//
-// -workers N runs the explicit engine with N parallel workers in addition
-// to the sequential run and reports the speedup (0, the default, uses
-// GOMAXPROCS; 1 skips the parallel run). The parallel engine is
-// deterministic: its state graph is bit-identical to the sequential one.
-// The parallel row is followed by a work-stealing stats line: tasks
-// expanded, steals, visited-table CAS retries and cooperative resizes.
+//	reach [-engine all|explicit|symbolic|unfold|stubborn] [-sym-workers N]
+//	      [-sift] [-timeout D] [-metrics FILE] [-trace-json FILE]
+//	      [-cpuprofile FILE] [-memprofile FILE] file.g
 //
 // -sym-workers N computes each symbolic image step on N parallel workers
 // (0 or 1 keeps the sequential kernel). Canonicity makes the parallel
@@ -45,7 +38,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/bdd"
@@ -66,7 +58,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("reach", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	engine := fs.String("engine", "all", "engine: all, explicit, symbolic, unfold, stubborn")
-	workers := fs.Int("workers", 0, "parallel workers for the explicit engine (0 = GOMAXPROCS, 1 = sequential only)")
 	symWorkers := fs.Int("sym-workers", 0, "parallel image workers for the symbolic engine (0 or 1 = sequential kernel)")
 	sift := fs.Bool("sift", false, "dynamic variable reordering (Rudell sifting) in the symbolic engine")
 	timeout := fs.Duration("timeout", 0, "abort the analysis after this wall-clock duration (0 = none)")
@@ -80,10 +71,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 	n := g.Net
-	w := *workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
 	var bgt *budget.Budget
 	if *timeout > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
@@ -106,14 +93,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 		flow.End()
 	}()
 
-	// Stats table: engine, result, wall time, speedup (parallel rows only).
+	// Stats table: engine, result, wall time.
 	// A budget abort prints the partial statistics the engine reached and
 	// makes the whole command fail; other engine errors are reported inline
 	// without failing the comparison.
 	var abort error
-	run := func(name string, f func() (string, error)) time.Duration {
+	run := func(name string, f func() (string, error)) {
 		if *engine != "all" && *engine != name {
-			return 0
+			return
 		}
 		start := time.Now()
 		out, err := f()
@@ -127,13 +114,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 			if abort == nil && budgetAbort(err) {
 				abort = err
 			}
-			return 0
+			return
 		}
 		fmt.Fprintf(stdout, "%-12s %-55s %v\n", name, out, elapsed.Round(time.Microsecond))
-		return elapsed
 	}
 
-	seq := run("explicit", func() (string, error) {
+	run("explicit", func() (string, error) {
 		rg, err := reach.Explore(n, reach.Options{Budget: bgt, Obs: phase})
 		if err != nil {
 			return partialGraph(rg), err
@@ -141,34 +127,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 		return fmt.Sprintf("%d states, %d arcs, %d deadlocks",
 			rg.NumStates(), rg.NumArcs(), len(rg.Deadlocks())), nil
 	})
-	if w > 1 && (*engine == "all" || *engine == "explicit") {
-		start := time.Now()
-		rg, err := reach.Explore(n, reach.Options{Workers: w, Budget: bgt, Obs: phase})
-		elapsed := time.Since(start)
-		name := fmt.Sprintf("explicit(w%d)", w)
-		if err != nil {
-			fmt.Fprintf(stdout, "%-12s error: %v\n", name, err)
-			if abort == nil && budgetAbort(err) {
-				abort = err
-			}
-		} else {
-			out := fmt.Sprintf("%d states, %d arcs, %d deadlocks",
-				rg.NumStates(), rg.NumArcs(), len(rg.Deadlocks()))
-			speedup := "-"
-			if seq > 0 && elapsed > 0 {
-				speedup = fmt.Sprintf("%.2fx", seq.Seconds()/elapsed.Seconds())
-			}
-			fmt.Fprintf(stdout, "%-12s %-55s %-10v %s speedup\n",
-				name, out, elapsed.Round(time.Microsecond), speedup)
-			// Work-stealing contention stats ride the obs registry, which
-			// only exists under -metrics/-trace-json.
-			if snap := ins.Registry.Snapshot(); snap != nil {
-				fmt.Fprintf(stdout, "%-12s expanded=%d steals=%d cas-retries=%d resizes=%d\n",
-					"  ws", snap.Counters["reach.expanded"], snap.Counters["reach.steals"],
-					snap.Counters["reach.cas_retries"], snap.Counters["reach.resizes"])
-			}
-		}
-	}
 	var symStats *bdd.Stats
 	run("symbolic", func() (string, error) {
 		res, err := symbolic.ReachOpts(n, symbolic.Options{Sift: *sift, Workers: *symWorkers, Budget: bgt, Obs: phase})
@@ -227,12 +185,11 @@ func partialGraph(rg *reach.Graph) string {
 	return fmt.Sprintf("partial: %d states, %d arcs", rg.NumStates(), rg.NumArcs())
 }
 
-// budgetAbort reports whether err came from the budget taxonomy (limit,
-// cancellation, or recovered panic) rather than from the model itself.
+// budgetAbort reports whether err came from the budget taxonomy (limit or
+// cancellation) rather than from the model itself.
 func budgetAbort(err error) bool {
 	var le budget.ErrLimit
-	var ie *budget.ErrInternal
-	return errors.Is(err, budget.ErrCanceled) || errors.As(err, &le) || errors.As(err, &ie)
+	return errors.Is(err, budget.ErrCanceled) || errors.As(err, &le)
 }
 
 func load(path string, stdin io.Reader) (*stg.STG, error) {

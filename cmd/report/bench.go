@@ -18,7 +18,7 @@ import (
 // benchResult is one parsed benchmark line.
 type benchResult struct {
 	// Name is the benchmark name with the -GOMAXPROCS suffix stripped
-	// (e.g. "SolveCSC/cscring-2/w4").
+	// (e.g. "SolveCSC/cscring-2/w4"). Names are unique within a record.
 	Name       string  `json:"name"`
 	Iterations int64   `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
@@ -64,7 +64,8 @@ type scalingRow struct {
 }
 
 // writeBenchJSON converts `go test -bench` plain-text output on r into the
-// benchmark trajectory JSON on w. Lines that are not benchmark results (the
+// benchmark trajectory JSON on w. The output is taken to come from a run at
+// this process's GOMAXPROCS. Lines that are not benchmark results (the
 // goos/goarch/pkg/cpu header, PASS, ok) contribute metadata or are skipped.
 // merge names metrics-snapshot JSON files (comma-separated) whose validated
 // contents are embedded under "metrics_snapshots"; scaling names the
@@ -89,7 +90,7 @@ func writeBenchJSON(r io.Reader, w io.Writer, merge, scaling string) error {
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
-		res, err := parseBenchLine(line)
+		res, err := parseBenchLine(line, out.GOMAXPROCS)
 		if err != nil {
 			return fmt.Errorf("bench-json: %w", err)
 		}
@@ -97,6 +98,9 @@ func writeBenchJSON(r io.Reader, w io.Writer, merge, scaling string) error {
 	}
 	if err := sc.Err(); err != nil {
 		return err
+	}
+	if err := checkUnique(out.Benchmarks); err != nil {
+		return fmt.Errorf("bench-json: %w", err)
 	}
 	if err := mergeSnapshots(&out, merge); err != nil {
 		return err
@@ -131,7 +135,7 @@ func mergeScaling(out *benchFile, scaling string) error {
 		if err != nil || p < 1 {
 			return fmt.Errorf("scaling: bad processor count in %q", part)
 		}
-		results, err := parseBenchFile(part[eq+1:])
+		results, err := parseBenchFile(part[eq+1:], p)
 		if err != nil {
 			return fmt.Errorf("scaling: %w", err)
 		}
@@ -176,8 +180,9 @@ func mergeScaling(out *benchFile, scaling string) error {
 	return nil
 }
 
-// parseBenchFile reads one raw `go test -bench` output file into results.
-func parseBenchFile(path string) ([]benchResult, error) {
+// parseBenchFile reads one raw `go test -bench` output file, produced at
+// GOMAXPROCS procs, into results.
+func parseBenchFile(path string, procs int) ([]benchResult, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -191,13 +196,32 @@ func parseBenchFile(path string) ([]benchResult, error) {
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
-		res, err := parseBenchLine(line)
+		res, err := parseBenchLine(line, procs)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 		results = append(results, res)
 	}
-	return results, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if err := checkUnique(results); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return results, nil
+}
+
+// checkUnique rejects a repeated benchmark name: records are compared by
+// name, so a duplicate would silently shadow another result.
+func checkUnique(results []benchResult) error {
+	seen := map[string]bool{}
+	for _, r := range results {
+		if seen[r.Name] {
+			return fmt.Errorf("duplicate benchmark name %q", r.Name)
+		}
+		seen[r.Name] = true
+	}
+	return nil
 }
 
 // mergeSnapshots loads each comma-separated metrics snapshot file, validates
@@ -228,20 +252,21 @@ func mergeSnapshots(out *benchFile, merge string) error {
 	return nil
 }
 
-// parseBenchLine parses one result line:
+// parseBenchLine parses one result line of a run at GOMAXPROCS procs:
 //
 //	BenchmarkSolveCSC/cscring-2/w4-8   100   123456 ns/op   12.00 states
-func parseBenchLine(line string) (benchResult, error) {
+//
+// go test appends "-procs" to every name when procs > 1 and nothing at
+// procs = 1, so only that exact suffix is stripped: a trailing size such as
+// "toggles-16" is part of the name.
+func parseBenchLine(line string, procs int) (benchResult, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || len(fields)%2 != 0 {
 		return benchResult{}, fmt.Errorf("malformed line %q", line)
 	}
 	name := strings.TrimPrefix(fields[0], "Benchmark")
-	// Strip the trailing -GOMAXPROCS suffix go test appends.
-	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
-		}
+	if procs > 1 {
+		name = strings.TrimSuffix(name, "-"+strconv.Itoa(procs))
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {

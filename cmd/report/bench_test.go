@@ -4,20 +4,77 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-const sampleBenchOutput = `goos: linux
+// withProcs fills the {p} placeholders of raw go test output with the
+// suffix a run at this process's GOMAXPROCS appends to every name: "-N",
+// or nothing at GOMAXPROCS=1.
+func withProcs(raw string) string {
+	suffix := ""
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		suffix = "-" + strconv.Itoa(p)
+	}
+	return strings.ReplaceAll(raw, "{p}", suffix)
+}
+
+var sampleBenchOutput = withProcs(`goos: linux
 goarch: amd64
 pkg: repro
 cpu: Intel(R) Xeon(R) CPU @ 2.10GHz
-BenchmarkSolveCSC/vme-read-4         	      27	  42724567 ns/op
-BenchmarkSolveCSC/cscring-2/w4-4     	      31	  37000000 ns/op	       5.000 states
-BenchmarkParallelExplore/phil-7/w2-4 	     100	    123456 ns/op	    1000 states	     200 B/op	       3 allocs/op
+BenchmarkSolveCSC/vme-read{p}         	      27	  42724567 ns/op
+BenchmarkSolveCSC/cscring-2/w4{p}     	      31	  37000000 ns/op	       5.000 states
+BenchmarkStubbornReduction/phil-7{p}  	     100	    123456 ns/op	    1000 states	     200 B/op	       3 allocs/op
 PASS
 ok  	repro	12.345s
-`
+`)
+
+// TestParseBenchLineSuffix pins the GOMAXPROCS suffix rule: only the exact
+// "-procs" suffix of the producing run is stripped, so sizes at the end of
+// a name survive — including every name of a GOMAXPROCS=1 run.
+func TestParseBenchLineSuffix(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		procs int
+		want  string
+	}{
+		{"SymbolicVsExplicit/explicit/toggles-16", 1, "SymbolicVsExplicit/explicit/toggles-16"},
+		{"SymbolicVsExplicit/explicit/toggles-16-2", 2, "SymbolicVsExplicit/explicit/toggles-16"},
+		{"SymbolicParallel/toggles-16/w4-2", 2, "SymbolicParallel/toggles-16/w4"},
+		{"SymbolicParallel/toggles-16/w4-1", 1, "SymbolicParallel/toggles-16/w4-1"},
+		{"SymbolicParallel/toggles-16/w4-4", 2, "SymbolicParallel/toggles-16/w4-4"},
+		{"FullFlow/muller-3", 4, "FullFlow/muller-3"},
+	} {
+		res, err := parseBenchLine("Benchmark"+tc.name+" 10 1000 ns/op", tc.procs)
+		if err != nil {
+			t.Fatalf("%s at p=%d: %v", tc.name, tc.procs, err)
+		}
+		if res.Name != tc.want {
+			t.Errorf("%s at p=%d: name %q, want %q", tc.name, tc.procs, res.Name, tc.want)
+		}
+	}
+}
+
+// TestWriteBenchJSONRejectsDuplicateNames: a name seen twice — in the main
+// output or in one sweep file — is an error, not a silent overwrite.
+func TestWriteBenchJSONRejectsDuplicateNames(t *testing.T) {
+	dup := withProcs("BenchmarkFullFlow/vme-read{p} 10 1000 ns/op\nBenchmarkFullFlow/vme-read{p} 10 1100 ns/op\n")
+	var out bytes.Buffer
+	err := writeBenchJSON(strings.NewReader(dup), &out, "", "")
+	if err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Fatalf("duplicate names must be rejected, got %v", err)
+	}
+	path := t.TempDir() + "/sweep2.txt"
+	if err := os.WriteFile(path, []byte("BenchmarkA/w4-2 1 10 ns/op\nBenchmarkA/w4-2 1 11 ns/op\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeBenchJSON(strings.NewReader(""), &out, "", "2="+path); err == nil {
+		t.Fatal("duplicate names in a sweep file must be rejected")
+	}
+}
 
 func TestWriteBenchJSON(t *testing.T) {
 	var out bytes.Buffer
@@ -99,9 +156,10 @@ func TestWriteBenchJSONScalingSweep(t *testing.T) {
 		}
 		return path
 	}
-	p1 := write("sweep1.txt", "BenchmarkParallelExplore/phil-7/w4-1 \t 10\t 4000 ns/op\nBenchmarkSymbolicParallel/toggles-16/w4-1 \t 5\t 8000 ns/op\n")
-	p2 := write("sweep2.txt", "BenchmarkParallelExplore/phil-7/w4-2 \t 10\t 2500 ns/op\nBenchmarkSymbolicParallel/toggles-16/w4-2 \t 5\t 5000 ns/op\n")
-	p4 := write("sweep4.txt", "BenchmarkParallelExplore/phil-7/w4-4 \t 10\t 1000 ns/op\nBenchmarkSymbolicParallel/toggles-16/w4-4 \t 5\t 4000 ns/op\n")
+	// go test appends no suffix at GOMAXPROCS=1.
+	p1 := write("sweep1.txt", "BenchmarkSymbolicParallel/muller-6/w4 \t 10\t 4000 ns/op\nBenchmarkSymbolicParallel/toggles-16/w4 \t 5\t 8000 ns/op\n")
+	p2 := write("sweep2.txt", "BenchmarkSymbolicParallel/muller-6/w4-2 \t 10\t 2500 ns/op\nBenchmarkSymbolicParallel/toggles-16/w4-2 \t 5\t 5000 ns/op\n")
+	p4 := write("sweep4.txt", "BenchmarkSymbolicParallel/muller-6/w4-4 \t 10\t 1000 ns/op\nBenchmarkSymbolicParallel/toggles-16/w4-4 \t 5\t 4000 ns/op\n")
 	var out bytes.Buffer
 	spec := "1=" + p1 + ",2=" + p2 + ",4=" + p4
 	if err := writeBenchJSON(strings.NewReader(sampleBenchOutput), &out, "", spec); err != nil {
@@ -120,8 +178,8 @@ func TestWriteBenchJSONScalingSweep(t *testing.T) {
 	if len(f.Scaling.Rows) != 2 {
 		t.Fatalf("want 2 rows, got %+v", f.Scaling.Rows)
 	}
-	row := f.Scaling.Rows[0] // sorted: ParallelExplore before SymbolicParallel
-	if row.Name != "ParallelExplore/phil-7/w4" {
+	row := f.Scaling.Rows[0] // sorted: muller-6 before toggles-16
+	if row.Name != "SymbolicParallel/muller-6/w4" {
 		t.Fatalf("row 0 is %q", row.Name)
 	}
 	if row.NsPerOp["1"] != 4000 || row.NsPerOp["4"] != 1000 {

@@ -36,6 +36,9 @@ func loadBenchRecord(path string) (*benchFile, error) {
 	if len(rec.Benchmarks) == 0 {
 		return nil, fmt.Errorf("regress: %s: record holds no benchmarks", path)
 	}
+	if err := checkUnique(rec.Benchmarks); err != nil {
+		return nil, fmt.Errorf("regress: %s: %w", path, err)
+	}
 	return &rec, nil
 }
 

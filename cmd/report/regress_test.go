@@ -141,3 +141,29 @@ func TestRegressRejectsBadInput(t *testing.T) {
 		t.Fatal("non-positive threshold must error")
 	}
 }
+
+// TestRegressRejectsDuplicateNames: the baseline is a map by name, so a
+// record naming one benchmark twice would compare every duplicate against
+// the last one's timing — it is refused instead.
+func TestRegressRejectsDuplicateNames(t *testing.T) {
+	rec := benchFile{Suite: "synth", Benchmarks: []benchResult{
+		{Name: "SymbolicVsExplicit/explicit/toggles", NsPerOp: 100},
+		{Name: "SymbolicVsExplicit/explicit/toggles", NsPerOp: 9000},
+	}}
+	data, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := t.TempDir() + "/dup.json"
+	if err := os.WriteFile(dup, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	good := writeRecord(t, "good.json", map[string]float64{"A": 1})
+	var out bytes.Buffer
+	for _, pair := range [][2]string{{dup, good}, {good, dup}} {
+		err := runRegress(&out, pair[0], pair[1], 0.15, 0)
+		if err == nil || !strings.Contains(err.Error(), "duplicate") {
+			t.Fatalf("regress %s vs %s: want a duplicate-name error, got %v", pair[0], pair[1], err)
+		}
+	}
+}

@@ -13,9 +13,8 @@
 //
 // The property check evaluates a file of `prop name : formula` lines (see
 // internal/prop for the grammar) against the spec's reachable state space:
-// -engine picks the explicit or symbolic (BDD) checker, -workers
-// parallelizes the explicit exploration, -timeout aborts long runs, and
-// violated invariants print a counterexample firing sequence with its
+// -engine picks the explicit or symbolic (BDD) checker, -timeout aborts
+// long runs, and violated invariants print a counterexample firing sequence with its
 // waveform. -metrics/-trace-json export observability artifacts as in the
 // other tools.
 //
@@ -90,7 +89,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 	conform := fs.String("conform", "", "implementation STG (.g) for trace conformance")
 	propFile := fs.String("prop", "", "property file (prop name : formula lines) to check against the spec")
 	engine := fs.String("engine", "auto", "property engine: auto, explicit, symbolic")
-	workers := fs.Int("workers", 0, "parallel workers for the explicit property engine (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 0, "abort property checking after this wall-clock duration (0 = none)")
 	var seps sepFlags
 	fs.Var(&seps, "sep", "relative timing assumption EARLIER<LATER (repeatable)")
@@ -155,7 +153,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 		}
 		return fmt.Errorf("conformance failed with %d violation(s)", len(viol))
 	case *propFile != "":
-		return runProps(spec, *propFile, *engine, *workers, *timeout, &ins, stdout)
+		return runProps(spec, *propFile, *engine, *timeout, &ins, stdout)
 	default:
 		return cli.Usage{Err: fmt.Errorf("one of -impl, -conform or -prop is required")}
 	}
@@ -164,7 +162,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 // runProps checks a property file against the spec and renders the
 // verdicts, with counterexample/witness traces as firing sequences plus
 // waveforms. Any violated property makes the command fail (exit status 1).
-func runProps(spec *stg.STG, path, engine string, workers int, timeout time.Duration, ins *cli.Instrumentation, stdout io.Writer) error {
+func runProps(spec *stg.STG, path, engine string, timeout time.Duration, ins *cli.Instrumentation, stdout io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -194,7 +192,7 @@ func runProps(spec *stg.STG, path, engine string, workers int, timeout time.Dura
 	}
 	flow := ins.Registry.Root("flow:verify")
 	defer flow.End()
-	rep, cerr := prop.Check(spec, props, prop.Options{Engine: eng, Workers: workers, Budget: bgt, Obs: flow})
+	rep, cerr := prop.Check(spec, props, prop.Options{Engine: eng, Budget: bgt, Obs: flow})
 	if rep == nil {
 		return cerr
 	}

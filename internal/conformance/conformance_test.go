@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/logic"
 	"repro/internal/petri"
 	"repro/internal/reach"
 	"repro/internal/stg"
@@ -93,7 +95,7 @@ func TestConformanceEngines(t *testing.T) {
 		mdl := mdl
 		t.Run(mdl.name, func(t *testing.T) {
 			t.Parallel()
-			// Reference: sequential explicit enumeration.
+			// Reference: explicit enumeration.
 			ref, err := reach.Explore(mdl.net, reach.Options{})
 			if err != nil {
 				t.Fatalf("explicit: %v", err)
@@ -103,26 +105,6 @@ func TestConformanceEngines(t *testing.T) {
 				refDead = append(refDead, ref.Markings[s])
 			}
 			refKeys := deadlockKeys(refDead)
-
-			// Parallel explicit at several worker counts: bit-identical
-			// graphs, so counts, arcs and deadlock states must all agree.
-			for _, w := range []int{1, 2, 4} {
-				rg, err := reach.Explore(mdl.net, reach.Options{Workers: w})
-				if err != nil {
-					t.Fatalf("explicit w=%d: %v", w, err)
-				}
-				if rg.NumStates() != ref.NumStates() || rg.NumArcs() != ref.NumArcs() {
-					t.Fatalf("explicit w=%d: %d states/%d arcs, want %d/%d",
-						w, rg.NumStates(), rg.NumArcs(), ref.NumStates(), ref.NumArcs())
-				}
-				var dead []petri.Marking
-				for _, s := range rg.Deadlocks() {
-					dead = append(dead, rg.Markings[s])
-				}
-				if !stringsEqual(deadlockKeys(dead), refKeys) {
-					t.Fatalf("explicit w=%d: deadlock set differs", w)
-				}
-			}
 
 			// Symbolic traversal, plain and with a deliberately tiny GC
 			// threshold plus sifting, so collection and reordering run on
@@ -179,9 +161,11 @@ func TestConformanceEngines(t *testing.T) {
 	}
 }
 
-// TestConformanceCSC checks the Complete State Coding verdict agrees
-// between the sequential and parallel state-graph builders on every
-// STG-backed model.
+// TestConformanceCSC checks the Complete State Coding verdict of every
+// STG-backed model agrees between the state graph's pairwise code analysis
+// and the logic deriver's per-code scan: logic reports a CSC witness
+// exactly when the state graph lists CSC conflicts, and the witness is one
+// of the listed pairs.
 func TestConformanceCSC(t *testing.T) {
 	for _, mdl := range corpus(t) {
 		if mdl.g == nil {
@@ -194,18 +178,25 @@ func TestConformanceCSC(t *testing.T) {
 			if err != nil {
 				t.Fatalf("BuildSG: %v", err)
 			}
-			wantCSC := ref.HasCSC()
-			wantConf := len(ref.CSCConflicts())
-			for _, w := range []int{2, 4} {
-				sg, err := reach.BuildSG(mdl.g, reach.Options{Workers: w})
-				if err != nil {
-					t.Fatalf("BuildSG w=%d: %v", w, err)
-				}
-				if sg.HasCSC() != wantCSC || len(sg.CSCConflicts()) != wantConf {
-					t.Fatalf("BuildSG w=%d: CSC=%v (%d conflicts), sequential CSC=%v (%d conflicts)",
-						w, sg.HasCSC(), len(sg.CSCConflicts()), wantCSC, wantConf)
+			conflicts := ref.CSCConflicts()
+			_, err = logic.DeriveAllOpts(ref, logic.Options{})
+			var ce *logic.CSCError
+			witnessed := errors.As(err, &ce)
+			if err != nil && !witnessed {
+				t.Fatalf("DeriveAllOpts: %v", err)
+			}
+			if witnessed != (len(conflicts) > 0) {
+				t.Fatalf("logic witness %v, state graph lists %d CSC conflicts", err, len(conflicts))
+			}
+			if !witnessed {
+				return
+			}
+			for _, c := range conflicts {
+				if c.A == ce.A && c.B == ce.B || c.A == ce.B && c.B == ce.A {
+					return
 				}
 			}
+			t.Fatalf("logic witness states %d/%d are not a listed CSC conflict", ce.A, ce.B)
 		})
 	}
 }
@@ -217,8 +208,8 @@ func TestConformanceCorpusSize(t *testing.T) {
 	if len(models) < 6 {
 		t.Fatalf("conformance corpus has %d models, want >= 6", len(models))
 	}
-	// Engines exercised above: explicit, parallel explicit, symbolic
-	// (plain and gc+sift kernels), stubborn.
-	fmt.Fprintf(os.Stderr, "conformance: %d models x {explicit, parallel(1/2/4), symbolic(plain, gc+sift), stubborn}\n",
+	// Engines exercised above: explicit, symbolic (plain, gc+sift and
+	// parallel-image kernels), stubborn.
+	fmt.Fprintf(os.Stderr, "conformance: %d models x {explicit, symbolic(plain, gc+sift, par-2/4), stubborn}\n",
 		len(models))
 }

@@ -137,13 +137,12 @@ func renderSynthesis(t *testing.T, g *stg.STG) string {
 		renderEquations(&b, base)
 	}
 	sols, sg := renderSolutions(g, solutionWorkers[0])
-	for _, w := range solutionWorkers[1:] {
-		if !search {
-			break
-		}
-		if got, _ := renderSolutions(g, w); got != sols {
-			t.Errorf("workers=%d ranks differently from workers=%d:\n--- w%d ---\n%s--- w%d ---\n%s",
-				w, solutionWorkers[0], w, got, solutionWorkers[0], sols)
+	if search {
+		for _, w := range solutionWorkers[1:] {
+			if got, _ := renderSolutions(g, w); got != sols {
+				t.Errorf("workers=%d ranks differently from workers=%d:\n--- w%d ---\n%s--- w%d ---\n%s",
+					w, solutionWorkers[0], w, got, solutionWorkers[0], sols)
+			}
 		}
 	}
 	b.WriteString(sols)

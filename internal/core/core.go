@@ -41,20 +41,19 @@ type Options struct {
 	// Reach bounds state-graph construction.
 	Reach reach.Options
 	// Workers sizes the worker pools of the encoding candidate search and
-	// the per-signal logic derivation. 0 or 1 runs the sequential reference
-	// paths; any count produces bit-identical results.
+	// the per-signal logic derivation (0 or 1 = one worker). It changes only
+	// how the work fans out: every count produces identical results.
 	Workers int
 	// Budget bounds the whole flow: its cancellation and resource ceilings
 	// are threaded into every phase (state graph, encoding, logic,
 	// verification). nil is unlimited.
 	Budget *budget.Budget
-	// Fallback enables the degradation ladder: when a budget limit or a
-	// recovered worker panic (never a cancellation) trips state-graph
-	// construction, analysis is retried with progressively cheaper engines
-	// — symbolic BDD traversal, then stubborn-set reduced exploration, then
-	// capped explicit exploration — each under the remaining budget. A
-	// degraded run returns a Report with Netlist == nil and the engines
-	// tried in Attempts.
+	// Fallback enables the degradation ladder: when a budget limit (never a
+	// cancellation) trips state-graph construction, analysis is retried
+	// with progressively cheaper engines — symbolic BDD traversal, then
+	// stubborn-set reduced exploration, then capped explicit exploration —
+	// each under the remaining budget. A degraded run returns a Report with
+	// Netlist == nil and the engines tried in Attempts.
 	Fallback bool
 	// Obs enables observability: the flow opens a "flow:synthesize" root
 	// span with one "phase:*" child per phase, every engine records its
@@ -203,9 +202,8 @@ func (r *Report) timingLine(b *strings.Builder) {
 // With Options.Budget set, every phase honors the budget's cancellation and
 // resource ceilings and aborts with the typed budget errors (errors.Is
 // against budget.ErrCanceled / budget.Sentinel). With Options.Fallback also
-// set, a budget *limit* or a recovered worker panic during state-graph
-// construction degrades to cheaper analysis engines instead of failing; see
-// Options.Fallback.
+// set, a budget *limit* during state-graph construction degrades to cheaper
+// analysis engines instead of failing; see Options.Fallback.
 func Synthesize(g *stg.STG, opts Options) (*Report, error) {
 	flow := opts.Obs.Root("flow:synthesize")
 	rep, err := synthesize(g, opts, flow)
@@ -239,13 +237,9 @@ func synthesize(g *stg.STG, opts Options, flow *obs.Span) (*Report, error) {
 		sgSpan.End()
 		sgDur := time.Since(phase)
 		var le budget.ErrLimit
-		var ie *budget.ErrInternal
-		isLimit := errors.As(err, &le)
-		if opts.Fallback && (isLimit || errors.As(err, &ie)) {
-			// A resource ceiling or a recovered worker panic tripped the
-			// explicit build: try the cheaper engines. le is the zero value
-			// on the panic path (0 states counted), which degrade reports
-			// faithfully.
+		if opts.Fallback && errors.As(err, &le) {
+			// A resource ceiling tripped the explicit build: try the
+			// cheaper engines.
 			return degrade(g, opts, ropts, err, le, sgDur, flow)
 		}
 		wrapped := fmt.Errorf("core: state graph: %w", err)
@@ -378,8 +372,7 @@ func budgetErr(err error) bool {
 }
 
 // degrade runs the analysis-only fallback ladder after the explicit
-// state-graph build tripped a budget limit or recovered a worker panic:
-// symbolic BDD traversal (counts
+// state-graph build tripped a budget limit: symbolic BDD traversal (counts
 // states without enumerating them), then stubborn-set reduced exploration
 // (deadlock-preserving), then capped explicit exploration — the guaranteed
 // floor, whose partial graph is accepted as the degraded result. Each rung

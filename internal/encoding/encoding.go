@@ -183,8 +183,6 @@ func describeInsertion(g *stg.STG, name string, r, f Point) string {
 // rankedInsertions tries every (rise, fall) pair of insertion points around
 // non-input transitions and returns the property-preserving candidates that
 // reduce the conflict count, ranked by (conflicts, literal cost, order).
-// With ctx.workers > 1 the pairs are evaluated by the memoized parallel
-// evaluator; the ranking — and thus the returned list — is identical.
 func rankedInsertions(g *stg.STG, name string, limit int, ctx *evalCtx) ([]*Solution, error) {
 	baseSG, err := ctx.buildSG(g)
 	if err != nil {
@@ -209,12 +207,7 @@ func rankedInsertions(g *stg.STG, name string, limit int, ctx *evalCtx) ([]*Solu
 			pairs = append(pairs, insPair{r: r, f: f, order: order})
 		}
 	}
-	var all []scored
-	if ctx.workers > 1 {
-		all, err = evalPairsParallel(g, name, pairs, baseConflicts, ctx)
-	} else {
-		all, err = evalPairsSequential(g, name, pairs, baseConflicts, ctx)
-	}
+	all, err := evalPairs(g, name, pairs, baseConflicts, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -239,38 +232,6 @@ func rankedInsertions(g *stg.STG, name string, limit int, ctx *evalCtx) ([]*Solu
 		}
 	}
 	return out, nil
-}
-
-// evalPairsSequential is the reference evaluator: one candidate at a time on
-// the solve-wide scratch arena. Budget cancellation is polled once per
-// candidate, matching the parallel evaluator's abort points.
-func evalPairsSequential(g *stg.STG, name string, pairs []insPair, baseConflicts int, ctx *evalCtx) ([]scored, error) {
-	var all []scored
-	for _, p := range pairs {
-		ctx.checks.Inc()
-		if err := ctx.bgt.Check("encoding.eval"); err != nil {
-			return nil, err
-		}
-		cand, err := InsertSignalAt(g, name, p.r, p.f)
-		if err != nil {
-			continue
-		}
-		ctx.candidates.Inc()
-		sg, m := evaluateCandidate(cand, baseConflicts, ctx.arena)
-		if !m.ok {
-			continue
-		}
-		all = append(all, scored{
-			sol: &Solution{
-				STG:         cand,
-				SG:          sg,
-				Description: describeInsertion(g, name, p.r, p.f),
-				Literals:    m.lits,
-			},
-			key: [3]int{m.conflicts, m.lits, p.order},
-		})
-	}
-	return all, nil
 }
 
 func less(a, b [3]int) bool {
@@ -378,10 +339,11 @@ func SolveByReduction(g *stg.STG, maxOrders int) (*Solution, error) {
 	if maxOrders <= 0 {
 		maxOrders = 3
 	}
+	ctx := newEvalCtx(Options{})
 	cur := g
 	desc := ""
 	for round := 0; round < maxOrders+1; round++ {
-		sg, err := buildSG(cur)
+		sg, err := ctx.buildSG(cur)
 		if err != nil {
 			return nil, err
 		}
@@ -395,7 +357,7 @@ func SolveByReduction(g *stg.STG, maxOrders int) (*Solution, error) {
 		if round == maxOrders {
 			break
 		}
-		best, bestDesc, err := bestReduction(cur, len(sg.CSCConflicts()))
+		best, bestDesc, err := bestReduction(cur, len(sg.CSCConflicts()), ctx.arena)
 		if err != nil {
 			return nil, fmt.Errorf("encoding: reduction round %d: %w", round, err)
 		}
@@ -408,7 +370,10 @@ func SolveByReduction(g *stg.STG, maxOrders int) (*Solution, error) {
 	return nil, fmt.Errorf("encoding: CSC not solved within %d concurrency reductions", maxOrders)
 }
 
-func bestReduction(g *stg.STG, baseConflicts int) (*stg.STG, string, error) {
+// bestReduction scores every (delayed, until) ordering of g with the same
+// evaluator as signal insertion and returns the best by (conflicts,
+// literals, enumeration order).
+func bestReduction(g *stg.STG, baseConflicts int, ar *reach.Arena) (*stg.STG, string, error) {
 	type cand struct {
 		g    *stg.STG
 		desc string
@@ -429,27 +394,11 @@ func bestReduction(g *stg.STG, baseConflicts int) (*stg.STG, string, error) {
 			if err != nil {
 				continue
 			}
-			sg, err := buildSG(c)
-			if err != nil {
+			_, m := evaluateCandidate(c, baseConflicts, ar)
+			if !m.ok {
 				continue
 			}
-			imp := sg.CheckImplementability()
-			if !imp.Persistent || !imp.DeadlockFree {
-				continue
-			}
-			conflicts := len(sg.CSCConflicts())
-			if conflicts >= baseConflicts {
-				continue
-			}
-			lits := unsolvedLiteralCost
-			if conflicts == 0 {
-				if l, err := complexLiterals(sg); err == nil {
-					lits = l
-				} else {
-					continue
-				}
-			}
-			key := [3]int{conflicts, lits, order}
+			key := [3]int{m.conflicts, m.lits, order}
 			if best == nil || less(key, best.key) {
 				best = &cand{
 					g: c,
@@ -476,16 +425,6 @@ func complexLiterals(sg *ts.SG) (int, error) {
 		n += f.Cover.Literals()
 	}
 	return n, nil
-}
-
-// buildSG builds the state graph for analysis/synthesis, contracting dummy
-// events: synthesis regions are defined on signal-edge arcs only.
-func buildSG(g *stg.STG) (*ts.SG, error) {
-	sg, err := reach.BuildSG(g, reach.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return ts.ContractDummies(sg)
 }
 
 // ConflictSummary renders the CSC conflicts of an SG for diagnostics.

@@ -17,13 +17,11 @@ import (
 
 // Options configure the CSC solvers.
 type Options struct {
-	// Workers selects the memoized parallel candidate evaluator when > 1:
-	// the (rise, fall) insertion pairs of every ranking round are fanned out
-	// across a worker pool, and a canonical-signature memo lets symmetric
-	// insertion points (isomorphic candidate STGs) share one evaluation. The
-	// ranking key stays (conflicts, literals, enumeration order), so the
-	// solution list is bit-identical to the sequential evaluator's at any
-	// worker count. 0 or 1 runs the sequential reference evaluator.
+	// Workers sizes the candidate evaluator's worker pool (0 or 1 = one
+	// worker): the (rise, fall) insertion pairs of every ranking round are
+	// fanned out across it. The ranking key is (conflicts, literals,
+	// enumeration order), so the solution list is identical at any worker
+	// count.
 	Workers int
 	// Budget adds cancellation between candidate evaluations; nil is
 	// unlimited. Each candidate builds a full state graph, so the check runs
@@ -45,9 +43,9 @@ func (o Options) workers() int {
 }
 
 // evalCtx carries the per-solve evaluation state: the worker count, the
-// sequential path's reusable reachability arena, the solve budget and the
-// observability handles (engine span plus the encoding.* counters, all nil
-// no-ops when observability is off).
+// reusable reachability arena for the solve's own state-graph builds, the
+// solve budget and the observability handles (engine span plus the
+// encoding.* counters, all nil no-ops when observability is off).
 type evalCtx struct {
 	workers int
 	arena   *reach.Arena
@@ -105,11 +103,11 @@ type candMetrics struct {
 	lits      int
 }
 
-// evaluateCandidate scores one inserted-signal candidate exactly as the
-// historical sequential loop did: build the SG (candidates violating
-// consistency or safety fail here), require persistency and deadlock
-// freedom, require conflict-count progress, and cost the solved candidates
-// by complex-gate literals. Unsolved survivors carry unsolvedLiteralCost.
+// evaluateCandidate scores one candidate STG — a signal insertion or a
+// concurrency reduction: build the SG (candidates violating consistency or
+// safety fail here), require persistency and deadlock freedom, require
+// conflict-count progress, and cost the solved candidates by complex-gate
+// literals. Unsolved survivors carry unsolvedLiteralCost.
 func evaluateCandidate(cand *stg.STG, baseConflicts int, ar *reach.Arena) (*ts.SG, candMetrics) {
 	sg, err := reach.BuildSG(cand, reach.Options{Arena: ar})
 	if err != nil {
@@ -158,17 +156,19 @@ type memoEntry struct {
 	m    candMetrics
 }
 
-// evalPairsParallel fans the candidate evaluations across workers goroutines,
-// each with its own reachability arena. Results land in a slot per pair, so
-// assembly order — and with it the ranking — is the enumeration order, not
-// the completion order. Memo-hit survivors come back without an SG; the
-// caller rebuilds the few that survive the ranked cut.
+// evalPairs fans the candidate evaluations across ctx.workers goroutines,
+// each with its own reachability arena. A canonical-signature memo lets
+// symmetric insertion points (isomorphic candidate STGs) share one
+// evaluation. Results land in a slot per pair, so assembly order — and with
+// it the ranking — is the enumeration order, not the completion order.
+// Memo-hit survivors come back without an SG; the caller rebuilds the few
+// that survive the ranked cut.
 //
 // The pool is panic-safe: a panicking worker closes any memo entry it owns
 // (so no sibling blocks forever on a singleflight slot), stops the others,
 // and surfaces as budget.ErrInternal with the captured stack. Budget
 // cancellation is polled once per candidate and aborts the same way.
-func evalPairsParallel(g *stg.STG, name string, pairs []insPair, baseConflicts int, ctx *evalCtx) ([]scored, error) {
+func evalPairs(g *stg.STG, name string, pairs []insPair, baseConflicts int, ctx *evalCtx) ([]scored, error) {
 	workers, bgt := ctx.workers, ctx.bgt
 	type result struct {
 		cand *stg.STG

@@ -32,10 +32,10 @@ func doublePulseSeq() *stg.STG {
 	return g
 }
 
-// TestSolutionsDeterministicAcrossWorkers is the tentpole guarantee: the
-// solution list — descriptions, literal costs, order, and the solved state
-// graphs themselves — is bit-identical at every worker count. Run under
-// -race this also exercises the memo and result slots concurrently.
+// TestSolutionsDeterministicAcrossWorkers: the solution list —
+// descriptions, literal costs, order, and the solved state graphs
+// themselves — is identical at every worker count. Run under -race this
+// also exercises the memo and result slots concurrently.
 func TestSolutionsDeterministicAcrossWorkers(t *testing.T) {
 	models := []struct {
 		name  string
@@ -50,7 +50,7 @@ func TestSolutionsDeterministicAcrossWorkers(t *testing.T) {
 	for _, mdl := range models {
 		ref, err := SolutionsOpts(mdl.g, 0, mdl.limit, Options{})
 		if err != nil {
-			t.Fatalf("%s: sequential: %v", mdl.name, err)
+			t.Fatalf("%s: one worker: %v", mdl.name, err)
 		}
 		for _, w := range solverWorkerCounts {
 			got, err := SolutionsOpts(mdl.g, 0, mdl.limit, Options{Workers: w})
@@ -58,7 +58,7 @@ func TestSolutionsDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("%s w=%d: %v", mdl.name, w, err)
 			}
 			if len(got) != len(ref) {
-				t.Fatalf("%s w=%d: %d solutions, sequential found %d",
+				t.Fatalf("%s w=%d: %d solutions, one worker found %d",
 					mdl.name, w, len(got), len(ref))
 			}
 			for i := range ref {

@@ -31,9 +31,9 @@ const (
 	// resource ceiling tripped at that exact point.
 	Limit
 	// Panic panics in the goroutine running the check. Inject it only at
-	// worker-pool sites ("reach.parallel.worker", "encoding.eval",
-	// "logic.worker"): those recover into budget.ErrInternal; coordinator
-	// sites propagate the panic to the caller by design.
+	// worker-pool sites ("encoding.eval", "logic.worker"): those recover
+	// into budget.ErrInternal; coordinator sites propagate the panic to the
+	// caller by design.
 	Panic
 )
 

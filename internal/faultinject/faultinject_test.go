@@ -75,36 +75,8 @@ func wantTyped(t *testing.T, plan Plan, in *Injector, err error) {
 	}
 }
 
-// TestReachParallelInjection drives every fault mode into the parallel
-// explorer's worker site and the coordinator modes into its level barrier,
-// at several deterministic schedule points and worker counts.
-func TestReachParallelInjection(t *testing.T) {
-	net := gen.IndependentToggles(8) // 256 states, wide levels
-	plans := []Plan{
-		{Mode: Cancel, N: 1, Site: "reach.parallel.worker"},
-		{Mode: Cancel, N: 17, Site: "reach.parallel.worker"},
-		{Mode: Limit, N: 5, Site: "reach.parallel.worker"},
-		{Mode: Panic, N: 1, Site: "reach.parallel.worker"},
-		{Mode: Panic, N: 33, Site: "reach.parallel.worker"},
-		{Mode: Cancel, N: 2, Site: "reach.parallel"},
-		{Mode: Limit, N: 3, Site: "reach.parallel"},
-	}
-	for _, workers := range []int{2, 4} {
-		for _, plan := range plans {
-			t.Run(fmt.Sprintf("w%d/%v", workers, plan), func(t *testing.T) {
-				done := leakCheck(t)
-				in, b := New(plan)
-				defer in.Release()
-				_, err := reach.Explore(net, reach.Options{Workers: workers, Budget: b})
-				wantTyped(t, plan, in, err)
-				done()
-			})
-		}
-	}
-}
-
 // TestSequentialEngines drives cancellation and limit errors into every
-// sequential engine's amortized check site and requires the typed error —
+// exploration engine's amortized check site and requires the typed error —
 // plus the partial result where the engine contracts one.
 func TestSequentialEngines(t *testing.T) {
 	net := gen.Philosophers(5)
@@ -234,11 +206,6 @@ func TestCorePipeline(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		for _, plan := range plans {
-			if plan.Mode == Panic && workers == 1 {
-				// Panic recovery is a worker-pool contract; the sequential
-				// reference paths let panics propagate by design.
-				continue
-			}
 			t.Run(fmt.Sprintf("w%d/%v", workers, plan), func(t *testing.T) {
 				done := leakCheck(t)
 				in, b := New(plan)
@@ -292,39 +259,6 @@ func TestCoreFallbackLadder(t *testing.T) {
 	if rep.Summary() == "" {
 		t.Fatal("degraded report must render a summary")
 	}
-}
-
-// TestCoreFallbackPanicDegrades: a worker panic recovered into a typed
-// *budget.ErrInternal during the explicit state-graph build takes the same
-// degradation ladder as a resource limit — the crash-retry policy of the
-// service layer depends on this rung advance.
-func TestCoreFallbackPanicDegrades(t *testing.T) {
-	done := leakCheck(t)
-	plan := Plan{Mode: Panic, N: 3, Site: "reach.parallel.worker"}
-	in, b := New(plan)
-	defer in.Release()
-	rep, err := core.Synthesize(vme.ReadSTG(), core.Options{
-		Reach:    reach.Options{Workers: 4},
-		Budget:   b,
-		Fallback: true,
-	})
-	if !in.Fired() {
-		t.Skip("exploration finished before the injection point")
-	}
-	if err != nil {
-		t.Fatalf("panic-degraded run must succeed, got %v", err)
-	}
-	if rep.Netlist != nil {
-		t.Fatal("degraded run must not synthesize a netlist")
-	}
-	var ie *budget.ErrInternal
-	if first := rep.Attempts[0]; first.Engine != "explicit" || !errors.As(first.Err, &ie) {
-		t.Fatalf("first attempt must be the panicked explicit build, got %+v", first)
-	}
-	if last := rep.Attempts[len(rep.Attempts)-1]; last.Engine == "explicit" || last.Err != nil {
-		t.Fatalf("ladder did not complete on a cheaper engine: %v", rep.Attempts)
-	}
-	done()
 }
 
 // TestCoreFallbackCancelAborts: cancellation is never degraded around — it

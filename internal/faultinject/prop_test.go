@@ -22,31 +22,26 @@ func TestPropInjection(t *testing.T) {
 	g := gen.MullerPipeline(4)
 	props := prop.Standard()
 	cases := []struct {
-		engine  prop.Engine
-		workers int
-		plan    Plan
+		engine prop.Engine
+		plan   Plan
 	}{
-		{prop.EngineExplicit, 1, Plan{Mode: Cancel, N: 3, Site: "reach.explore"}},
-		{prop.EngineExplicit, 1, Plan{Mode: Limit, N: 5, Site: "reach.explore"}},
-		{prop.EngineExplicit, 2, Plan{Mode: Cancel, N: 4, Site: "reach.parallel.worker"}},
-		{prop.EngineExplicit, 2, Plan{Mode: Panic, N: 2, Site: "reach.parallel.worker"}},
-		{prop.EngineExplicit, 1, Plan{Mode: Cancel, N: 2, Site: "prop.explicit"}},
-		{prop.EngineExplicit, 1, Plan{Mode: Limit, N: 40, Site: "prop.explicit"}},
-		{prop.EngineExplicit, 1, Plan{Mode: Cancel, N: 1, Site: "prop.fix"}},
-		{prop.EngineExplicit, 1, Plan{Mode: Limit, N: 3, Site: "prop.fix"}},
-		{prop.EngineSymbolic, 0, Plan{Mode: Cancel, N: 2, Site: "prop.reach"}},
-		{prop.EngineSymbolic, 0, Plan{Mode: Limit, N: 4, Site: "prop.reach"}},
-		{prop.EngineSymbolic, 0, Plan{Mode: Cancel, N: 3, Site: "prop.fix"}},
-		{prop.EngineSymbolic, 0, Plan{Mode: Limit, N: 9, Site: "prop.fix"}},
+		{prop.EngineExplicit, Plan{Mode: Cancel, N: 3, Site: "reach.explore"}},
+		{prop.EngineExplicit, Plan{Mode: Limit, N: 5, Site: "reach.explore"}},
+		{prop.EngineExplicit, Plan{Mode: Cancel, N: 2, Site: "prop.explicit"}},
+		{prop.EngineExplicit, Plan{Mode: Limit, N: 40, Site: "prop.explicit"}},
+		{prop.EngineExplicit, Plan{Mode: Cancel, N: 1, Site: "prop.fix"}},
+		{prop.EngineExplicit, Plan{Mode: Limit, N: 3, Site: "prop.fix"}},
+		{prop.EngineSymbolic, Plan{Mode: Cancel, N: 2, Site: "prop.reach"}},
+		{prop.EngineSymbolic, Plan{Mode: Limit, N: 4, Site: "prop.reach"}},
+		{prop.EngineSymbolic, Plan{Mode: Cancel, N: 3, Site: "prop.fix"}},
+		{prop.EngineSymbolic, Plan{Mode: Limit, N: 9, Site: "prop.fix"}},
 	}
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%s/w%d/%v", tc.engine, tc.workers, tc.plan), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s/%v", tc.engine, tc.plan), func(t *testing.T) {
 			done := leakCheck(t)
 			in, b := New(tc.plan)
 			defer in.Release()
-			rep, err := prop.Check(g, props, prop.Options{
-				Engine: tc.engine, Workers: tc.workers, Budget: b,
-			})
+			rep, err := prop.Check(g, props, prop.Options{Engine: tc.engine, Budget: b})
 			wantTyped(t, tc.plan, in, err)
 			if in.Fired() {
 				if rep == nil {

@@ -16,14 +16,9 @@ import (
 
 // Options configure the derivation and synthesis entry points.
 type Options struct {
-	// Workers selects the shared-extraction parallel deriver when > 1: one
-	// pass over the state graph computes every signal's next-state
-	// information at once (per-signal scans disappear), the don't-care set —
-	// identical for all signals of one SG — is enumerated once, and the
-	// per-signal cover minimizations fan out across a worker pool with
-	// pooled minimizer scratch. Functions and netlists are bit-identical to
-	// the sequential reference path at any worker count. 0 or 1 runs the
-	// sequential per-signal reference implementation.
+	// Workers sizes the worker pool the per-signal cover minimizations fan
+	// out across (0 or 1 = one worker). Functions and netlists are identical
+	// at any worker count.
 	Workers int
 	// Budget adds cancellation between per-signal minimizations; nil is
 	// unlimited.
@@ -45,14 +40,14 @@ func (o Options) workers() int {
 // extraction is the shared one-pass next-state analysis of a state graph.
 // For every state the excited rise/fall signal sets are folded into a
 // successor code nextCode = (code | rise) &^ fall; aggregating those by
-// unique code answers, for all signals at once, everything the per-signal
-// Derive scan computes: agreement (CSC), implied next values, and region
-// classification.
+// unique code answers, for all signals at once, agreement (CSC), implied
+// next values, and region classification. The don't-care set — identical
+// for all signals of one SG — is enumerated once.
 type extraction struct {
 	n     int
 	names []string
-	// Unique codes in first-seen state order — the order Derive appends
-	// minterms in, so shared-path on/off sets match it exactly.
+	// Unique codes in first-seen state order: the minterm order of every
+	// on/off set, so the minimizer input is deterministic.
 	codes  []ts.Code
 	andNxt []ts.Code
 	orNxt  []ts.Code
@@ -140,9 +135,8 @@ func (ex *extraction) conflicted(sig int) bool {
 	return false
 }
 
-// onOff splits the unique codes into sig's on and off sets, in the exact
-// first-seen order Derive produces. Must not be called on a conflicted
-// signal.
+// onOff splits the unique codes into sig's on and off sets, in first-seen
+// order. Must not be called on a conflicted signal.
 func (ex *extraction) onOff(sig int) (on, off []uint64) {
 	bit := ts.Code(1) << uint(sig)
 	for i, c := range ex.codes {
@@ -155,9 +149,9 @@ func (ex *extraction) onOff(sig int) (on, off []uint64) {
 	return on, off
 }
 
-// deriveShared produces sig's Function from the shared extraction, with the
-// cover minimized through the worker's pooled scratch.
-func (ex *extraction) deriveShared(sig int, mz *boolmin.Minimizer) Function {
+// derive produces sig's Function from the shared extraction, with the cover
+// minimized through the worker's pooled scratch.
+func (ex *extraction) derive(sig int, mz *boolmin.Minimizer) Function {
 	ex.minCalls.Inc()
 	on, off := ex.onOff(sig)
 	f := Function{Signal: sig, Name: ex.names[sig], N: ex.n, Names: ex.names, On: on, Off: off}
@@ -180,10 +174,9 @@ func nonInputs(signals []stg.Signal) []int {
 	return out
 }
 
-// DeriveAllOpts is DeriveAll with explicit options. With Workers > 1 the
-// shared-extraction deriver runs: per-signal state scans collapse into one
-// pass and the cover minimizations fan out across the pool. The returned
-// functions — minterm order, covers, errors — are identical to DeriveAll's.
+// DeriveAllOpts is DeriveAll with explicit options: one shared extraction
+// pass over the state graph, then the per-signal cover minimizations fan
+// out across the worker pool.
 func DeriveAllOpts(g *ts.SG, opts Options) ([]Function, error) {
 	sp := opts.Obs.Child("engine:logic")
 	fs, err := deriveAllOpts(g, opts, sp)
@@ -215,26 +208,17 @@ func recordLogic(sp *obs.Span, signals, literals int, err error) {
 }
 
 func deriveAllOpts(g *ts.SG, opts Options, sp *obs.Span) ([]Function, error) {
-	w := opts.workers()
-	if w <= 1 {
-		return DeriveAll(g)
-	}
 	sigs := nonInputs(g.Signals)
 	ex := extract(g)
 	ex.minCalls = sp.Registry().Counter("logic.minimizer_calls")
-	// Conflicts are found on the cheap aggregate first; the reference
-	// deriver then reproduces the exact witness error, in signal order.
 	for _, sig := range sigs {
-		if ex.conflicted(sig) {
-			if _, err := Derive(g, sig); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("logic: internal: aggregate found a conflict for %s the deriver did not", ex.names[sig])
+		if err := ex.witness(g, sig); err != nil {
+			return nil, err
 		}
 	}
 	out := make([]Function, len(sigs))
-	if err := runWorkers(w, len(sigs), opts.Budget, sp, func(mz *boolmin.Minimizer, i int) {
-		out[i] = ex.deriveShared(sigs[i], mz)
+	if err := runWorkers(opts.workers(), len(sigs), opts.Budget, sp, func(mz *boolmin.Minimizer, i int) {
+		out[i] = ex.derive(sigs[i], mz)
 	}); err != nil {
 		return nil, err
 	}
@@ -242,7 +226,7 @@ func deriveAllOpts(g *ts.SG, opts Options, sp *obs.Span) ([]Function, error) {
 }
 
 // SynthesizeOpts is Synthesize with explicit options; see DeriveAllOpts for
-// the Workers > 1 path. Netlists are identical at any worker count.
+// how the work is shared and fanned out.
 func SynthesizeOpts(g *ts.SG, style Style, opts Options) (*Netlist, error) {
 	sp := opts.Obs.Child("engine:logic")
 	nl, err := synthesizeOpts(g, style, opts, sp)
@@ -263,10 +247,6 @@ func SynthesizeOpts(g *ts.SG, style Style, opts Options) (*Netlist, error) {
 }
 
 func synthesizeOpts(g *ts.SG, style Style, opts Options, sp *obs.Span) (*Netlist, error) {
-	w := opts.workers()
-	if w <= 1 {
-		return Synthesize(g, style)
-	}
 	nl := &Netlist{Name: g.Name}
 	for _, s := range g.Signals {
 		nl.AddSignal(s.Name, s.Kind)
@@ -275,23 +255,21 @@ func synthesizeOpts(g *ts.SG, style Style, opts Options, sp *obs.Span) (*Netlist
 	ex := extract(g)
 	ex.minCalls = sp.Registry().Counter("logic.minimizer_calls")
 	// CSC conflicts surface before the fan-out, in signal order, so the
-	// workers run an error-free pure computation. For complex gates the
-	// reference deriver reproduces the exact witness error.
+	// workers run an error-free pure computation.
 	for _, sig := range sigs {
+		var err error
 		if style == ComplexGate {
-			if ex.conflicted(sig) {
-				if _, err := Derive(g, sig); err != nil {
-					return nil, err
-				}
-				return nil, fmt.Errorf("logic: internal: aggregate found a conflict for %s the deriver did not", ex.names[sig])
-			}
-		} else if err := ex.srConflict(sig); err != nil {
+			err = ex.witness(g, sig)
+		} else {
+			err = ex.srConflict(sig)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
 	gates := make([]Gate, len(sigs))
-	if err := runWorkers(w, len(sigs), opts.Budget, sp, func(mz *boolmin.Minimizer, i int) {
-		gates[i] = ex.synthesizeShared(sigs[i], style, mz)
+	if err := runWorkers(opts.workers(), len(sigs), opts.Budget, sp, func(mz *boolmin.Minimizer, i int) {
+		gates[i] = ex.synthesize(sigs[i], style, mz)
 	}); err != nil {
 		return nil, err
 	}
@@ -302,9 +280,20 @@ func synthesizeOpts(g *ts.SG, style Style, opts Options, sp *obs.Span) (*Netlist
 	return nl, nil
 }
 
+// witness reports sig's CSC conflict, if any: the cheap aggregate finds
+// whether there is one, and the state scan names the exact witness pair.
+func (ex *extraction) witness(g *ts.SG, sig int) error {
+	if !ex.conflicted(sig) {
+		return nil
+	}
+	if err := cscWitness(g, sig); err != nil {
+		return err
+	}
+	return fmt.Errorf("logic: internal: aggregate found a conflict for %s the state scan did not", ex.names[sig])
+}
+
 // srConflict checks sig's monotonous-cover consistency condition and reports
-// the first conflicting code in first-seen order (the reference
-// SetResetCovers reports an arbitrary one — it walks a map).
+// the first conflicting code in first-seen order.
 func (ex *extraction) srConflict(sig int) error {
 	bit := ts.Code(1) << uint(sig)
 	for i, c := range ex.codes {
@@ -319,11 +308,11 @@ func (ex *extraction) srConflict(sig int) error {
 	return nil
 }
 
-// synthesizeShared mirrors synthesizeSignal on the shared extraction. The
-// caller has already ruled out CSC conflicts for sig.
-func (ex *extraction) synthesizeShared(sig int, style Style, mz *boolmin.Minimizer) Gate {
+// synthesize builds sig's gate in the chosen architecture. The caller has
+// already ruled out CSC conflicts for sig.
+func (ex *extraction) synthesize(sig int, style Style, mz *boolmin.Minimizer) Gate {
 	if style == ComplexGate {
-		f := ex.deriveShared(sig, mz)
+		f := ex.derive(sig, mz)
 		return Gate{Kind: Comb, Output: sig, F: f.Cover}
 	}
 	set, reset := ex.setResetCovers(sig, mz)
@@ -334,8 +323,14 @@ func (ex *extraction) synthesizeShared(sig int, style Style, mz *boolmin.Minimiz
 	return Gate{Kind: kind, Output: sig, Set: set, Reset: reset}
 }
 
-// setResetCovers mirrors SetResetCovers on the shared extraction: identical
-// monotonous-cover on/off assignment per unique code, in first-seen order.
+// setResetCovers derives the set and reset networks of sig:
+//
+//	set:   on = ER(z+) codes, off = ER(z-) ∪ QR(z-) codes, dc = QR(z+) ∪ unreachable
+//	reset: on = ER(z-) codes, off = ER(z+) ∪ QR(z+) codes, dc = QR(z-) ∪ unreachable
+//
+// This is the monotonous-cover discipline: the set network may stay asserted
+// through the quiescent-high region but must be off wherever the signal is
+// low or falling. Codes are assigned in first-seen order.
 func (ex *extraction) setResetCovers(sig int, mz *boolmin.Minimizer) (set, reset boolmin.Cover) {
 	bit := ts.Code(1) << uint(sig)
 	var setOn, setOff, resetOn, resetOff []uint64

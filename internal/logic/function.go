@@ -99,39 +99,24 @@ func (e *CSCError) Error() string {
 		e.Signal, e.A, e.B, e.Code.String(e.N))
 }
 
-// Derive computes the next-state function of signal sig. It fails with a
-// *CSCError when the SG lacks complete state coding for sig.
-func Derive(g *ts.SG, sig int) (Function, error) {
-	n := len(g.Signals)
-	names := make([]string, n)
-	for i, s := range g.Signals {
-		names[i] = s.Name
-	}
-	f := Function{Signal: sig, Name: g.Signals[sig].Name, N: n, Names: names}
-	// valueByCode remembers the implied value (and a witness state) per code.
-	type implied struct {
-		value bool
-		state int
-	}
-	valueByCode := map[ts.Code]implied{}
+// cscWitness scans the states in order for the first one whose next value
+// of sig differs from that of the first state sharing its code, and reports
+// the pair as a *CSCError; nil when sig's next-state function is
+// well-defined.
+func cscWitness(g *ts.SG, sig int) error {
+	first := map[ts.Code]int{}
 	for s := range g.States {
 		code := g.States[s].Code
-		v := NextValue(g, s, sig)
-		if prev, ok := valueByCode[code]; ok {
-			if prev.value != v {
-				return Function{}, &CSCError{Signal: f.Name, Code: code, A: prev.state, B: s, N: n}
-			}
+		p, seen := first[code]
+		if !seen {
+			first[code] = s
 			continue
 		}
-		valueByCode[code] = implied{value: v, state: s}
-		if v {
-			f.On = append(f.On, uint64(code))
-		} else {
-			f.Off = append(f.Off, uint64(code))
+		if NextValue(g, p, sig) != NextValue(g, s, sig) {
+			return &CSCError{Signal: g.Signals[sig].Name, Code: code, A: p, B: s, N: len(g.Signals)}
 		}
 	}
-	f.Cover = deriveCover(f.On, f.Off, n)
-	return f, nil
+	return nil
 }
 
 // deriveCover picks the minimization engine by width: exact Quine–McCluskey
@@ -152,20 +137,11 @@ func deriveCover(on, off []uint64, n int) boolmin.Cover {
 	}
 }
 
-// DeriveAll derives the next-state functions of every non-input signal.
+// DeriveAll derives the next-state functions of every non-input signal. It
+// fails with a *CSCError when the SG lacks complete state coding for one of
+// them. It is DeriveAllOpts with default options.
 func DeriveAll(g *ts.SG) ([]Function, error) {
-	var out []Function
-	for sig, s := range g.Signals {
-		if s.Kind != stg.Output && s.Kind != stg.Internal {
-			continue
-		}
-		f, err := Derive(g, sig)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
+	return DeriveAllOpts(g, Options{})
 }
 
 // ExcitationRegions returns the connected components of ER(sig,dir): the

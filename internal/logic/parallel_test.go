@@ -37,9 +37,10 @@ func parityModels(t testing.TB) map[string]*ts.SG {
 	}
 }
 
-// TestDeriveAllOptsMatchesSequential: the shared-extraction parallel deriver
-// returns functions — minterm lists, covers, everything — bit-identical to
-// the sequential per-signal reference at every worker count.
+// TestDeriveAllOptsMatchesSequential: fanning the cover minimizations out
+// across workers returns functions — minterm lists, covers, everything —
+// identical to the one-worker run. Run under -race this also exercises the
+// pool.
 func TestDeriveAllOptsMatchesSequential(t *testing.T) {
 	for name, sg := range parityModels(t) {
 		ref, err := logic.DeriveAll(sg)
@@ -52,7 +53,7 @@ func TestDeriveAllOptsMatchesSequential(t *testing.T) {
 				t.Fatalf("%s w=%d: %v", name, w, err)
 			}
 			if !reflect.DeepEqual(ref, got) {
-				t.Fatalf("%s w=%d: derived functions differ from sequential", name, w)
+				t.Fatalf("%s w=%d: derived functions differ from one worker's", name, w)
 			}
 		}
 	}
@@ -74,15 +75,15 @@ func TestSynthesizeOptsMatchesSequential(t *testing.T) {
 					t.Fatalf("%s %v w=%d: %v", name, style, w, err)
 				}
 				if !reflect.DeepEqual(ref, got) {
-					t.Fatalf("%s %v w=%d: netlist differs from sequential", name, style, w)
+					t.Fatalf("%s %v w=%d: netlist differs from one worker's", name, style, w)
 				}
 			}
 		}
 	}
 }
 
-// TestDeriveAllOptsCSCError: on a conflicted SG the parallel deriver
-// reproduces the sequential deriver's exact witness error.
+// TestDeriveAllOptsCSCError: on a conflicted SG every worker count reports
+// the same witness error.
 func TestDeriveAllOptsCSCError(t *testing.T) {
 	sg, err := reach.BuildSG(vme.ReadSTG(), reach.Options{})
 	if err != nil {
@@ -91,7 +92,7 @@ func TestDeriveAllOptsCSCError(t *testing.T) {
 	_, refErr := logic.DeriveAll(sg)
 	var ref *logic.CSCError
 	if !errors.As(refErr, &ref) {
-		t.Fatalf("sequential: want *CSCError, got %v", refErr)
+		t.Fatalf("one worker: want *CSCError, got %v", refErr)
 	}
 	for _, w := range logicWorkerCounts {
 		_, gotErr := logic.DeriveAllOpts(sg, logic.Options{Workers: w})

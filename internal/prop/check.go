@@ -95,9 +95,6 @@ type Options struct {
 	// Engine selects explicit or symbolic evaluation; EngineAuto decides
 	// from the spec size.
 	Engine Engine
-	// Workers parallelizes the explicit engine's state-space exploration
-	// (reach.Options.Workers). The symbolic engine ignores it.
-	Workers int
 	// Budget adds cancellation and state/node ceilings. On a trip the
 	// partial Report (finished verdicts kept, the rest StatusUnknown) is
 	// returned alongside the typed budget error.

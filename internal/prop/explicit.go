@@ -14,10 +14,10 @@ import (
 // checkExplicit evaluates properties over the enumerated state graph:
 // every subformula denotes a bit vector over the states, EF is a backward
 // breadth-first reachability pass. The graph itself is built by
-// reach.BuildSG, so Workers parallelizes the exploration and consistency
-// is established (or refuted) before any property runs.
+// reach.BuildSG, so consistency is established (or refuted) before any
+// property runs.
 func checkExplicit(g *stg.STG, props []Property, opts Options, sp *obs.Span) (*Report, error) {
-	sg, err := reach.BuildSG(g, reach.Options{Workers: opts.Workers, Budget: opts.Budget, Obs: sp})
+	sg, err := reach.BuildSG(g, reach.Options{Budget: opts.Budget, Obs: sp})
 	if err != nil {
 		if isBudget(err) {
 			return unknownReport(string(EngineExplicit), props), err
@@ -47,8 +47,7 @@ func checkExplicit(g *stg.STG, props []Property, opts Options, sp *obs.Span) (*R
 // where a partial all-unknown report is still meaningful.
 func isBudget(err error) bool {
 	var le budget.ErrLimit
-	var ie *budget.ErrInternal
-	return errors.Is(err, budget.ErrCanceled) || errors.As(err, &le) || errors.As(err, &ie)
+	return errors.Is(err, budget.ErrCanceled) || errors.As(err, &le)
 }
 
 type expChecker struct {

@@ -40,7 +40,13 @@ func NewArena() *Arena {
 	return &Arena{index: make(map[string]int)}
 }
 
-const arenaBlockSize = 1 << 16
+// Marking blocks double from arenaMinBlock up to arenaMaxBlock, so a small
+// net's one-off exploration stays small while a reused arena settles on
+// large blocks.
+const (
+	arenaMinBlock = 1 << 9
+	arenaMaxBlock = 1 << 16
+)
 
 // reset rewinds the arena for a fresh exploration of a net with np places.
 func (a *Arena) reset(np int) {
@@ -60,10 +66,7 @@ func (a *Arena) reset(np int) {
 func (a *Arena) alloc(m petri.Marking) petri.Marking {
 	for {
 		if a.cur == len(a.blocks) {
-			size := arenaBlockSize
-			if len(m) > size {
-				size = len(m)
-			}
+			size := max(min(arenaMinBlock<<len(a.blocks), arenaMaxBlock), len(m))
 			a.blocks = append(a.blocks, make([]byte, 0, size))
 		}
 		b := a.blocks[a.cur]
@@ -87,13 +90,12 @@ func (a *Arena) outSlot(idx int) []Step {
 	return nil
 }
 
-// exploreArena is the sequential explorer running entirely on arena scratch.
-// It produces a Graph bit-identical to Explore's (same state numbering,
-// edges, index, nil-vs-empty adjacency and error behavior), but with
-// near-zero allocation churn: markings are bump-allocated, the visited map
-// is reused, and enabledness candidates are fired into a single scratch
-// buffer.
-func exploreArena(n *petri.Net, opts Options, a *Arena) (*Graph, error) {
+// explore is the explorer behind Explore, running entirely on arena
+// scratch with near-zero allocation churn: markings are bump-allocated, the
+// visited map is reused, and enabledness candidates are fired into a single
+// scratch buffer. Deadlock states and states left unexpanded by an abort
+// get nil adjacency.
+func (a *Arena) explore(n *petri.Net, opts Options) (*Graph, error) {
 	a.reset(len(n.Places))
 	g := &Graph{Net: n, Index: a.index}
 	init := n.InitialMarking()
@@ -139,7 +141,7 @@ func exploreArena(n *petri.Net, opts Options, a *Arena) (*Graph, error) {
 			steps = append(steps, Step{Transition: t, To: idx})
 		}
 		if len(steps) == 0 {
-			steps = nil // match the non-arena explorer for deadlock states
+			steps = nil
 		}
 		a.out[head] = steps
 	}
@@ -147,8 +149,7 @@ func exploreArena(n *petri.Net, opts Options, a *Arena) (*Graph, error) {
 }
 
 // finish attaches the arena's state to g. States past lastExpanded (present
-// only on the ErrStateLimit partial graph) get the nil adjacency the
-// non-arena explorer leaves for them.
+// only on partial graphs) get nil adjacency.
 func (a *Arena) finish(g *Graph, lastExpanded int) *Graph {
 	n := len(a.markings)
 	for len(a.out) < n {

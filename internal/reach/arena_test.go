@@ -11,10 +11,10 @@ import (
 )
 
 // TestArenaMatchesSequential reuses ONE arena across every model, in both
-// safe and unsafe modes, and demands the exact Graph the fresh-allocation
-// explorer builds — state numbering, edges (including nil adjacency on
-// deadlock states), and index. Cross-model reuse is the point: stale scratch
-// from a big net must never leak into a small one.
+// safe and unsafe modes, and demands the exact Graph a fresh arena builds —
+// state numbering, edges (including nil adjacency on deadlock states), and
+// index. Cross-model reuse is the point: stale scratch from a big net must
+// never leak into a small one.
 func TestArenaMatchesSequential(t *testing.T) {
 	models := []struct {
 		name string
@@ -35,11 +35,11 @@ func TestArenaMatchesSequential(t *testing.T) {
 			for _, safe := range []bool{false, mdl.safe} {
 				seq, err := Explore(mdl.net, Options{RequireSafe: safe})
 				if err != nil {
-					t.Fatalf("%s: sequential: %v", mdl.name, err)
+					t.Fatalf("%s: fresh arena: %v", mdl.name, err)
 				}
 				got, err := Explore(mdl.net, Options{RequireSafe: safe, Arena: a})
 				if err != nil {
-					t.Fatalf("%s: arena: %v", mdl.name, err)
+					t.Fatalf("%s: reused arena: %v", mdl.name, err)
 				}
 				if !reflect.DeepEqual(seq.Markings, got.Markings) {
 					t.Fatalf("%s safe=%v: markings differ", mdl.name, safe)
@@ -56,9 +56,9 @@ func TestArenaMatchesSequential(t *testing.T) {
 }
 
 // TestArenaBuildSG checks the scratch plumbing through BuildSG: repeated
-// arena-backed builds return SGs identical to the fresh-allocation path,
-// and the SG owns its storage — it must survive the arena moving on to a
-// different spec.
+// builds on one arena return SGs identical to a fresh arena's, and the SG
+// owns its storage — it must survive the arena moving on to a different
+// spec.
 func TestArenaBuildSG(t *testing.T) {
 	a := NewArena()
 	ref, err := BuildSG(vme.ReadWriteSTG(), Options{})
@@ -77,7 +77,7 @@ func TestArenaBuildSG(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ref.States, got.States) || !reflect.DeepEqual(ref.Out, got.Out) {
-		t.Fatal("arena-backed SG differs from fresh-allocation SG")
+		t.Fatal("reused-arena SG differs from fresh-arena SG")
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // TestObsCountersSequential checks that an enabled registry sees the explicit
-// engine's counters and an engine span after a sequential exploration.
+// engine's counters and an engine span after an exploration.
 func TestObsCountersSequential(t *testing.T) {
 	reg := obs.NewRegistry()
 	root := reg.Root("flow:test")
@@ -33,50 +33,6 @@ func TestObsCountersSequential(t *testing.T) {
 	if !hasSpan(snap, "engine:explicit") {
 		t.Fatalf("no engine:explicit span in %+v", snap.Spans)
 	}
-}
-
-// TestObsCountersParallel checks the work-stealing engine's contention
-// counters (expanded, steals, cas_retries, resizes), worker gauge, worker
-// spans and the join event.
-func TestObsCountersParallel(t *testing.T) {
-	reg := obs.NewRegistry()
-	root := reg.Root("flow:test")
-	g, err := Explore(gen.IndependentToggles(6), Options{Workers: 4, Obs: root})
-	if err != nil {
-		t.Fatal(err)
-	}
-	root.End()
-	snap := reg.Snapshot()
-	if err := snap.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := snap.Counters["reach.states"]; got != int64(g.NumStates()) {
-		t.Fatalf("reach.states = %d, want %d", got, g.NumStates())
-	}
-	// Every state is expanded exactly once, whatever the steal schedule.
-	if got := snap.Counters["reach.expanded"]; got != int64(g.NumStates()) {
-		t.Fatalf("reach.expanded = %d, want %d", got, g.NumStates())
-	}
-	for _, name := range []string{"reach.steals", "reach.cas_retries", "reach.resizes"} {
-		if _, ok := snap.Counters[name]; !ok {
-			t.Fatalf("contention counter %s missing from snapshot", name)
-		}
-	}
-	if snap.Gauges["reach.workers"] != 4 {
-		t.Fatalf("reach.workers = %d, want 4", snap.Gauges["reach.workers"])
-	}
-	if !hasSpan(snap, "worker:reach-1") {
-		t.Fatalf("no worker:reach-1 span in %+v", snap.Spans)
-	}
-	for _, sp := range snap.Spans {
-		if sp.Name == "engine:explicit-parallel" {
-			if len(sp.Events) == 0 {
-				t.Fatal("parallel engine span has no join event")
-			}
-			return
-		}
-	}
-	t.Fatalf("no engine:explicit-parallel span in %+v", snap.Spans)
 }
 
 // TestObsNilIsInert makes sure exploration with no span behaves identically.

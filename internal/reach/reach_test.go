@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/petri"
 	"repro/internal/stg"
 	"repro/internal/vme"
@@ -92,6 +93,36 @@ func TestExploreStateLimit(t *testing.T) {
 	}
 	if g.NumStates() != 1024 {
 		t.Fatalf("independent toggles: %d states, want 1024", g.NumStates())
+	}
+}
+
+// TestStateLimitExactAtInsertion pins the MaxStates cap: the abort happens
+// at insertion time, with exactly MaxStates states explored, and a cap the
+// space fits exactly is not an error.
+func TestStateLimitExactAtInsertion(t *testing.T) {
+	net := gen.IndependentToggles(6) // 64 states
+	g, err := Explore(net, Options{MaxStates: 17})
+	if !errors.Is(err, ErrStateLimit) {
+		t.Fatalf("want ErrStateLimit, got %v", err)
+	}
+	if g == nil || len(g.Markings) != 17 {
+		t.Fatalf("abort must leave exactly MaxStates explored states, got %v", g)
+	}
+	g, err = Explore(net, Options{MaxStates: 64})
+	if err != nil || g.NumStates() != 64 {
+		t.Fatalf("exact-fit cap must succeed: %v %v", g, err)
+	}
+}
+
+// TestBuildSGToggleStateLimit pins the same insertion-time semantics on the
+// (marking, code) toggle exploration.
+func TestBuildSGToggleStateLimit(t *testing.T) {
+	g := toggleRingSpec(8)
+	if _, err := BuildSG(g, Options{MaxStates: 3}); !errors.Is(err, ErrStateLimit) {
+		t.Fatalf("want ErrStateLimit, got %v", err)
+	}
+	if _, err := BuildSG(g, Options{}); err != nil {
+		t.Fatalf("unbounded toggle SG: %v", err)
 	}
 }
 

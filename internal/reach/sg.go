@@ -20,12 +20,9 @@ import (
 // Dummy transitions are allowed: they change the marking but not the code.
 // Toggle transitions are rejected (normalize the spec first).
 //
-// Options.Workers plumbs through to the underlying marking exploration, so
-// the SG of a large STG is built with the parallel engine; the code
-// labeling passes stay sequential. Options.Arena additionally runs the
-// exploration and the labeling scratch on reusable memory — the returned SG
-// owns its own storage either way. The toggle path is always sequential and
-// ignores both.
+// Options.Arena runs the exploration and the labeling scratch on reusable
+// memory — the returned SG owns its own storage either way. The toggle path
+// ignores it.
 func BuildSG(g *stg.STG, opts Options) (*ts.SG, error) {
 	if len(g.Signals) > 64 {
 		return nil, fmt.Errorf("reach: %d signals exceed the 64-signal code limit", len(g.Signals))

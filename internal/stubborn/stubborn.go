@@ -10,7 +10,6 @@ import (
 	"repro/internal/budget"
 	"repro/internal/obs"
 	"repro/internal/petri"
-	"repro/internal/shardset"
 )
 
 // Result summarizes a reduced exploration.
@@ -77,9 +76,8 @@ func Explore(n *petri.Net, opts Options) (*Result, error) {
 
 func explore(n *petri.Net, opts Options, sp *obs.Span) (*Result, error) {
 	res := &Result{}
-	seen := shardset.New(1)
 	init := n.InitialMarking()
-	seen.Add(init.Key())
+	seen := map[string]struct{}{init.Key(): {}}
 	stack := []petri.Marking{init}
 	maxStates := opts.maxStates()
 	hooked := opts.Budget.Hooked()
@@ -106,7 +104,9 @@ func explore(n *petri.Net, opts Options, sp *obs.Span) (*Result, error) {
 		for _, t := range fire {
 			next := n.Fire(m, t)
 			res.Arcs++
-			if _, added := seen.Add(next.Key()); added {
+			k := next.Key()
+			if _, dup := seen[k]; !dup {
+				seen[k] = struct{}{}
 				stack = append(stack, next)
 			}
 		}

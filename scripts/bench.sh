@@ -18,17 +18,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHES='^(BenchmarkSolveCSC|BenchmarkEquationDerivation|BenchmarkFullFlow|BenchmarkSymbolicVsExplicit|BenchmarkParallelExplore|BenchmarkSymbolicParallel|BenchmarkServeSynthesize|BenchmarkPropCheck|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledCounter)$'
+BENCHES='^(BenchmarkSolveCSC|BenchmarkEquationDerivation|BenchmarkFullFlow|BenchmarkSymbolicVsExplicit|BenchmarkSymbolicParallel|BenchmarkServeSynthesize|BenchmarkPropCheck|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledCounter)$'
 # The obs overhead guards live in their own package; the root package holds
 # everything else.
 BENCH_PKGS='. ./internal/obs'
-# Parallel families swept across GOMAXPROCS for the speedup columns: the
-# work-stealing explicit engine, the parallel symbolic image and the
-# lock-free shardset (the latter lives in its own package).
-SWEEP='^(BenchmarkParallelExplore|BenchmarkSymbolicParallel|BenchmarkShardSetParallel)$'
-SWEEP_PKGS='. ./internal/shardset'
+# Parallel family swept across GOMAXPROCS for the speedup columns: the
+# parallel symbolic image.
+SWEEP='^BenchmarkSymbolicParallel$'
+SWEEP_PKGS='.'
 
-# run_sweep OUTVAR benchtime: runs the parallel families at GOMAXPROCS
+# run_sweep OUTVAR benchtime: runs the parallel family at GOMAXPROCS
 # 1, 2 and 4, capturing raw output per processor count, and sets OUTVAR to
 # the "procs=file,..." spec cmd/report -scaling consumes.
 run_sweep() {
@@ -72,7 +71,7 @@ for want in ("SolveCSC/cscring-3/w1", "SolveCSC/cscring-3/w4",
              "ServeSynthesize/cold-durable", "ServeSynthesize/cached-durable",
              "ServeSynthesize/disk-hit",
              "SymbolicParallel/toggles-16/w1", "SymbolicParallel/toggles-16/w4",
-             "PropCheck/vme-read/explicit/w1", "PropCheck/vme-read/symbolic"):
+             "PropCheck/vme-read/explicit", "PropCheck/vme-read/symbolic"):
     assert want in names, f"{want} missing from {sorted(names)}"
 for want in ("ObsDisabledOverhead/counter", "ObsDisabledOverhead/span",
              "ObsEnabledCounter"):
@@ -84,8 +83,7 @@ scaling = rec["scaling"]
 assert scaling["gomaxprocs"] == [1, 2, 4], scaling["gomaxprocs"]
 rows = {r["name"]: r for r in scaling["rows"]}
 assert rows, "scaling sweep produced no rows"
-for want in ("ParallelExplore/pipeline-8/w4", "SymbolicParallel/toggles-16/w4",
-             "ShardSetParallel/insert"):
+for want in ("SymbolicParallel/toggles-16/w4",):
     row = rows.get(want)
     assert row, f"{want} missing from scaling rows {sorted(rows)}"
     for p in ("1", "2", "4"):
