@@ -1,7 +1,6 @@
 // Command reach compares the state-space engines of Section 2.2 on one
-// specification: explicit enumeration, BDD-based
-// symbolic traversal, McMillan unfolding prefix, and stubborn-set
-// partial-order reduction.
+// specification: explicit enumeration, BDD-based symbolic traversal,
+// McMillan unfolding prefix, and stubborn-set partial-order reduction.
 //
 // Usage:
 //

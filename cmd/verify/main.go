@@ -14,9 +14,9 @@
 // The property check evaluates a file of `prop name : formula` lines (see
 // internal/prop for the grammar) against the spec's reachable state space:
 // -engine picks the explicit or symbolic (BDD) checker, -timeout aborts
-// long runs, and violated invariants print a counterexample firing sequence with its
-// waveform. -metrics/-trace-json export observability artifacts as in the
-// other tools.
+// long runs, and violated invariants print a counterexample firing
+// sequence with its waveform. -metrics/-trace-json export observability
+// artifacts as in the other tools.
 //
 // Usage and flag errors go to stderr and exit with status 2; runtime errors
 // (including failed verification and violated properties) exit with

@@ -141,7 +141,7 @@ func (a *Arena) explore(n *petri.Net, opts Options) (*Graph, error) {
 			steps = append(steps, Step{Transition: t, To: idx})
 		}
 		if len(steps) == 0 {
-			steps = nil
+			steps = nil // as on a fresh arena: reuse leaves no trace in the graph
 		}
 		a.out[head] = steps
 	}
