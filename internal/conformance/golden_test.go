@@ -18,7 +18,7 @@ import (
 	"repro/internal/ts"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/synthesis.golden")
+var update = flag.Bool("update", false, "rewrite the goldens in testdata/ of the tests that run")
 
 const synthesisGolden = "testdata/synthesis.golden"
 
