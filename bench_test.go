@@ -365,37 +365,6 @@ func BenchmarkSymbolicKernel(b *testing.B) {
 	}
 }
 
-// SYM-PAR — parallel symbolic image computation: the same fixpoint, bit
-// for bit, at 1/2/4 image workers (w1 is the sequential kernel). The
-// contention metrics — unique-table CAS retries, leaked arena slots,
-// epoch re-runs — quantify what the lock-free section pays for its
-// speedup; scripts/bench.sh sweeps this family across GOMAXPROCS.
-func BenchmarkSymbolicParallel(b *testing.B) {
-	models := []struct {
-		name string
-		net  *petri.Net
-	}{
-		{"toggles-16", gen.IndependentToggles(16)},
-		{"muller-7", gen.MullerPipeline(7).Net},
-	}
-	for _, mdl := range models {
-		for _, w := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/w%d", mdl.name, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := symbolic.ReachOpts(mdl.net, symbolic.Options{Workers: w})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(float64(res.PeakNodes), "peaknodes")
-					b.ReportMetric(float64(res.Stats.CASRetries), "casretries")
-					b.ReportMetric(float64(res.Stats.Leaked), "leaked")
-					b.ReportMetric(float64(res.Stats.EpochRetries), "epochretries")
-				}
-			})
-		}
-	}
-}
-
 // E-UNF — unfolding prefix vs reachability graph size.
 func BenchmarkUnfoldingVsRG(b *testing.B) {
 	for _, n := range []int{4, 8, 12} {

@@ -4,19 +4,14 @@
 //
 // Usage:
 //
-//	reach [-engine all|explicit|symbolic|unfold|stubborn] [-sym-workers N]
-//	      [-sift] [-timeout D] [-metrics FILE] [-trace-json FILE]
+//	reach [-engine all|explicit|symbolic|unfold|stubborn] [-sift]
+//	      [-timeout D] [-metrics FILE] [-trace-json FILE]
 //	      [-cpuprofile FILE] [-memprofile FILE] file.g
-//
-// -sym-workers N computes each symbolic image step on N parallel workers
-// (0 or 1 keeps the sequential kernel). Canonicity makes the parallel
-// fixpoint bit-identical to the sequential one.
 //
 // -sift enables dynamic variable reordering (Rudell sifting) in the
 // symbolic engine. The symbolic row is followed by a kernel stats line:
-// live/peak node counts, op-cache hit rate, garbage collections, reorder
-// passes, and — for parallel image runs — unique-table CAS retries,
-// leaked arena slots and epoch re-runs.
+// live/peak node counts, op-cache hit rate, garbage collections and
+// reorder passes.
 //
 // -timeout D aborts the analysis after the given wall-clock duration
 // (e.g. 500ms, 10s). Engines report the partial statistics they reached
@@ -57,7 +52,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("reach", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	engine := fs.String("engine", "all", "engine: all, explicit, symbolic, unfold, stubborn")
-	symWorkers := fs.Int("sym-workers", 0, "parallel image workers for the symbolic engine (0 or 1 = sequential kernel)")
 	sift := fs.Bool("sift", false, "dynamic variable reordering (Rudell sifting) in the symbolic engine")
 	timeout := fs.Duration("timeout", 0, "abort the analysis after this wall-clock duration (0 = none)")
 	var ins cli.Instrumentation
@@ -128,7 +122,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 	})
 	var symStats *bdd.Stats
 	run("symbolic", func() (string, error) {
-		res, err := symbolic.ReachOpts(n, symbolic.Options{Sift: *sift, Workers: *symWorkers, Budget: bgt, Obs: phase})
+		res, err := symbolic.ReachOpts(n, symbolic.Options{Sift: *sift, Budget: bgt, Obs: phase})
 		if err != nil {
 			if res != nil {
 				return fmt.Sprintf("partial: %.0f states after %d iterations",
@@ -143,10 +137,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 			res.CountExact, res.PeakNodes, res.Iterations, dead), nil
 	})
 	if symStats != nil {
-		fmt.Fprintf(stdout, "%-12s live=%d peak=%d cache-hit=%.1f%% gc=%d freed=%d reorders=%d swaps=%d cas-retries=%d leaked=%d epoch-retries=%d\n",
+		fmt.Fprintf(stdout, "%-12s live=%d peak=%d cache-hit=%.1f%% gc=%d freed=%d reorders=%d swaps=%d\n",
 			"  bdd", symStats.Live, symStats.PeakLive, 100*symStats.CacheHitRate(),
-			symStats.GCRuns, symStats.GCFreed, symStats.Reorders, symStats.Swaps,
-			symStats.CASRetries, symStats.Leaked, symStats.EpochRetries)
+			symStats.GCRuns, symStats.GCFreed, symStats.Reorders, symStats.Swaps)
 	}
 	run("unfold", func() (string, error) {
 		u, err := unfold.Build(n, unfold.Options{Budget: bgt, Obs: phase})

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -36,31 +35,10 @@ type benchFile struct {
 	GOMAXPROCS int           `json:"gomaxprocs"`
 	CPU        string        `json:"cpu,omitempty"`
 	Benchmarks []benchResult `json:"benchmarks"`
-	// Scaling is the GOMAXPROCS sweep of the parallel benchmark families
-	// (-scaling): per-worker-count ns/op and speedup columns relative to
-	// the single-processor run.
-	Scaling *scalingTable `json:"scaling,omitempty"`
 	// Snapshots are metrics exports from instrumented runs (-metrics),
 	// keyed by snapshot name, merged in via -merge-metrics so the committed
 	// trajectory carries engine counters next to the timing numbers.
 	Snapshots map[string]*obs.Snapshot `json:"metrics_snapshots,omitempty"`
-}
-
-// scalingTable is the parsed GOMAXPROCS sweep: the processor counts swept
-// and one row per benchmark present in every run.
-type scalingTable struct {
-	GOMAXPROCS []int        `json:"gomaxprocs"`
-	Rows       []scalingRow `json:"rows"`
-}
-
-// scalingRow carries one benchmark's wall-clock across the sweep. Keys of
-// NsPerOp and Speedup are the decimal GOMAXPROCS values; Speedup is
-// ns/op(1) ÷ ns/op(p), present when the single-processor run has the
-// benchmark.
-type scalingRow struct {
-	Name    string             `json:"name"`
-	NsPerOp map[string]float64 `json:"ns_per_op"`
-	Speedup map[string]float64 `json:"speedup,omitempty"`
 }
 
 // writeBenchJSON converts `go test -bench` plain-text output on r into the
@@ -68,9 +46,8 @@ type scalingRow struct {
 // this process's GOMAXPROCS. Lines that are not benchmark results (the
 // goos/goarch/pkg/cpu header, PASS, ok) contribute metadata or are skipped.
 // merge names metrics-snapshot JSON files (comma-separated) whose validated
-// contents are embedded under "metrics_snapshots"; scaling names the
-// GOMAXPROCS sweep files ("1=path,2=path,...") embedded under "scaling".
-func writeBenchJSON(r io.Reader, w io.Writer, merge, scaling string) error {
+// contents are embedded under "metrics_snapshots".
+func writeBenchJSON(r io.Reader, w io.Writer, merge string) error {
 	out := benchFile{
 		Suite:      "synth",
 		GoVersion:  runtime.Version(),
@@ -105,110 +82,9 @@ func writeBenchJSON(r io.Reader, w io.Writer, merge, scaling string) error {
 	if err := mergeSnapshots(&out, merge); err != nil {
 		return err
 	}
-	if err := mergeScaling(&out, scaling); err != nil {
-		return err
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// mergeScaling parses the sweep spec "1=path,2=path,..." — each path a raw
-// `go test -bench` output captured at that GOMAXPROCS — into the scaling
-// table, computing per-worker-count speedups against the p=1 column.
-func mergeScaling(out *benchFile, scaling string) error {
-	if scaling == "" {
-		return nil
-	}
-	perProc := map[int]map[string]float64{}
-	var procs []int
-	for _, part := range strings.Split(scaling, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		eq := strings.IndexByte(part, '=')
-		if eq < 0 {
-			return fmt.Errorf("scaling: %q is not procs=path", part)
-		}
-		p, err := strconv.Atoi(part[:eq])
-		if err != nil || p < 1 {
-			return fmt.Errorf("scaling: bad processor count in %q", part)
-		}
-		results, err := parseBenchFile(part[eq+1:], p)
-		if err != nil {
-			return fmt.Errorf("scaling: %w", err)
-		}
-		col := map[string]float64{}
-		for _, res := range results {
-			col[res.Name] = res.NsPerOp
-		}
-		perProc[p] = col
-		procs = append(procs, p)
-	}
-	if len(procs) == 0 {
-		return nil
-	}
-	sort.Ints(procs)
-	// Row order follows the first (lowest-procs) run.
-	var names []string
-	for name := range perProc[procs[0]] {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	tbl := &scalingTable{GOMAXPROCS: procs}
-	for _, name := range names {
-		row := scalingRow{Name: name, NsPerOp: map[string]float64{}}
-		base, haveBase := perProc[1][name]
-		for _, p := range procs {
-			ns, ok := perProc[p][name]
-			if !ok {
-				continue
-			}
-			key := strconv.Itoa(p)
-			row.NsPerOp[key] = ns
-			if haveBase && p != 1 && ns > 0 {
-				if row.Speedup == nil {
-					row.Speedup = map[string]float64{}
-				}
-				row.Speedup[key] = base / ns
-			}
-		}
-		tbl.Rows = append(tbl.Rows, row)
-	}
-	out.Scaling = tbl
-	return nil
-}
-
-// parseBenchFile reads one raw `go test -bench` output file, produced at
-// GOMAXPROCS procs, into results.
-func parseBenchFile(path string, procs int) ([]benchResult, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var results []benchResult
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
-		res, err := parseBenchLine(line, procs)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		results = append(results, res)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := checkUnique(results); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return results, nil
 }
 
 // checkUnique rejects a repeated benchmark name: records are compared by

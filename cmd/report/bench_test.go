@@ -43,9 +43,9 @@ func TestParseBenchLineSuffix(t *testing.T) {
 	}{
 		{"SymbolicVsExplicit/explicit/toggles-16", 1, "SymbolicVsExplicit/explicit/toggles-16"},
 		{"SymbolicVsExplicit/explicit/toggles-16-2", 2, "SymbolicVsExplicit/explicit/toggles-16"},
-		{"SymbolicParallel/toggles-16/w4-2", 2, "SymbolicParallel/toggles-16/w4"},
-		{"SymbolicParallel/toggles-16/w4-1", 1, "SymbolicParallel/toggles-16/w4-1"},
-		{"SymbolicParallel/toggles-16/w4-4", 2, "SymbolicParallel/toggles-16/w4-4"},
+		{"SolveCSC/cscring-3/w4-2", 2, "SolveCSC/cscring-3/w4"},
+		{"SolveCSC/cscring-3/w4-1", 1, "SolveCSC/cscring-3/w4-1"},
+		{"SolveCSC/cscring-3/w4-4", 2, "SolveCSC/cscring-3/w4-4"},
 		{"FullFlow/muller-3", 4, "FullFlow/muller-3"},
 	} {
 		res, err := parseBenchLine("Benchmark"+tc.name+" 10 1000 ns/op", tc.procs)
@@ -58,27 +58,20 @@ func TestParseBenchLineSuffix(t *testing.T) {
 	}
 }
 
-// TestWriteBenchJSONRejectsDuplicateNames: a name seen twice — in the main
-// output or in one sweep file — is an error, not a silent overwrite.
+// TestWriteBenchJSONRejectsDuplicateNames: a name seen twice is an error,
+// not a silent overwrite.
 func TestWriteBenchJSONRejectsDuplicateNames(t *testing.T) {
 	dup := withProcs("BenchmarkFullFlow/vme-read{p} 10 1000 ns/op\nBenchmarkFullFlow/vme-read{p} 10 1100 ns/op\n")
 	var out bytes.Buffer
-	err := writeBenchJSON(strings.NewReader(dup), &out, "", "")
+	err := writeBenchJSON(strings.NewReader(dup), &out, "")
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate names must be rejected, got %v", err)
-	}
-	path := t.TempDir() + "/sweep2.txt"
-	if err := os.WriteFile(path, []byte("BenchmarkA/w4-2 1 10 ns/op\nBenchmarkA/w4-2 1 11 ns/op\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeBenchJSON(strings.NewReader(""), &out, "", "2="+path); err == nil {
-		t.Fatal("duplicate names in a sweep file must be rejected")
 	}
 }
 
 func TestWriteBenchJSON(t *testing.T) {
 	var out bytes.Buffer
-	if err := writeBenchJSON(strings.NewReader(sampleBenchOutput), &out, "", ""); err != nil {
+	if err := writeBenchJSON(strings.NewReader(sampleBenchOutput), &out, ""); err != nil {
 		t.Fatal(err)
 	}
 	var f benchFile
@@ -110,7 +103,7 @@ func TestWriteBenchJSON(t *testing.T) {
 
 func TestWriteBenchJSONRejectsGarbage(t *testing.T) {
 	var out bytes.Buffer
-	err := writeBenchJSON(strings.NewReader("BenchmarkBroken notanumber ns/op\n"), &out, "", "")
+	err := writeBenchJSON(strings.NewReader("BenchmarkBroken notanumber ns/op\n"), &out, "")
 	if err == nil {
 		t.Fatal("malformed benchmark line must error")
 	}
@@ -131,7 +124,7 @@ func TestWriteBenchJSONMergesMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := writeBenchJSON(strings.NewReader(sampleBenchOutput), &out, path, ""); err != nil {
+	if err := writeBenchJSON(strings.NewReader(sampleBenchOutput), &out, path); err != nil {
 		t.Fatal(err)
 	}
 	var f benchFile
@@ -147,62 +140,6 @@ func TestWriteBenchJSONMergesMetrics(t *testing.T) {
 	}
 }
 
-func TestWriteBenchJSONScalingSweep(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, content string) string {
-		path := dir + "/" + name
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	// go test appends no suffix at GOMAXPROCS=1.
-	p1 := write("sweep1.txt", "BenchmarkSymbolicParallel/muller-6/w4 \t 10\t 4000 ns/op\nBenchmarkSymbolicParallel/toggles-16/w4 \t 5\t 8000 ns/op\n")
-	p2 := write("sweep2.txt", "BenchmarkSymbolicParallel/muller-6/w4-2 \t 10\t 2500 ns/op\nBenchmarkSymbolicParallel/toggles-16/w4-2 \t 5\t 5000 ns/op\n")
-	p4 := write("sweep4.txt", "BenchmarkSymbolicParallel/muller-6/w4-4 \t 10\t 1000 ns/op\nBenchmarkSymbolicParallel/toggles-16/w4-4 \t 5\t 4000 ns/op\n")
-	var out bytes.Buffer
-	spec := "1=" + p1 + ",2=" + p2 + ",4=" + p4
-	if err := writeBenchJSON(strings.NewReader(sampleBenchOutput), &out, "", spec); err != nil {
-		t.Fatal(err)
-	}
-	var f benchFile
-	if err := json.Unmarshal(out.Bytes(), &f); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
-	}
-	if f.Scaling == nil {
-		t.Fatal("scaling table missing")
-	}
-	if got := f.Scaling.GOMAXPROCS; len(got) != 3 || got[0] != 1 || got[2] != 4 {
-		t.Fatalf("gomaxprocs = %v, want [1 2 4]", got)
-	}
-	if len(f.Scaling.Rows) != 2 {
-		t.Fatalf("want 2 rows, got %+v", f.Scaling.Rows)
-	}
-	row := f.Scaling.Rows[0] // sorted: muller-6 before toggles-16
-	if row.Name != "SymbolicParallel/muller-6/w4" {
-		t.Fatalf("row 0 is %q", row.Name)
-	}
-	if row.NsPerOp["1"] != 4000 || row.NsPerOp["4"] != 1000 {
-		t.Fatalf("ns_per_op misparsed: %+v", row.NsPerOp)
-	}
-	if row.Speedup["2"] != 1.6 || row.Speedup["4"] != 4 {
-		t.Fatalf("speedup wrong: %+v", row.Speedup)
-	}
-	if _, ok := row.Speedup["1"]; ok {
-		t.Fatal("baseline must not carry a speedup column")
-	}
-}
-
-func TestWriteBenchJSONScalingRejectsBadSpec(t *testing.T) {
-	var out bytes.Buffer
-	if err := writeBenchJSON(strings.NewReader(""), &out, "", "nope"); err == nil {
-		t.Fatal("spec without procs= must error")
-	}
-	if err := writeBenchJSON(strings.NewReader(""), &out, "", "2=/does/not/exist"); err == nil {
-		t.Fatal("missing sweep file must error")
-	}
-}
-
 func TestWriteBenchJSONRejectsBadSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/bad.json"
@@ -210,7 +147,7 @@ func TestWriteBenchJSONRejectsBadSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	err := writeBenchJSON(strings.NewReader(sampleBenchOutput), &out, path, "")
+	err := writeBenchJSON(strings.NewReader(sampleBenchOutput), &out, path)
 	if err == nil {
 		t.Fatal("invalid snapshot must be rejected")
 	}

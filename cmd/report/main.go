@@ -48,8 +48,6 @@ func main() {
 		"parse 'go test -bench' output on stdin into the benchmark trajectory JSON on stdout")
 	mergeMetrics := flag.String("merge-metrics", "",
 		"comma-separated metrics snapshot files (from -metrics runs) to embed in the bench JSON")
-	scaling := flag.String("scaling", "",
-		"GOMAXPROCS sweep spec 'procs=file,procs=file,...' of raw bench outputs; adds per-worker-count speedup columns to the bench JSON")
 	regress := flag.Bool("regress", false,
 		"compare two bench-json records (positional args: OLD.json NEW.json); exit non-zero on ns/op regressions past -threshold")
 	threshold := flag.Float64("threshold", 0.15,
@@ -58,7 +56,7 @@ func main() {
 		"baseline ns/op floor under which -regress reports but never gates (too fast to time reliably)")
 	flag.Parse()
 	if *benchJSON {
-		if err := writeBenchJSON(os.Stdin, os.Stdout, *mergeMetrics, *scaling); err != nil {
+		if err := writeBenchJSON(os.Stdin, os.Stdout, *mergeMetrics); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -88,13 +88,6 @@ type Manager struct {
 
 	numVars int
 
-	// conc is non-nil between BeginConcurrent and EndConcurrent: node
-	// creation and the memoized operations switch to their lock-free
-	// variants (CAS publication into the pre-sized arena epoch, seqlock
-	// op cache) so any number of goroutines may run ITE/quantify/
-	// AndExistsMask concurrently. See concurrent.go.
-	conc *concState
-
 	stats Stats
 }
 
@@ -122,15 +115,6 @@ type Stats struct {
 	// Reorders and Swaps count sifting passes and adjacent-level swaps.
 	Reorders int
 	Swaps    uint64
-	// CASRetries counts failed unique-table slot claims in concurrent
-	// sections (two goroutines raced for one slot); Leaked counts arena
-	// slots abandoned after losing a publication race to an identical
-	// node (reclaimed onto the free list at EndConcurrent). EpochRetries
-	// counts concurrent sections that exhausted their pre-sized arena
-	// epoch and were re-run with a doubled one.
-	CASRetries   uint64
-	Leaked       uint64
-	EpochRetries uint64
 }
 
 // CacheHitRate returns the op-cache hit fraction in [0,1].
@@ -256,9 +240,6 @@ func hashNode(level, lo, hi int32) uint32 {
 // mk returns the canonical node (level, lo, hi), consulting and updating
 // the open-addressed unique table.
 func (m *Manager) mk(level int32, lo, hi Ref) Ref {
-	if m.conc != nil {
-		return m.mkC(level, lo, hi)
-	}
 	if lo == hi {
 		return lo
 	}
@@ -329,12 +310,6 @@ func (m *Manager) rehash(grow bool) {
 	if grow {
 		size *= 2
 	}
-	m.rehashTo(size)
-}
-
-// rehashTo rebuilds the unique table from the arena at an explicit
-// power-of-two capacity.
-func (m *Manager) rehashTo(size int) {
 	m.table = make([]int32, size)
 	m.tableMask = uint32(size - 1)
 	m.tableUsed = 0
@@ -388,9 +363,6 @@ func (m *Manager) hi(f Ref) Ref      { return Ref(m.nodes[f].hi) }
 
 // ITE computes if-then-else(f, g, h), the universal connective.
 func (m *Manager) ITE(f, g, h Ref) Ref {
-	if m.conc != nil {
-		return m.iteC(f, g, h)
-	}
 	// Terminal cases.
 	switch {
 	case f == True:
@@ -479,9 +451,6 @@ func (m *Manager) Restrict(f Ref, v int, value bool) Ref {
 }
 
 func (m *Manager) restrict(f Ref, lv, val int32) Ref {
-	if m.conc != nil {
-		return m.restrictC(f, lv, val)
-	}
 	l := m.level(f)
 	if l > lv {
 		return f
@@ -550,9 +519,6 @@ func (m *Manager) maskHasLevel(id, l int32) bool {
 }
 
 func (m *Manager) quantify(f Ref, maskID int32, op uint32) Ref {
-	if m.conc != nil {
-		return m.quantifyC(f, maskID, op)
-	}
 	if f == True || f == False {
 		return f
 	}
@@ -583,9 +549,6 @@ func (m *Manager) AndExists(f, g Ref, vars []int) Ref {
 }
 
 func (m *Manager) andExists(f, g Ref, maskID int32) Ref {
-	if m.conc != nil {
-		return m.andExistsC(f, g, maskID)
-	}
 	switch {
 	case f == False || g == False:
 		return False
@@ -671,32 +634,15 @@ func (m *Manager) AnySatVec(f Ref) ([]bool, bool) {
 	return env, true
 }
 
-// SatCount returns the number of satisfying assignments over all NumVars
-// variables, computed via the satisfying fraction (exact for counts below
-// 2^53).
+// SatCount returns SatCountBig rounded to a float64, for display: it is
+// exact only below 2^53 assignments.
 func (m *Manager) SatCount(f Ref) float64 {
-	memo := map[Ref]float64{}
-	var frac func(f Ref) float64
-	frac = func(f Ref) float64 {
-		switch f {
-		case False:
-			return 0
-		case True:
-			return 1
-		}
-		if p, ok := memo[f]; ok {
-			return p
-		}
-		p := 0.5*frac(m.lo(f)) + 0.5*frac(m.hi(f))
-		memo[f] = p
-		return p
-	}
-	return frac(f) * math.Exp2(float64(m.numVars))
+	c, _ := new(big.Float).SetInt(m.SatCountBig(f)).Float64()
+	return c
 }
 
 // SatCountBig returns the exact number of satisfying assignments over all
-// NumVars variables as a big integer. SatCount's float64 silently loses
-// exactness past 2^53 assignments; this never does.
+// NumVars variables as a big integer.
 func (m *Manager) SatCountBig(f Ref) *big.Int {
 	memo := map[Ref]*big.Int{}
 	// varLevel treats terminals as sitting below the last variable.

@@ -24,10 +24,8 @@ type cacheEntry struct {
 	r       int32
 }
 
-// cacheMix mixes an op-cache key into a 32-bit hash; callers mask it to
-// their table size (the sequential cache and the concurrent seqlock cache
-// share the mix).
-func cacheMix(op uint32, f, g, h int32) uint32 {
+// cacheIndex mixes the key into a cache slot index.
+func (m *Manager) cacheIndex(op uint32, f, g, h int32) uint32 {
 	x := uint64(uint32(f))*0x9e3779b97f4a7c15 ^
 		uint64(uint32(g))*0xc2b2ae3d27d4eb4f ^
 		uint64(uint32(h))*0x165667b19e3779f9 ^
@@ -35,12 +33,7 @@ func cacheMix(op uint32, f, g, h int32) uint32 {
 	x ^= x >> 29
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 32
-	return uint32(x)
-}
-
-// cacheIndex mixes the key into a cache slot index.
-func (m *Manager) cacheIndex(op uint32, f, g, h int32) uint32 {
-	return cacheMix(op, f, g, h) & m.cacheMask
+	return uint32(x) & m.cacheMask
 }
 
 func (m *Manager) cacheGet(op uint32, f, g, h int32) (Ref, bool) {

@@ -41,11 +41,6 @@ func (m *Manager) DecRef(f Ref) {
 // free list, the unique table is rehashed, and the operation cache is
 // cleared. It returns the number of nodes reclaimed.
 func (m *Manager) GC() int {
-	if m.conc != nil {
-		// Collection moves table entries other goroutines are reading
-		// lock-free; inside a concurrent section it would corrupt them.
-		panic("bdd: GC inside a concurrent section")
-	}
 	marked := make([]bool, len(m.nodes))
 	marked[0], marked[1] = true, true
 	var stack []int32

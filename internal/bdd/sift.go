@@ -28,11 +28,6 @@ import "sort"
 // optimal position. The operation cache is cleared afterwards because
 // freed slots may have been recycled during the swaps.
 func (m *Manager) Sift() {
-	if m.conc != nil {
-		// Swaps rewrite nodes in place; concurrent readers assume nodes
-		// are immutable for the whole section.
-		panic("bdd: Sift inside a concurrent section")
-	}
 	if m.numVars < 2 {
 		return
 	}

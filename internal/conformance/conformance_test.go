@@ -115,12 +115,6 @@ func TestConformanceEngines(t *testing.T) {
 			}{
 				{"plain", symbolic.Options{}},
 				{"gc+sift", symbolic.Options{GCThreshold: 256, Sift: true}},
-				// Parallel image computation: canonicity makes the fixpoint
-				// bit-identical to the sequential kernel's at any worker
-				// count, so the same exact counts must come back.
-				{"par-2", symbolic.Options{Workers: 2}},
-				{"par-4", symbolic.Options{Workers: 4}},
-				{"par-4+gc", symbolic.Options{Workers: 4, GCThreshold: 256}},
 			}
 			if mdl.unsafe {
 				symVariants = nil
@@ -208,8 +202,8 @@ func TestConformanceCorpusSize(t *testing.T) {
 	if len(models) < 6 {
 		t.Fatalf("conformance corpus has %d models, want >= 6", len(models))
 	}
-	// Engines exercised above: explicit, symbolic (plain, gc+sift and
-	// parallel-image kernels), stubborn.
-	fmt.Fprintf(os.Stderr, "conformance: %d models x {explicit, symbolic(plain, gc+sift, par-2/4), stubborn}\n",
+	// Engines exercised above: explicit, symbolic (plain and gc+sift
+	// kernels), stubborn.
+	fmt.Fprintf(os.Stderr, "conformance: %d models x {explicit, symbolic(plain, gc+sift), stubborn}\n",
 		len(models))
 }

@@ -156,14 +156,7 @@ func (c *symChecker) explore(offset int, trs []symbolic.Trans, wantRings bool) (
 			return reached, rings, err
 		}
 		c.iters.Inc()
-		next := bdd.False
-		for _, tr := range trs {
-			img := m.AndExists(frontier, tr.Enable, tr.Touched)
-			if img == bdd.False {
-				continue
-			}
-			next = m.Or(next, m.And(img, tr.Result))
-		}
+		next := symbolic.Image(m, frontier, trs)
 		frontier = m.Diff(next, reached)
 		reached = m.Or(reached, next)
 		if wantRings && frontier != bdd.False {

@@ -59,13 +59,6 @@ type Options struct {
 	// "engine:symbolic" child span, the symbolic.* counters and the bdd.*
 	// kernel-stat counters into its registry. nil disables observability.
 	Obs *obs.Span
-	// Workers > 1 computes each image step in parallel: the transition
-	// relation is partitioned across that many goroutines inside a BDD
-	// concurrent section (see bdd.BeginConcurrent), each computes a
-	// partial image, and the partials are Or-merged. Canonicity makes the
-	// result bit-identical to the sequential step for every worker count.
-	// 0 or 1 keeps the sequential kernel.
-	Workers int
 }
 
 func (o Options) gcThreshold() int {
@@ -117,9 +110,6 @@ func recordSymbolic(sp *obs.Span, res *Result, err error) {
 		reg.Counter("bdd.gc_freed").Add(int64(st.GCFreed))
 		reg.Counter("bdd.reorders").Add(int64(st.Reorders))
 		reg.Counter("bdd.swaps").Add(int64(st.Swaps))
-		reg.Counter("bdd.cas_retries").Add(int64(st.CASRetries))
-		reg.Counter("bdd.leaked").Add(int64(st.Leaked))
-		reg.Counter("bdd.epoch_retries").Add(int64(st.EpochRetries))
 		sp.Attr("iterations", strconv.Itoa(res.Iterations))
 		sp.Attr("peak_nodes", strconv.Itoa(res.PeakNodes))
 		sp.Attr("cache_hit_rate", strconv.FormatFloat(st.CacheHitRate(), 'f', 3, 64))
@@ -148,20 +138,6 @@ func reachOpts(n *petri.Net, opts Options, sp *obs.Span) (*Result, error) {
 		m.IncRef(tr.Result)
 	}
 
-	// Parallel image steps need the quantification masks interned up
-	// front: interning mutates the manager, which concurrent sections
-	// forbid.
-	workers := opts.Workers
-	var masks []bdd.VarMask
-	if workers > 1 {
-		masks = make([]bdd.VarMask, len(ts))
-		for i, tr := range ts {
-			masks[i] = m.InternVarMask(tr.Touched)
-		}
-		sp.Registry().Gauge("symbolic.workers").Max(int64(workers))
-	}
-	epochHint := 1 << 14
-
 	// Frontier-set traversal with reference-counted roots: only the
 	// transition relation, the reached set and the current frontier are
 	// protected, so periodic mark-and-sweep collections reclaim every
@@ -179,28 +155,7 @@ func reachOpts(n *petri.Net, opts Options, sp *obs.Span) (*Result, error) {
 			return result(m, reached, iters), err
 		}
 		iters++
-		var next bdd.Ref
-		if workers > 1 {
-			before := m.Size()
-			next = parallelImage(m, ts, masks, frontier, workers, epochHint)
-			// Adapt the epoch to the observed growth so later iterations
-			// do not pay retry re-runs.
-			if g := (m.Size() - before) * 2; g > epochHint {
-				epochHint = g
-			}
-		} else {
-			next = bdd.False
-			for _, tr := range ts {
-				// states of the frontier where tr is enabled, with the touched
-				// places quantified away and re-imposed per the firing rule.
-				img := m.AndExists(frontier, tr.Enable, tr.Touched)
-				if img == bdd.False {
-					continue
-				}
-				img = m.And(img, tr.Result)
-				next = m.Or(next, img)
-			}
-		}
+		next := Image(m, frontier, ts)
 		m.DecRef(frontier)
 		frontier = m.IncRef(m.Diff(next, reached))
 		m.DecRef(reached)
@@ -404,12 +359,7 @@ func (d *Dense) Reach() (bdd.Ref, float64, error) {
 	// cannot exist for a covered net (its places are covered), but a
 	// transition whose places span a component exactly once each is the
 	// normal case.
-	type trans struct {
-		enable  bdd.Ref
-		result  bdd.Ref
-		touched []int
-	}
-	var ts []trans
+	var ts []Trans
 	for t, tr := range d.Net.Transitions {
 		enable := bdd.True
 		result := bdd.True
@@ -441,22 +391,14 @@ func (d *Dense) Reach() (bdd.Ref, float64, error) {
 			touched = append(touched, d.BitsOf[i]...)
 		}
 		if involved {
-			ts = append(ts, trans{enable: enable, result: result, touched: touched})
+			ts = append(ts, Trans{Enable: enable, Result: result, Touched: touched})
 		}
 	}
 
 	reached := init
 	frontier := init
 	for frontier != bdd.False {
-		next := bdd.False
-		for _, tr := range ts {
-			img := m.AndExists(frontier, tr.enable, tr.touched)
-			if img == bdd.False {
-				continue
-			}
-			img = m.And(img, tr.result)
-			next = m.Or(next, img)
-		}
+		next := Image(m, frontier, ts)
 		frontier = m.Diff(next, reached)
 		reached = m.Or(reached, next)
 	}
@@ -473,6 +415,3 @@ func bitsFor(n int) int {
 	}
 	return b
 }
-
-// ExactCount is a helper for tests: 2^bits.
-func ExactCount(bits int) float64 { return math.Exp2(float64(bits)) }

@@ -7,11 +7,12 @@ import (
 	"repro/internal/petri"
 )
 
-// Trans is the precomputed symbolic firing data of one transition under the
-// one-variable-per-place encoding: the enabling condition (input places
-// marked, fresh output places empty — 1-safe no-contact semantics), the
-// values the touched places take after firing, and the touched variable
-// list. Forward image of a set X through t is
+// Trans is the precomputed symbolic firing data of one transition: the
+// enabling condition, the values the touched variables take after firing,
+// and the touched variable list. BuildTrans builds it for the
+// one-variable-per-place encoding (input places marked, fresh output
+// places empty — 1-safe no-contact semantics); Dense.Reach for the dense
+// SM-cover encoding, without PostVal. Forward image of a set X through t is
 //
 //	AndExists(X, Enable, Touched) ∧ Result
 //
@@ -114,6 +115,21 @@ func InitCubeStride(n *petri.Net, m *bdd.Manager, offset, stride int) (bdd.Ref, 
 		}
 	}
 	return init, nil
+}
+
+// Image returns the forward image of from through every transition of ts:
+// the markings reached from it by one firing. Every frontier fixpoint over
+// Trans steps through it, whichever state encoding built ts.
+func Image(m *bdd.Manager, from bdd.Ref, ts []Trans) bdd.Ref {
+	next := bdd.False
+	for _, tr := range ts {
+		img := m.AndExists(from, tr.Enable, tr.Touched)
+		if img == bdd.False {
+			continue
+		}
+		next = m.Or(next, m.And(img, tr.Result))
+	}
+	return next
 }
 
 // SomeEnabled returns the characteristic function of the markings where at

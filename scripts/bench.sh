@@ -18,29 +18,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHES='^(BenchmarkSolveCSC|BenchmarkEquationDerivation|BenchmarkFullFlow|BenchmarkSymbolicVsExplicit|BenchmarkSymbolicParallel|BenchmarkServeSynthesize|BenchmarkPropCheck|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledCounter)$'
+BENCHES='^(BenchmarkSolveCSC|BenchmarkEquationDerivation|BenchmarkFullFlow|BenchmarkSymbolicVsExplicit|BenchmarkServeSynthesize|BenchmarkPropCheck|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledCounter)$'
 # The obs overhead guards live in their own package; the root package holds
 # everything else.
 BENCH_PKGS='. ./internal/obs'
-# Parallel family swept across GOMAXPROCS for the speedup columns: the
-# parallel symbolic image.
-SWEEP='^BenchmarkSymbolicParallel$'
-SWEEP_PKGS='.'
-
-# run_sweep OUTVAR benchtime: runs the parallel family at GOMAXPROCS
-# 1, 2 and 4, capturing raw output per processor count, and sets OUTVAR to
-# the "procs=file,..." spec cmd/report -scaling consumes.
-run_sweep() {
-    local -n _spec=$1
-    local benchtime=$2
-    _spec=""
-    for p in 1 2 4; do
-        local f="$snapdir/sweep_$p.txt"
-        # shellcheck disable=SC2086
-        GOMAXPROCS=$p go test -run '^$' -bench "$SWEEP" -benchtime="$benchtime" $SWEEP_PKGS > "$f"
-        _spec+="${_spec:+,}$p=$f"
-    done
-}
 
 # Instrumented flow run: the metrics snapshot from cmd/synth -metrics on the
 # VME example is merged into the bench record so the trajectory carries the
@@ -52,10 +33,9 @@ go run ./cmd/synth -metrics "$snap" testdata/vme-read.g > /dev/null
 
 if [ "${1:-}" = "-smoke" ]; then
     out=$(mktemp "$snapdir/bench_synth.XXXXXX.json")
-    run_sweep sweepspec 1x
     # shellcheck disable=SC2086
     go test -run '^$' -bench "$BENCHES" -benchtime=1x $BENCH_PKGS \
-        | go run ./cmd/report -bench-json -merge-metrics "$snap" -scaling "$sweepspec" > "$out"
+        | go run ./cmd/report -bench-json -merge-metrics "$snap" > "$out"
     # The record must be well-formed JSON with a non-empty benchmark list.
     go run ./cmd/report -bench-json < /dev/null > /dev/null # exercises the empty path
     python3 - "$out" <<'EOF'
@@ -70,7 +50,7 @@ for want in ("SolveCSC/cscring-3/w1", "SolveCSC/cscring-3/w4",
              "ServeSynthesize/cold", "ServeSynthesize/cached",
              "ServeSynthesize/cold-durable", "ServeSynthesize/cached-durable",
              "ServeSynthesize/disk-hit",
-             "SymbolicParallel/toggles-16/w1", "SymbolicParallel/toggles-16/w4",
+             "SymbolicVsExplicit/symbolic/muller-7",
              "PropCheck/vme-read/explicit", "PropCheck/vme-read/symbolic"):
     assert want in names, f"{want} missing from {sorted(names)}"
 for want in ("ObsDisabledOverhead/counter", "ObsDisabledOverhead/span",
@@ -79,20 +59,8 @@ for want in ("ObsDisabledOverhead/counter", "ObsDisabledOverhead/span",
 snap = rec["metrics_snapshots"]["vme-read"]
 for counter in ("reach.states", "encoding.candidates", "logic.signals"):
     assert snap["counters"].get(counter, 0) > 0, f"{counter} zero in snapshot"
-scaling = rec["scaling"]
-assert scaling["gomaxprocs"] == [1, 2, 4], scaling["gomaxprocs"]
-rows = {r["name"]: r for r in scaling["rows"]}
-assert rows, "scaling sweep produced no rows"
-for want in ("SymbolicParallel/toggles-16/w4",):
-    row = rows.get(want)
-    assert row, f"{want} missing from scaling rows {sorted(rows)}"
-    for p in ("1", "2", "4"):
-        assert row["ns_per_op"].get(p, 0) > 0, f"{want} has no ns/op at p={p}"
-    for p in ("2", "4"):
-        assert row.get("speedup", {}).get(p, 0) > 0, f"{want} has no speedup at p={p}"
 print(f"bench smoke: {len(rec['benchmarks'])} benchmarks parsed OK, "
-      f"{len(snap['counters'])} counters merged, "
-      f"{len(rows)} scaling rows across GOMAXPROCS {scaling['gomaxprocs']}")
+      f"{len(snap['counters'])} counters merged")
 EOF
     # Regression guard against the committed trajectory. The smoke run is a
     # single iteration on whatever machine runs the gate, so the threshold is
@@ -104,8 +72,7 @@ EOF
 fi
 
 out=${OUT:-BENCH_synth.json}
-run_sweep sweepspec "${BENCHTIME:-1s}"
 # shellcheck disable=SC2086
 go test -run '^$' -bench "$BENCHES" -benchtime="${BENCHTIME:-1s}" -benchmem $BENCH_PKGS \
-    | go run ./cmd/report -bench-json -merge-metrics "$snap" -scaling "$sweepspec" > "$out"
+    | go run ./cmd/report -bench-json -merge-metrics "$snap" > "$out"
 echo "wrote $out"

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo verification gate: formatting, vet, build, full tests, and the
-# race-detector subset covering the concurrent exploration engines.
+# race-detector subset covering the packages that run goroutines.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,18 +17,14 @@ go build ./...
 # fail the gate, not wedge it.
 go test -timeout 30s ./...
 go test -timeout 30s -race ./internal/reach/... ./internal/stubborn/... ./internal/obs/... ./internal/serve/...
-# Lock-free structures under the race detector: the concurrent BDD kernel
-# (canonicity, epoch retry) and the parallel symbolic image.
-go test -timeout 120s -race ./internal/bdd/ ./internal/symbolic/
 # Fault-injection harness under the race detector: cancel/limit/panic
 # faults at every named check site must produce typed errors with no
 # hangs, crashes or goroutine leaks.
 go test -timeout 60s -race ./internal/faultinject/
-# Cross-engine differential suite under the race detector, pinned to
-# GOMAXPROCS=4 so the parallel symbolic image's workers really interleave:
-# every engine must agree on every model. Then a short fuzz smoke of the
-# BDD kernel against its truth-table oracle.
-GOMAXPROCS=4 go test -timeout 120s -run Conformance -race ./internal/conformance/
+# Cross-engine differential suite under the race detector (its models run
+# as parallel subtests): every engine must agree on every model. Then a
+# short fuzz smoke of the BDD kernel against its truth-table oracle.
+go test -timeout 120s -run Conformance -race ./internal/conformance/
 go test -fuzz=FuzzBDDOps -fuzztime=5s -run '^$' ./internal/bdd/
 # .g parser fuzz smoke: no panics, canonical form is a fixed point.
 go test -fuzz=FuzzSTGParse -fuzztime=5s -run '^$' ./internal/stg/
