@@ -15,6 +15,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -132,8 +133,8 @@ func BenchmarkSolveCSC(b *testing.B) {
 
 // E-EQ — next-state function derivation and minimization. The worker sweep
 // on the solved conflict-rich ring measures the fan-out of the per-signal
-// minimizations; w1 already shares one state-graph pass and one don't-care
-// set across signals. Functions are identical at every worker count.
+// minimizations; w1 already shares one state-graph pass across signals.
+// Functions are identical at every worker count.
 func BenchmarkEquationDerivation(b *testing.B) {
 	b.Run("vme-read", func(b *testing.B) {
 		g := vme.ReadSTG()
@@ -633,12 +634,53 @@ func BenchmarkSymbolicDeadlock(b *testing.B) {
 	}
 }
 
-// Substrate microbenchmarks.
-func BenchmarkBoolminQMC(b *testing.B) {
-	on := []uint64{4, 8, 10, 11, 12, 15, 3, 7}
-	dc := []uint64{9, 14, 1}
-	for i := 0; i < b.N; i++ {
-		boolmin.Minimize(on, dc, 4)
+// E-MIN — exact two-level minimization, the layer the synthesis profile
+// points at. sg-vme-read-write minimizes the non-input next-state functions
+// of vme-read-write's solved state graph: the flow's own traffic, a sparse
+// 8-variable care set. dense-12 is a seeded 12-variable function with on-
+// and off-sets of about 45% each, the shape that favours merging the whole
+// minterm space.
+func BenchmarkMinimize(b *testing.B) {
+	type fn struct {
+		n       int
+		on, off []uint64
+	}
+	sol, err := encoding.SolveCSC(vme.ReadWriteSTG(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fs, err := logic.DeriveAll(sol.SG)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sg []fn
+	for _, f := range fs {
+		sg = append(sg, fn{f.N, f.On, f.Off})
+	}
+	rng := rand.New(rand.NewSource(12))
+	dense := fn{n: 12}
+	for m := uint64(0); m < 1<<12; m++ {
+		switch r := rng.Float64(); {
+		case r < 0.45:
+			dense.on = append(dense.on, m)
+		case r < 0.90:
+			dense.off = append(dense.off, m)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		fns  []fn
+	}{
+		{"sg-vme-read-write", sg},
+		{"dense-12", []fn{dense}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, f := range tc.fns {
+					boolmin.MinimizeOnOff(f.on, f.off, f.n)
+				}
+			}
+		})
 	}
 }
 

@@ -1,107 +1,6 @@
 package boolmin
 
-import (
-	"math/bits"
-	"sort"
-)
-
-// Minimize computes a minimal (exact for small instances, near-minimal
-// otherwise) sum-of-products cover of the incompletely specified function
-// with the given on-set and don't-care minterms over n variables, using
-// Quine–McCluskey prime generation and Petrick/greedy covering.
-//
-// The result covers every on-set minterm, covers no off-set minterm, and
-// consists of prime implicants of on ∪ dc.
-func Minimize(on, dc []uint64, n int) Cover {
-	if len(on) == 0 {
-		return Cover{N: n}
-	}
-	primes := Primes(on, dc, n)
-	chosen := selectCover(primes, on, n)
-	return Cover{N: n, Cubes: chosen}
-}
-
-// Primes generates all prime implicants of the function whose on-set is
-// on ∪ dc (don't-cares participate in merging, as usual).
-func Primes(on, dc []uint64, n int) []Cube {
-	mask := maskN(n)
-	current := map[Cube]bool{} // cube -> "was merged" flag comes later
-	for _, m := range on {
-		current[Cube{Val: m & mask, Care: mask}] = true
-	}
-	for _, m := range dc {
-		current[Cube{Val: m & mask, Care: mask}] = true
-	}
-
-	var primes []Cube
-	for len(current) > 0 {
-		// Group cubes by care mask and popcount for the adjacency scan.
-		merged := map[Cube]bool{}
-		next := map[Cube]bool{}
-		groups := map[uint64][]Cube{}
-		for c := range current {
-			groups[c.Care] = append(groups[c.Care], c)
-		}
-		for _, cubes := range groups {
-			sort.Slice(cubes, func(i, j int) bool {
-				pi, pj := bits.OnesCount64(cubes[i].Val), bits.OnesCount64(cubes[j].Val)
-				if pi != pj {
-					return pi < pj
-				}
-				return cubes[i].Val < cubes[j].Val
-			})
-			// Only cubes whose popcounts differ by one can merge.
-			byPop := map[int][]Cube{}
-			for _, c := range cubes {
-				p := bits.OnesCount64(c.Val)
-				byPop[p] = append(byPop[p], c)
-			}
-			for p, lo := range byPop {
-				hi := byPop[p+1]
-				for _, a := range lo {
-					for _, b := range hi {
-						if m, ok := Merge(a, b); ok {
-							next[m] = true
-							merged[a] = true
-							merged[b] = true
-						}
-					}
-				}
-			}
-		}
-		for c := range current {
-			if !merged[c] {
-				primes = append(primes, c)
-			}
-		}
-		current = next
-	}
-	// Deduplicate and drop primes covered by other primes (can happen when
-	// don't-cares create containment between different-order merges).
-	sort.Slice(primes, func(i, j int) bool {
-		if primes[i].Literals() != primes[j].Literals() {
-			return primes[i].Literals() < primes[j].Literals()
-		}
-		if primes[i].Care != primes[j].Care {
-			return primes[i].Care < primes[j].Care
-		}
-		return primes[i].Val < primes[j].Val
-	})
-	var out []Cube
-	for _, c := range primes {
-		dominated := false
-		for _, d := range out {
-			if d.Covers(c) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, c)
-		}
-	}
-	return out
-}
+import "sort"
 
 // selectCover picks a subset of primes covering every on-set minterm:
 // essential primes first, then Petrick's method when the residual problem is
@@ -273,25 +172,4 @@ func greedyCover(primes []Cube, cands, residual []int, coverers [][]int) []int {
 	}
 	sort.Ints(pick)
 	return pick
-}
-
-// Complement computes a cover of the complement of the function given by
-// on-set/dc minterms (the dc minterms remain free): it simply minimizes the
-// off-set. Intended for deriving reset networks of latches.
-func Complement(on, dc []uint64, n int) Cover {
-	inOn := map[uint64]bool{}
-	for _, m := range on {
-		inOn[m&maskN(n)] = true
-	}
-	inDC := map[uint64]bool{}
-	for _, m := range dc {
-		inDC[m&maskN(n)] = true
-	}
-	var off []uint64
-	for m := uint64(0); m < uint64(1)<<uint(n); m++ {
-		if !inOn[m] && !inDC[m] {
-			off = append(off, m)
-		}
-	}
-	return Minimize(off, dc, n)
 }

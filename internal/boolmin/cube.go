@@ -1,13 +1,15 @@
 // Package boolmin implements two-level Boolean minimization: cubes and
-// covers, exact Quine–McCluskey prime generation with don't-cares, covering
-// via essential primes plus Petrick's method (small instances) or a greedy
-// heuristic, and the algebraic factoring primitives (kernels, division) used
-// by logic decomposition. It is the stand-in for espresso/SIS in the flow
-// (see DESIGN.md substitutions).
+// covers, exact prime generation driven by the off-set (the primes through
+// each on-minterm are the minimal hitting sets of its distances to the
+// off-minterms, so no don't-care is ever enumerated), covering via
+// essential primes plus Petrick's method (small instances) or a greedy
+// heuristic, espresso-style expansion for wide functions, and the algebraic
+// factoring primitives (kernels, division) used by logic decomposition. It
+// is the stand-in for espresso/SIS in the flow (see DESIGN.md
+// substitutions).
 package boolmin
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 	"strings"
@@ -62,19 +64,6 @@ func (c Cube) Covers(d Cube) bool {
 func (c Cube) Intersects(d Cube) bool {
 	shared := c.Care & d.Care
 	return (c.Val^d.Val)&shared == 0
-}
-
-// Merge combines two cubes differing in exactly one literal polarity with
-// identical care sets (the Quine–McCluskey adjacency step).
-func Merge(a, b Cube) (Cube, bool) {
-	if a.Care != b.Care {
-		return Cube{}, false
-	}
-	diff := a.Val ^ b.Val
-	if bits.OnesCount64(diff) != 1 {
-		return Cube{}, false
-	}
-	return Cube{Val: a.Val &^ diff, Care: a.Care &^ diff}, true
 }
 
 // String renders the cube as a positional pattern over n variables:
@@ -138,19 +127,6 @@ func (cv Cover) Literals() int {
 	return n
 }
 
-// IsConstant reports whether the cover is constant 0 or constant 1.
-func (cv Cover) IsConstant() (value, ok bool) {
-	if len(cv.Cubes) == 0 {
-		return false, true
-	}
-	for _, c := range cv.Cubes {
-		if c.Care == 0 {
-			return true, true
-		}
-	}
-	return false, false
-}
-
 // Expr renders the cover as a sum of products with named variables.
 func (cv Cover) Expr(names []string) string {
 	if len(cv.Cubes) == 0 {
@@ -195,15 +171,4 @@ func (cv Cover) Support() []int {
 // Clone returns an independent copy.
 func (cv Cover) Clone() Cover {
 	return Cover{N: cv.N, Cubes: append([]Cube(nil), cv.Cubes...)}
-}
-
-// CheckEqualOn verifies two covers agree on every minterm of the care set
-// (enumerated; intended for tests and small n).
-func CheckEqualOn(a, b Cover, care []uint64) error {
-	for _, m := range care {
-		if a.Eval(m) != b.Eval(m) {
-			return fmt.Errorf("covers differ on minterm %b", m)
-		}
-	}
-	return nil
 }

@@ -1,9 +1,6 @@
 package boolmin
 
-import (
-	"math/bits"
-	"sort"
-)
+import "sort"
 
 // Algebraic factoring primitives (Section 3.4: "candidates for decomposition
 // extracted by algebraic factorization"). Covers are treated as algebraic
@@ -157,33 +154,6 @@ func (cv Cover) Kernels() []Kernel {
 	return out
 }
 
-// BestDivisor returns the kernel (of size >= 2 cubes) whose extraction saves
-// the most literals, or ok=false when no useful divisor exists. This drives
-// decomposition candidate generation in technology mapping.
-func (cv Cover) BestDivisor() (Cover, bool) {
-	best := Cover{}
-	bestGain := 0
-	for _, k := range cv.Kernels() {
-		if len(k.Kernel.Cubes) < 2 {
-			continue
-		}
-		q, r := cv.Divide(k.Kernel)
-		if len(q.Cubes) == 0 {
-			continue
-		}
-		// Literal cost before vs after extraction (new variable costs 1 per
-		// use plus the divisor's own literals).
-		before := cv.Literals()
-		after := k.Kernel.Literals() + q.Literals() + len(q.Cubes) + r.Literals()
-		gain := before - after
-		if gain > bestGain {
-			bestGain = gain
-			best = k.Kernel
-		}
-	}
-	return best, bestGain > 0
-}
-
 func sortCubes(cs []Cube) {
 	sort.Slice(cs, func(i, j int) bool {
 		if cs[i].Care != cs[j].Care {
@@ -191,16 +161,4 @@ func sortCubes(cs []Cube) {
 		}
 		return cs[i].Val < cs[j].Val
 	})
-}
-
-// MaxLiteralsPerCube returns the largest cube size — the fan-in the AND
-// plane needs.
-func (cv Cover) MaxLiteralsPerCube() int {
-	m := 0
-	for _, c := range cv.Cubes {
-		if l := bits.OnesCount64(c.Care); l > m {
-			m = l
-		}
-	}
-	return m
 }

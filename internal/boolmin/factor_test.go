@@ -91,28 +91,6 @@ func TestCubeFree(t *testing.T) {
 	}
 }
 
-func TestBestDivisor(t *testing.T) {
-	// f = ab + ac + db + dc: extracting (b+c) saves literals.
-	f := cover(t, "11--", "1-1-", "-11-", "-1-1")
-	// Note: "-11-" is b c? careful: positions a,b,c,d. Build explicitly:
-	f = cover(t, "11--", "1-1-", "-1-1", "--11") // ab + ac + bd + cd
-	d, ok := f.BestDivisor()
-	if !ok {
-		t.Fatal("expected a useful divisor")
-	}
-	got := d.Expr([]string{"a", "b", "c", "d"})
-	if got != "b + c" && got != "a + d" {
-		t.Fatalf("divisor = %q", got)
-	}
-}
-
-func TestBestDivisorNoneForFlat(t *testing.T) {
-	f := cover(t, "1---", "-1--", "--1-")
-	if _, ok := f.BestDivisor(); ok {
-		t.Fatal("a + b + c has no useful divisor")
-	}
-}
-
 // Property: algebraic division invariant f == q*d + r as Boolean functions,
 // on random covers.
 func TestQuickDivisionInvariant(t *testing.T) {

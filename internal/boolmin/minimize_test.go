@@ -1,6 +1,7 @@
 package boolmin
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -37,31 +38,56 @@ func TestCubeBasics(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := MintermCube(0b000, 3)
-	b := MintermCube(0b001, 3)
-	m, ok := Merge(a, b)
-	if !ok || m.String(3) != "-00" {
-		t.Fatalf("merge: %v %q", ok, m.String(3))
+// complement lists, in increasing order, the minterms of n variables in
+// none of the given sets: the off-set of a function given by its on-set
+// and don't-cares.
+func complement(n int, sets ...[]uint64) []uint64 {
+	in := map[uint64]bool{}
+	for _, s := range sets {
+		for _, m := range s {
+			in[m] = true
+		}
 	}
-	c := MintermCube(0b011, 3)
-	if _, ok := Merge(a, c); ok {
-		t.Fatal("two-bit difference must not merge")
+	var out []uint64
+	for m := uint64(0); m < uint64(1)<<uint(n); m++ {
+		if !in[m] {
+			out = append(out, m)
+		}
 	}
-	d := Cube{Val: 0, Care: 0b011}
-	if _, ok := Merge(a, d); ok {
-		t.Fatal("different care sets must not merge")
-	}
+	return out
 }
 
-// Classic QMC example: f = Σm(0,1,2,5,6,7) over 3 vars minimizes to
-// a'c' + bc' ... let's use the canonical f = Σm(4,8,10,11,12,15) d(9,14)
-// over 4 vars: minimal cover has 4 cubes / known literal count.
+// isConstant reports whether the cover is constant 0 (no cubes) or
+// constant 1 (some cube without literals).
+func isConstant(cv Cover) (value, ok bool) {
+	if len(cv.Cubes) == 0 {
+		return false, true
+	}
+	for _, c := range cv.Cubes {
+		if c.Care == 0 {
+			return true, true
+		}
+	}
+	return false, false
+}
+
+// checkEqualOn verifies two covers agree on every minterm of the care set.
+func checkEqualOn(a, b Cover, care []uint64) error {
+	for _, m := range care {
+		if a.Eval(m) != b.Eval(m) {
+			return fmt.Errorf("covers differ on minterm %b", m)
+		}
+	}
+	return nil
+}
+
+// Classic example: f = Σm(4,8,10,11,12,15) d(9,14) over 4 vars: the
+// minimal cover has 3 cubes.
 func TestMinimizeCanonical(t *testing.T) {
 	on := []uint64{4, 8, 10, 11, 12, 15}
-	dc := []uint64{9, 14}
-	cv := Minimize(on, dc, 4)
-	checkCover(t, cv, on, dc, 4)
+	off := complement(4, on, []uint64{9, 14})
+	cv := MinimizeOnOff(on, off, 4)
+	checkCover(t, cv, on, off, 4)
 	if len(cv.Cubes) > 3 {
 		t.Fatalf("canonical example needs <= 3 cubes, got %d: %s", len(cv.Cubes), cv.String())
 	}
@@ -70,8 +96,9 @@ func TestMinimizeCanonical(t *testing.T) {
 func TestMinimizeXor(t *testing.T) {
 	// XOR has no mergeable adjacent minterms: cover = the minterms.
 	on := []uint64{0b01, 0b10}
-	cv := Minimize(on, nil, 2)
-	checkCover(t, cv, on, nil, 2)
+	off := complement(2, on)
+	cv := MinimizeOnOff(on, off, 2)
+	checkCover(t, cv, on, off, 2)
 	if len(cv.Cubes) != 2 || cv.Literals() != 4 {
 		t.Fatalf("xor cover: %s", cv.String())
 	}
@@ -82,66 +109,41 @@ func TestMinimizeTautology(t *testing.T) {
 	for m := uint64(0); m < 8; m++ {
 		on = append(on, m)
 	}
-	cv := Minimize(on, nil, 3)
-	if v, ok := cv.IsConstant(); !ok || !v {
+	cv := MinimizeOnOff(on, nil, 3)
+	if v, ok := isConstant(cv); !ok || !v {
 		t.Fatalf("tautology must reduce to constant 1, got %s", cv.String())
 	}
 }
 
 func TestMinimizeEmpty(t *testing.T) {
-	cv := Minimize(nil, []uint64{1, 2}, 3)
-	if v, ok := cv.IsConstant(); !ok || v {
+	cv := MinimizeOnOff(nil, complement(3, []uint64{1, 2}), 3)
+	if v, ok := isConstant(cv); !ok || v {
 		t.Fatalf("empty on-set must yield constant 0, got %s", cv.String())
 	}
 }
 
 func TestMinimizeAllDontCareNeighbors(t *testing.T) {
-	// on={0}, dc = everything else: minimal cover is the full cube.
-	on := []uint64{0}
-	var dc []uint64
-	for m := uint64(1); m < 16; m++ {
-		dc = append(dc, m)
-	}
-	cv := Minimize(on, dc, 4)
+	// on={0}, everything else don't-care: minimal cover is the full cube.
+	cv := MinimizeOnOff([]uint64{0}, nil, 4)
 	if len(cv.Cubes) != 1 || cv.Cubes[0].Care != 0 {
 		t.Fatalf("want full cube, got %s", cv.String())
 	}
 }
 
-func TestComplement(t *testing.T) {
-	on := []uint64{0, 1}
-	cv := Complement(on, nil, 2)
-	for m := uint64(0); m < 4; m++ {
-		want := m >= 2
-		if cv.Eval(m) != want {
-			t.Fatalf("complement wrong at %d", m)
-		}
-	}
-}
-
 // checkCover asserts correctness: every on-minterm covered, no off-minterm
-// covered, every cube is prime w.r.t. on ∪ dc.
-func checkCover(t *testing.T, cv Cover, on, dc []uint64, n int) {
+// covered, every cube is prime (dropping any literal hits the off-set).
+func checkCover(t *testing.T, cv Cover, on, off []uint64, n int) {
 	t.Helper()
-	inOn := map[uint64]bool{}
-	for _, m := range on {
-		inOn[m] = true
-	}
-	inDC := map[uint64]bool{}
-	for _, m := range dc {
-		inDC[m] = true
-	}
 	for _, m := range on {
 		if !cv.Eval(m) {
 			t.Fatalf("on-set minterm %b not covered by %s", m, cv.String())
 		}
 	}
-	for m := uint64(0); m < uint64(1)<<uint(n); m++ {
-		if !inOn[m] && !inDC[m] && cv.Eval(m) {
+	for _, m := range off {
+		if cv.Eval(m) {
 			t.Fatalf("off-set minterm %b covered by %s", m, cv.String())
 		}
 	}
-	// Primality: expanding any cube by dropping a literal must hit the off-set.
 	for _, c := range cv.Cubes {
 		for v := 0; v < n; v++ {
 			bit := uint64(1) << uint(v)
@@ -150,8 +152,8 @@ func checkCover(t *testing.T, cv Cover, on, dc []uint64, n int) {
 			}
 			bigger := Cube{Val: c.Val &^ bit, Care: c.Care &^ bit}
 			hitsOff := false
-			for m := uint64(0); m < uint64(1)<<uint(n); m++ {
-				if bigger.Contains(m) && !inOn[m] && !inDC[m] {
+			for _, m := range off {
+				if bigger.Contains(m) {
 					hitsOff = true
 					break
 				}
@@ -163,35 +165,30 @@ func checkCover(t *testing.T, cv Cover, on, dc []uint64, n int) {
 	}
 }
 
-// Property: Minimize is correct on random functions of 4..6 variables.
+// Property: MinimizeOnOff is correct on random functions of 4..6 variables.
 func TestQuickMinimizeCorrect(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(3)
-		var on, dc []uint64
+		var on, off []uint64
 		for m := uint64(0); m < uint64(1)<<uint(n); m++ {
 			switch rng.Intn(3) {
 			case 0:
 				on = append(on, m)
 			case 1:
-				dc = append(dc, m)
+				// don't-care
+			default:
+				off = append(off, m)
 			}
 		}
-		cv := Minimize(on, dc, n)
-		inDC := map[uint64]bool{}
-		for _, m := range dc {
-			inDC[m] = true
-		}
-		inOn := map[uint64]bool{}
+		cv := MinimizeOnOff(on, off, n)
 		for _, m := range on {
-			inOn[m] = true
-		}
-		for m := uint64(0); m < uint64(1)<<uint(n); m++ {
-			got := cv.Eval(m)
-			switch {
-			case inOn[m] && !got:
+			if !cv.Eval(m) {
 				return false
-			case !inOn[m] && !inDC[m] && got:
+			}
+		}
+		for _, m := range off {
+			if cv.Eval(m) {
 				return false
 			}
 		}
@@ -213,7 +210,7 @@ func TestQuickMinimizeNoWorse(t *testing.T) {
 				on = append(on, m)
 			}
 		}
-		cv := Minimize(on, nil, n)
+		cv := MinimizeOnOff(on, complement(n, on), n)
 		return len(cv.Cubes) <= len(on)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -232,9 +229,6 @@ func TestCoverHelpers(t *testing.T) {
 	if got := cv.Support(); len(got) != 3 {
 		t.Fatalf("support = %v", got)
 	}
-	if cv.MaxLiteralsPerCube() != 2 {
-		t.Fatal("max literals per cube")
-	}
 	if got := cv.Expr([]string{"a", "b", "c"}); got != "a b' + c" {
 		t.Fatalf("Expr = %q", got)
 	}
@@ -243,11 +237,11 @@ func TestCoverHelpers(t *testing.T) {
 	if cv.Cubes[0].Care == 0 {
 		t.Fatal("clone shares storage")
 	}
-	if err := CheckEqualOn(cv, cv, []uint64{0, 1, 2, 3, 4, 5, 6, 7}); err != nil {
+	if err := checkEqualOn(cv, cv, []uint64{0, 1, 2, 3, 4, 5, 6, 7}); err != nil {
 		t.Fatal(err)
 	}
 	other := Cover{N: 3}
-	if err := CheckEqualOn(cv, other, []uint64{4}); err == nil {
+	if err := checkEqualOn(cv, other, []uint64{4}); err == nil {
 		t.Fatal("differing covers must be detected")
 	}
 }

@@ -77,17 +77,15 @@ func MinimizeHF(spec HFSpec) (boolmin.Cover, error) {
 			return boolmin.Cover{}, fmt.Errorf("burstmode: minterm %b required both on and off", m)
 		}
 	}
-	var onList, dcList []uint64
+	var onList, offList []uint64
 	for m := range on {
 		onList = append(onList, m)
 	}
-	for m := uint64(0); m <= mask; m++ {
-		if !on[m] && !off[m] {
-			dcList = append(dcList, m)
-		}
+	for m := range off {
+		offList = append(offList, m)
 	}
 
-	primes := boolmin.Primes(onList, dcList, spec.N)
+	primes := boolmin.PrimesOnOff(onList, offList, spec.N)
 	legal := dhfImplicants(primes, spec)
 
 	// Required cubes: every static-1 cube, and every dynamic anchor.

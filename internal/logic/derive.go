@@ -41,8 +41,9 @@ func (o Options) workers() int {
 // For every state the excited rise/fall signal sets are folded into a
 // successor code nextCode = (code | rise) &^ fall; aggregating those by
 // unique code answers, for all signals at once, agreement (CSC), implied
-// next values, and region classification. The don't-care set — identical
-// for all signals of one SG — is enumerated once.
+// next values, and region classification. Every cover is minimized from
+// its on- and off-set alone: the unreachable codes are don't-cares that are
+// never listed.
 type extraction struct {
 	n     int
 	names []string
@@ -54,9 +55,6 @@ type extraction struct {
 	// Per-code region masks: bit s set iff some state with this code has
 	// signal s in the region.
 	erP, erM, qrP, qrM []ts.Code
-	// dc is the shared don't-care set: the unreachable codes, in increasing
-	// minterm order, as MinimizeOnOff enumerates them. Nil when n > 14.
-	dc []uint64
 	// minCalls counts cover minimizations (nil no-op when observability is
 	// off).
 	minCalls *obs.Counter
@@ -114,13 +112,6 @@ func extract(g *ts.SG) *extraction {
 		ex.qrP[i] |= code & quiet
 		ex.qrM[i] |= quiet &^ code
 	}
-	if n <= 14 {
-		reach := make([]uint64, len(ex.codes))
-		for i, c := range ex.codes {
-			reach[i] = uint64(c)
-		}
-		ex.dc = boolmin.DontCares(reach, nil, n)
-	}
 	return ex
 }
 
@@ -149,18 +140,12 @@ func (ex *extraction) onOff(sig int) (on, off []uint64) {
 	return on, off
 }
 
-// derive produces sig's Function from the shared extraction, with the cover
-// minimized through the worker's pooled scratch.
-func (ex *extraction) derive(sig int, mz *boolmin.Minimizer) Function {
+// derive produces sig's Function from the shared extraction.
+func (ex *extraction) derive(sig int) Function {
 	ex.minCalls.Inc()
 	on, off := ex.onOff(sig)
-	f := Function{Signal: sig, Name: ex.names[sig], N: ex.n, Names: ex.names, On: on, Off: off}
-	if ex.n <= 14 {
-		f.Cover = mz.Minimize(on, ex.dc, ex.n)
-	} else {
-		f.Cover = deriveCover(on, off, ex.n)
-	}
-	return f
+	return Function{Signal: sig, Name: ex.names[sig], N: ex.n, Names: ex.names, On: on, Off: off,
+		Cover: deriveCover(on, off, ex.n)}
 }
 
 // nonInputs lists the signals synthesis derives functions for.
@@ -217,8 +202,8 @@ func deriveAllOpts(g *ts.SG, opts Options, sp *obs.Span) ([]Function, error) {
 		}
 	}
 	out := make([]Function, len(sigs))
-	if err := runWorkers(opts.workers(), len(sigs), opts.Budget, sp, func(mz *boolmin.Minimizer, i int) {
-		out[i] = ex.derive(sigs[i], mz)
+	if err := runWorkers(opts.workers(), len(sigs), opts.Budget, sp, func(i int) {
+		out[i] = ex.derive(sigs[i])
 	}); err != nil {
 		return nil, err
 	}
@@ -268,8 +253,8 @@ func synthesizeOpts(g *ts.SG, style Style, opts Options, sp *obs.Span) (*Netlist
 		}
 	}
 	gates := make([]Gate, len(sigs))
-	if err := runWorkers(opts.workers(), len(sigs), opts.Budget, sp, func(mz *boolmin.Minimizer, i int) {
-		gates[i] = ex.synthesize(sigs[i], style, mz)
+	if err := runWorkers(opts.workers(), len(sigs), opts.Budget, sp, func(i int) {
+		gates[i] = ex.synthesize(sigs[i], style)
 	}); err != nil {
 		return nil, err
 	}
@@ -310,12 +295,12 @@ func (ex *extraction) srConflict(sig int) error {
 
 // synthesize builds sig's gate in the chosen architecture. The caller has
 // already ruled out CSC conflicts for sig.
-func (ex *extraction) synthesize(sig int, style Style, mz *boolmin.Minimizer) Gate {
+func (ex *extraction) synthesize(sig int, style Style) Gate {
 	if style == ComplexGate {
-		f := ex.derive(sig, mz)
+		f := ex.derive(sig)
 		return Gate{Kind: Comb, Output: sig, F: f.Cover}
 	}
-	set, reset := ex.setResetCovers(sig, mz)
+	set, reset := ex.setResetCovers(sig)
 	kind := CElem
 	if style == StandardC {
 		kind = RSLatch
@@ -331,7 +316,7 @@ func (ex *extraction) synthesize(sig int, style Style, mz *boolmin.Minimizer) Ga
 // This is the monotonous-cover discipline: the set network may stay asserted
 // through the quiescent-high region but must be off wherever the signal is
 // low or falling. Codes are assigned in first-seen order.
-func (ex *extraction) setResetCovers(sig int, mz *boolmin.Minimizer) (set, reset boolmin.Cover) {
+func (ex *extraction) setResetCovers(sig int) (set, reset boolmin.Cover) {
 	bit := ts.Code(1) << uint(sig)
 	var setOn, setOff, resetOn, resetOff []uint64
 	for i, c := range ex.codes {
@@ -353,26 +338,17 @@ func (ex *extraction) setResetCovers(sig int, mz *boolmin.Minimizer) (set, reset
 		}
 	}
 	ex.minCalls.Add(2)
-	set = minimizeOnOffPooled(setOn, setOff, ex.n, mz)
-	reset = minimizeOnOffPooled(resetOn, resetOff, ex.n, mz)
+	set = boolmin.MinimizeOnOff(setOn, setOff, ex.n)
+	reset = boolmin.MinimizeOnOff(resetOn, resetOff, ex.n)
 	return set, reset
 }
 
-// minimizeOnOffPooled is MinimizeOnOff routed through pooled scratch on the
-// exact-QMC widths.
-func minimizeOnOffPooled(on, off []uint64, n int, mz *boolmin.Minimizer) boolmin.Cover {
-	if n <= 14 && len(on) > 0 {
-		return mz.Minimize(on, boolmin.DontCares(on, off, n), n)
-	}
-	return boolmin.MinimizeOnOff(on, off, n)
-}
-
-// runWorkers fans f over n indexes across w goroutines, each owning a pooled
-// minimizer. Results keyed by index stay deterministic however the indexes
-// are claimed. A panicking worker stops the others and the panic surfaces as
-// budget.ErrInternal with the captured stack; budget cancellation is polled
-// once per index and aborts the same way.
-func runWorkers(w, n int, bgt *budget.Budget, sp *obs.Span, f func(mz *boolmin.Minimizer, i int)) error {
+// runWorkers fans f over n indexes across w goroutines. Results keyed by
+// index stay deterministic however the indexes are claimed. A panicking
+// worker stops the others and the panic surfaces as budget.ErrInternal with
+// the captured stack; budget cancellation is polled once per index and
+// aborts the same way.
+func runWorkers(w, n int, bgt *budget.Budget, sp *obs.Span, f func(i int)) error {
 	if w > n {
 		w = n
 	}
@@ -393,7 +369,6 @@ func runWorkers(w, n int, bgt *budget.Budget, sp *obs.Span, f func(mz *boolmin.M
 					stop.Store(true)
 				}
 			}()
-			var mz boolmin.Minimizer
 			for {
 				if stop.Load() {
 					return
@@ -408,7 +383,7 @@ func runWorkers(w, n int, bgt *budget.Budget, sp *obs.Span, f func(mz *boolmin.M
 				if i >= n {
 					return
 				}
-				f(&mz, i)
+				f(i)
 			}
 		}(k)
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // TestWideDerivationISOP exercises the BDD-ISOP minimization path: a Muller
-// pipeline deep enough that the signal count exceeds the Quine–McCluskey
-// window. Every derived cover must separate on-set from off-set exactly.
+// pipeline deep enough that the signal count exceeds the exact
+// minimizer's window. Every derived cover must separate on-set from off-set exactly.
 func TestWideDerivationISOP(t *testing.T) {
 	g := gen.MullerPipeline(8) // 16 signals -> ISOP path
 	sg, err := reach.BuildSG(g, reach.Options{})

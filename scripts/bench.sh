@@ -18,7 +18,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHES='^(BenchmarkSolveCSC|BenchmarkEquationDerivation|BenchmarkFullFlow|BenchmarkSymbolicVsExplicit|BenchmarkServeSynthesize|BenchmarkPropCheck|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledCounter)$'
+BENCHES='^(BenchmarkSolveCSC|BenchmarkEquationDerivation|BenchmarkFullFlow|BenchmarkMinimize|BenchmarkSymbolicVsExplicit|BenchmarkServeSynthesize|BenchmarkPropCheck|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledCounter)$'
 # The obs overhead guards live in their own package; the root package holds
 # everything else.
 BENCH_PKGS='. ./internal/obs'
@@ -51,6 +51,7 @@ for want in ("SolveCSC/cscring-3/w1", "SolveCSC/cscring-3/w4",
              "ServeSynthesize/cold-durable", "ServeSynthesize/cached-durable",
              "ServeSynthesize/disk-hit",
              "SymbolicVsExplicit/symbolic/muller-7",
+             "Minimize/sg-vme-read-write", "Minimize/dense-12",
              "PropCheck/vme-read/explicit", "PropCheck/vme-read/symbolic"):
     assert want in names, f"{want} missing from {sorted(names)}"
 for want in ("ObsDisabledOverhead/counter", "ObsDisabledOverhead/span",
