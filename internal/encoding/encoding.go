@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"repro/internal/logic"
-	"repro/internal/reach"
 	"repro/internal/stg"
 	"repro/internal/ts"
 )
@@ -357,7 +356,7 @@ func SolveByReduction(g *stg.STG, maxOrders int) (*Solution, error) {
 		if round == maxOrders {
 			break
 		}
-		best, bestDesc, err := bestReduction(cur, len(sg.CSCConflicts()), ctx.arena)
+		best, bestDesc, err := bestReduction(cur, len(sg.CSCConflicts()), ctx)
 		if err != nil {
 			return nil, fmt.Errorf("encoding: reduction round %d: %w", round, err)
 		}
@@ -373,7 +372,7 @@ func SolveByReduction(g *stg.STG, maxOrders int) (*Solution, error) {
 // bestReduction scores every (delayed, until) ordering of g with the same
 // evaluator as signal insertion and returns the best by (conflicts,
 // literals, enumeration order).
-func bestReduction(g *stg.STG, baseConflicts int, ar *reach.Arena) (*stg.STG, string, error) {
+func bestReduction(g *stg.STG, baseConflicts int, ctx *evalCtx) (*stg.STG, string, error) {
 	type cand struct {
 		g    *stg.STG
 		desc string
@@ -394,7 +393,7 @@ func bestReduction(g *stg.STG, baseConflicts int, ar *reach.Arena) (*stg.STG, st
 			if err != nil {
 				continue
 			}
-			_, m := evaluateCandidate(c, baseConflicts, ar)
+			_, m := evaluateCandidate(c, baseConflicts, ctx.arena, ctx.costed)
 			if !m.ok {
 				continue
 			}

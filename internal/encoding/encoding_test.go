@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/logic"
+	"repro/internal/obs"
 	"repro/internal/reach"
 	"repro/internal/sim"
 	"repro/internal/stg"
@@ -246,4 +247,35 @@ func TestConflictSummary(t *testing.T) {
 	if ConflictSummary(sol.SG) != "CSC satisfied" {
 		t.Fatal("clean SG summary")
 	}
+}
+
+// TestCostedCounter pins how many solved candidates the search derives
+// complex-gate logic for, to cost them in literals: on vme-read-write, with
+// the five-solution limit the flow uses, 68 memo-missing candidates reach
+// zero conflicts. The engine span carries the same count.
+func TestCostedCounter(t *testing.T) {
+	reg := obs.NewRegistry()
+	root := reg.Root("flow:test")
+	if _, err := SolutionsOpts(vme.ReadWriteSTG(), 0, 5, Options{Obs: root}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	snap := reg.Snapshot()
+	if got := snap.Counters["encoding.costed"]; got != 68 {
+		t.Fatalf("encoding.costed = %d, want 68", got)
+	}
+	for _, sp := range snap.Spans {
+		if sp.Name != "engine:encoding" {
+			continue
+		}
+		for _, kv := range sp.Attrs {
+			if kv.Key == "costed" {
+				if kv.Value != "68" {
+					t.Fatalf("engine:encoding costed = %s, want 68", kv.Value)
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("engine:encoding span carries no costed attribute")
 }

@@ -29,8 +29,8 @@ type Options struct {
 	Budget *budget.Budget
 	// Obs is the parent observability span: the solve records an
 	// "engine:encoding" child span, per-worker spans, and the encoding.*
-	// counters (candidates, memo hits/misses, budget checks) into its
-	// registry. Per-candidate state-graph builds stay uninstrumented — a
+	// counters (candidates, memo hits/misses, costed candidates, budget
+	// checks) into its registry. Per-candidate state-graph builds stay uninstrumented — a
 	// solve evaluates thousands of them. nil disables observability.
 	Obs *obs.Span
 }
@@ -55,7 +55,10 @@ type evalCtx struct {
 	candidates *obs.Counter
 	memoHits   *obs.Counter
 	memoMisses *obs.Counter
-	checks     *obs.Counter
+	// costed counts the solved candidates whose complex-gate logic was
+	// derived to cost them in literals (memo misses only).
+	costed *obs.Counter
+	checks *obs.Counter
 }
 
 func newEvalCtx(opts Options) *evalCtx {
@@ -69,6 +72,7 @@ func newEvalCtx(opts Options) *evalCtx {
 		candidates: reg.Counter("encoding.candidates"),
 		memoHits:   reg.Counter("encoding.memo_hits"),
 		memoMisses: reg.Counter("encoding.memo_misses"),
+		costed:     reg.Counter("encoding.costed"),
 		checks:     reg.Counter("encoding.budget_checks"),
 	}
 }
@@ -80,6 +84,7 @@ func (c *evalCtx) finish(err error) {
 	}
 	c.sp.Attr("candidates", strconv.FormatInt(c.candidates.Value(), 10))
 	c.sp.Attr("memo_hits", strconv.FormatInt(c.memoHits.Value(), 10))
+	c.sp.Attr("costed", strconv.FormatInt(c.costed.Value(), 10))
 	if err != nil {
 		c.sp.Attr("error", err.Error())
 	}
@@ -107,8 +112,9 @@ type candMetrics struct {
 // concurrency reduction: build the SG (candidates violating consistency or
 // safety fail here), require persistency and deadlock freedom, require
 // conflict-count progress, and cost the solved candidates by complex-gate
-// literals. Unsolved survivors carry unsolvedLiteralCost.
-func evaluateCandidate(cand *stg.STG, baseConflicts int, ar *reach.Arena) (*ts.SG, candMetrics) {
+// literals, counting each in costed. Unsolved survivors carry
+// unsolvedLiteralCost.
+func evaluateCandidate(cand *stg.STG, baseConflicts int, ar *reach.Arena, costed *obs.Counter) (*ts.SG, candMetrics) {
 	sg, err := reach.BuildSG(cand, reach.Options{Arena: ar})
 	if err != nil {
 		return nil, candMetrics{}
@@ -126,6 +132,7 @@ func evaluateCandidate(cand *stg.STG, baseConflicts int, ar *reach.Arena) (*ts.S
 	}
 	lits := unsolvedLiteralCost
 	if conflicts == 0 {
+		costed.Inc()
 		l, err := complexLiterals(sg)
 		if err != nil {
 			return nil, candMetrics{}
@@ -237,7 +244,7 @@ func evalPairs(g *stg.STG, name string, pairs []insPair, baseConflicts int, ctx 
 				// metrics they then read mark the candidate failed.
 				func() {
 					defer close(e.done)
-					sg, m := evaluateCandidate(cand, baseConflicts, ar)
+					sg, m := evaluateCandidate(cand, baseConflicts, ar, ctx.costed)
 					e.m = m
 					if m.ok {
 						results[i] = result{cand: cand, sg: sg, m: m}

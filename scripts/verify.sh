@@ -26,6 +26,10 @@ go test -timeout 60s -race ./internal/faultinject/
 # short fuzz smoke of the BDD kernel against its truth-table oracle.
 go test -timeout 120s -run Conformance -race ./internal/conformance/
 go test -fuzz=FuzzBDDOps -fuzztime=5s -run '^$' ./internal/bdd/
+# Exact two-level minimizer fuzz smoke against its brute-force oracle over
+# all 3^n cubes (n <= 8): same primes in the same order, a cover that
+# separates the on-set from the off-set.
+go test -fuzz=FuzzMinimizeOnOff -fuzztime=5s -run '^$' ./internal/boolmin/
 # .g parser fuzz smoke: no panics, canonical form is a fixed point.
 go test -fuzz=FuzzSTGParse -fuzztime=5s -run '^$' ./internal/stg/
 # Property layer gate: unit + golden/CLI tests under the race detector,
@@ -49,7 +53,7 @@ go run ./cmd/synth -metrics "$obsdir/synth.metrics.json" \
 OBS_METRICS_FILE="$obsdir/synth.metrics.json" \
 OBS_TRACE_FILE="$obsdir/synth.trace.json" \
 OBS_REQUIRE_HIERARCHY=1 \
-OBS_REQUIRE_COUNTERS=reach.states,reach.arcs,encoding.candidates,logic.signals,logic.cover_literals \
+OBS_REQUIRE_COUNTERS=reach.states,reach.arcs,encoding.candidates,encoding.costed,logic.signals,logic.cover_literals \
     go test -timeout 30s -run TestExternalArtifacts -count=1 ./internal/obs/
 # cmd/reach covers the engines a successful synthesis flow never runs
 # (symbolic, unfolding, stubborn sets) plus the BDD kernel counters.
