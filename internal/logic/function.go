@@ -122,8 +122,7 @@ func cscWitness(g *ts.SG, sig int) error {
 // deriveCover picks the minimization engine by width: the exact
 // off-set-driven minimizer up to 14 variables, BDD-based ISOP
 // (Minato–Morreale) up to 28, and espresso-style expansion beyond the BDD
-// comfort zone. The exact window stays at 14: exact covers at 16 variables
-// would change the Muller-8 netlist.
+// comfort zone.
 func deriveCover(on, off []uint64, n int) boolmin.Cover {
 	switch {
 	case n <= 14:
