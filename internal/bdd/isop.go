@@ -4,8 +4,9 @@ import "repro/internal/boolmin"
 
 // ISOP computes an irredundant sum-of-products G with L ⊆ G ⊆ U using the
 // Minato–Morreale algorithm: the BDD-native route from symbolic functions to
-// two-level covers, used past the exact minimizer's 14-variable window. L is the on-set lower bound (must be covered), U the
-// upper bound (on ∪ don't-care).
+// two-level covers, used past the exact minimizer's 14-variable window. L is
+// the on-set lower bound (must be covered), U the upper bound
+// (on ∪ don't-care).
 func (m *Manager) ISOP(l, u Ref) boolmin.Cover {
 	cubes, _ := m.isop(l, u)
 	return boolmin.Cover{N: m.numVars, Cubes: cubes}

@@ -30,8 +30,9 @@ type Options struct {
 	// Obs is the parent observability span: the solve records an
 	// "engine:encoding" child span, per-worker spans, and the encoding.*
 	// counters (candidates, memo hits/misses, costed candidates, budget
-	// checks) into its registry. Per-candidate state-graph builds stay uninstrumented — a
-	// solve evaluates thousands of them. nil disables observability.
+	// checks) into its registry. Per-candidate state-graph builds stay
+	// uninstrumented — a solve evaluates thousands of them. nil disables
+	// observability.
 	Obs *obs.Span
 }
 
