@@ -183,6 +183,34 @@ func describeInsertion(g *stg.STG, name string, r, f Point) string {
 // non-input transitions and returns the property-preserving candidates that
 // reduce the conflict count, ranked by (conflicts, literal cost, order).
 func rankedInsertions(g *stg.STG, name string, limit int, ctx *evalCtx) ([]*Solution, error) {
+	all, err := scoreInsertions(g, name, ctx)
+	if err != nil {
+		return nil, err
+	}
+	if limit > 0 && len(all) > limit {
+		all = all[:limit]
+	}
+	out := make([]*Solution, len(all))
+	for i, s := range all {
+		out[i] = s.sol
+		if out[i].SG == nil {
+			// Memo-hit survivor of the ranked cut: build its own SG now.
+			// Its isomorphic twin built fine, so this cannot fail.
+			sg, err := ctx.buildSG(out[i].STG)
+			if err != nil {
+				return nil, fmt.Errorf("encoding: rebuilding memoized candidate: %w", err)
+			}
+			out[i].SG = sg
+		}
+	}
+	return out, nil
+}
+
+// scoreInsertions enumerates every (rise, fall) pair of insertion points
+// around non-input transitions of g and returns the property-preserving
+// candidates that reduce the conflict count, sorted by their (conflicts,
+// literals, order) key.
+func scoreInsertions(g *stg.STG, name string, ctx *evalCtx) ([]scored, error) {
 	baseSG, err := ctx.buildSG(g)
 	if err != nil {
 		return nil, err
@@ -214,23 +242,7 @@ func rankedInsertions(g *stg.STG, name string, limit int, ctx *evalCtx) ([]*Solu
 		return nil, fmt.Errorf("no property-preserving insertion found for %s", name)
 	}
 	sort.Slice(all, func(i, j int) bool { return less(all[i].key, all[j].key) })
-	if limit > 0 && len(all) > limit {
-		all = all[:limit]
-	}
-	out := make([]*Solution, len(all))
-	for i, s := range all {
-		out[i] = s.sol
-		if out[i].SG == nil {
-			// Memo-hit survivor of the ranked cut: build its own SG now.
-			// Its isomorphic twin built fine, so this cannot fail.
-			sg, err := ctx.buildSG(out[i].STG)
-			if err != nil {
-				return nil, fmt.Errorf("encoding: rebuilding memoized candidate: %w", err)
-			}
-			out[i].SG = sg
-		}
-	}
-	return out, nil
+	return all, nil
 }
 
 func less(a, b [3]int) bool {

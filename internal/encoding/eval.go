@@ -152,8 +152,9 @@ type insPair struct {
 }
 
 type scored struct {
-	sol *Solution
-	key [3]int
+	sol  *Solution
+	pair insPair
+	key  [3]int
 }
 
 // memoEntry is a singleflight slot: the first worker to claim a canonical
@@ -274,7 +275,8 @@ func evalPairs(g *stg.STG, name string, pairs []insPair, baseConflicts int, ctx 
 				Description: describeInsertion(g, name, p.r, p.f),
 				Literals:    res.m.lits,
 			},
-			key: [3]int{res.m.conflicts, res.m.lits, p.order},
+			pair: p,
+			key:  [3]int{res.m.conflicts, res.m.lits, p.order},
 		})
 	}
 	return all, nil
