@@ -19,6 +19,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/boolmin"
@@ -106,16 +107,32 @@ func BenchmarkFig7CSC(b *testing.B) {
 	}
 }
 
-// E-F7b — automatic CSC solving (search over insertion points). The worker
-// sweep on the generated conflict-rich ring measures the candidate search's
-// fan-out over the pool; w1 already has the signature memo and scratch
-// arenas. The chosen insertion is identical at every worker count.
+// E-F7b — automatic CSC solving (search over insertion points). Every
+// insertion pair is scored on the product of the round's base state graph;
+// only solved candidates and ranked survivors are rebuilt as STGs. The
+// worker sweep on the generated conflict-rich ring measures the scoring
+// pass's fan-out over the pool; w1 already reuses per-worker scratch. The
+// chosen insertion is identical at every worker count. cscring-4 exhausts
+// its three signal insertions without solving CSC.
 func BenchmarkSolveCSC(b *testing.B) {
-	b.Run("vme-read", func(b *testing.B) {
-		g := vme.ReadSTG()
+	for _, spec := range []struct {
+		name string
+		g    *stg.STG
+	}{{"vme-read", vme.ReadSTG()}, {"vme-read-write", vme.ReadWriteSTG()}} {
+		b.Run(spec.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := encoding.SolveCSC(spec.g, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("cscring-4", func(b *testing.B) {
+		g := gen.CSCRing(4)
 		for i := 0; i < b.N; i++ {
-			if _, err := encoding.SolveCSC(g, 0); err != nil {
-				b.Fatal(err)
+			_, err := encoding.SolveCSC(g, 3)
+			if err == nil || !strings.Contains(err.Error(), "CSC not solved") {
+				b.Fatalf("cscring-4: want a CSC not solved error, got %v", err)
 			}
 		}
 	})

@@ -14,6 +14,7 @@ import (
 	"sort"
 
 	"repro/internal/logic"
+	"repro/internal/reach"
 	"repro/internal/stg"
 	"repro/internal/ts"
 )
@@ -21,25 +22,10 @@ import (
 // InsertSignal clones g and inserts a new internal signal whose rising
 // transition fires immediately before transition riseBefore and whose
 // falling transition fires immediately before fallBefore (both indexes into
-// g.Net.Transitions). The new transition takes over all input places of the
-// target transition and a fresh place sequences it before the target — the
-// "insert right before" construction of Section 2.1.
+// g.Net.Transitions) — the "insert right before" construction of Section
+// 2.1: InsertSignalAt with two "before" points.
 func InsertSignal(g *stg.STG, name string, riseBefore, fallBefore int) (*stg.STG, error) {
-	if riseBefore == fallBefore {
-		return nil, fmt.Errorf("encoding: rise and fall insertion points must differ")
-	}
-	nT := len(g.Net.Transitions)
-	if riseBefore < 0 || riseBefore >= nT || fallBefore < 0 || fallBefore >= nT {
-		return nil, fmt.Errorf("encoding: insertion point out of range")
-	}
-	c := g.Clone()
-	sig := c.AddSignal(name, stg.Internal)
-	insertBefore(c, sig, stg.Rise, riseBefore)
-	insertBefore(c, sig, stg.Fall, fallBefore)
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("encoding: insertion produced invalid STG: %w", err)
-	}
-	return c, nil
+	return InsertSignalAt(g, name, Point{Before: true, Trans: riseBefore}, Point{Before: true, Trans: fallBefore})
 }
 
 // insertBefore splices a new transition of (sig,dir) in front of target.
@@ -182,6 +168,8 @@ func describeInsertion(g *stg.STG, name string, r, f Point) string {
 // rankedInsertions tries every (rise, fall) pair of insertion points around
 // non-input transitions and returns the property-preserving candidates that
 // reduce the conflict count, ranked by (conflicts, literal cost, order).
+// The survivors of the ranked cut are built with InsertSignalAt and
+// re-explored with reach.BuildSG, which every returned Solution comes from.
 func rankedInsertions(g *stg.STG, name string, limit int, ctx *evalCtx) ([]*Solution, error) {
 	all, err := scoreInsertions(g, name, ctx)
 	if err != nil {
@@ -192,31 +180,59 @@ func rankedInsertions(g *stg.STG, name string, limit int, ctx *evalCtx) ([]*Solu
 	}
 	out := make([]*Solution, len(all))
 	for i, s := range all {
-		out[i] = s.sol
-		if out[i].SG == nil {
-			// Memo-hit survivor of the ranked cut: build its own SG now.
-			// Its isomorphic twin built fine, so this cannot fail.
-			sg, err := ctx.buildSG(out[i].STG)
-			if err != nil {
-				return nil, fmt.Errorf("encoding: rebuilding memoized candidate: %w", err)
+		desc := describeInsertion(g, name, s.pair.r, s.pair.f)
+		cand, sg := s.stg, s.sg
+		if cand == nil {
+			if cand, err = InsertSignalAt(g, name, s.pair.r, s.pair.f); err != nil {
+				return nil, fmt.Errorf("encoding: %s: %w", desc, err)
 			}
-			out[i].SG = sg
 		}
+		if sg == nil {
+			sg, err = ctx.rebuildSG(cand, desc, s.key[0], reach.Options{Arena: ctx.arena, Budget: ctx.bgt})
+			if err != nil {
+				return nil, err
+			}
+		}
+		out[i] = &Solution{STG: cand, SG: sg, Description: desc, Literals: s.key[1]}
 	}
 	return out, nil
 }
 
-// scoreInsertions enumerates every (rise, fall) pair of insertion points
-// around non-input transitions of g and returns the property-preserving
-// candidates that reduce the conflict count, sorted by their (conflicts,
-// literals, order) key.
+// scoreInsertions scores every insertion pair of g's ranking round and
+// returns the property-preserving candidates that reduce the conflict
+// count, sorted by their (conflicts, literals, order) key.
 func scoreInsertions(g *stg.STG, name string, ctx *evalCtx) ([]scored, error) {
-	baseSG, err := ctx.buildSG(g)
+	pr, pairs, baseConflicts, err := newRound(g, name, ctx)
 	if err != nil {
 		return nil, err
 	}
-	baseConflicts := len(baseSG.CSCConflicts())
+	all, err := evalPairs(g, name, pr, pairs, baseConflicts, ctx)
+	if err != nil {
+		return nil, err
+	}
+	if len(all) == 0 {
+		return nil, fmt.Errorf("no property-preserving insertion found for %s", name)
+	}
+	sort.Slice(all, func(i, j int) bool { return less(all[i].key, all[j].key) })
+	return all, nil
+}
 
+// newRound prepares the ranking round inserting signal name into g: the
+// product of g's state graph, every ordered pair of distinct (rise, fall)
+// insertion points around non-input transitions, and g's CSC conflict
+// count.
+func newRound(g *stg.STG, name string, ctx *evalCtx) (*product, []insPair, int, error) {
+	if g.SignalIndex(name) >= 0 {
+		return nil, nil, 0, fmt.Errorf("encoding: %s already names a signal of %s", name, g.Name())
+	}
+	raw, trans, err := reach.BuildSGTrans(g, reach.Options{Arena: ctx.arena, Budget: ctx.bgt})
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	baseSG, err := ts.ContractDummies(raw)
+	if err != nil {
+		return nil, nil, 0, err
+	}
 	var points []Point
 	for t := range g.Net.Transitions {
 		if !g.IsInput(t) && g.Labels[t].Sig >= 0 {
@@ -234,15 +250,7 @@ func scoreInsertions(g *stg.STG, name string, ctx *evalCtx) ([]scored, error) {
 			pairs = append(pairs, insPair{r: r, f: f, order: order})
 		}
 	}
-	all, err := evalPairs(g, name, pairs, baseConflicts, ctx)
-	if err != nil {
-		return nil, err
-	}
-	if len(all) == 0 {
-		return nil, fmt.Errorf("no property-preserving insertion found for %s", name)
-	}
-	sort.Slice(all, func(i, j int) bool { return less(all[i].key, all[j].key) })
-	return all, nil
+	return newProduct(g, raw, trans, name), pairs, len(baseSG.CSCConflicts()), nil
 }
 
 func less(a, b [3]int) bool {
@@ -254,17 +262,12 @@ func less(a, b [3]int) bool {
 	return false
 }
 
-// Solutions returns up to limit complete CSC solutions (single greedy path
-// per ranked first insertion), cheapest first by final complex-gate literal
-// cost. Callers that need to iterate (e.g. technology mapping retries) use
-// this instead of SolveCSC.
-func Solutions(g *stg.STG, maxSignals, limit int) ([]*Solution, error) {
-	return SolutionsOpts(g, maxSignals, limit, Options{})
-}
-
-// SolutionsOpts is Solutions with explicit solver options. The returned
-// solution list — descriptions, literal costs and order — is identical at
-// every Options.Workers value.
+// SolutionsOpts returns up to limit complete CSC solutions (single greedy
+// path per ranked first insertion), cheapest first by final complex-gate
+// literal cost. Callers that need to iterate (e.g. technology mapping
+// retries) use this instead of SolveCSC. The returned solution list —
+// descriptions, literal costs and order — is identical at every
+// Options.Workers value.
 func SolutionsOpts(g *stg.STG, maxSignals, limit int, opts Options) ([]*Solution, error) {
 	if limit <= 0 {
 		limit = 5
@@ -405,11 +408,18 @@ func bestReduction(g *stg.STG, baseConflicts int, ctx *evalCtx) (*stg.STG, strin
 			if err != nil {
 				continue
 			}
-			_, m := evaluateCandidate(c, baseConflicts, ctx.arena, ctx.costed)
-			if !m.ok {
+			sg, v := evaluateCandidate(c, baseConflicts, reach.Options{Arena: ctx.arena})
+			if v.reason != none {
 				continue
 			}
-			key := [3]int{m.conflicts, m.lits, order}
+			lits := unsolvedLiteralCost
+			if v.conflicts == 0 {
+				ctx.costed.Inc()
+				if lits, err = complexLiterals(sg); err != nil {
+					continue
+				}
+			}
+			key := [3]int{v.conflicts, lits, order}
 			if best == nil || less(key, best.key) {
 				best = &cand{
 					g: c,

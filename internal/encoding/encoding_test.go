@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -141,7 +142,7 @@ func TestSolveCSCTwoSignals(t *testing.T) {
 	}
 	// Ranked solutions: all returned candidates are complete and sorted by
 	// literal cost.
-	sols, err := Solutions(vme.ReadWriteSTG(), 0, 3)
+	sols, err := SolutionsOpts(vme.ReadWriteSTG(), 0, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,8 +252,12 @@ func TestConflictSummary(t *testing.T) {
 
 // TestCostedCounter pins how many solved candidates the search derives
 // complex-gate logic for, to cost them in literals: on vme-read-write, with
-// the five-solution limit the flow uses, 68 memo-missing candidates reach
-// zero conflicts. The engine span carries the same count.
+// the five-solution limit the flow uses, 68 isomorphism classes of
+// candidates reach zero conflicts. It also pins the account of the whole
+// search: every one of the 3,140 insertion pairs is scored on the product,
+// each rejection is counted under exactly one reason, and at most the 68
+// costed candidates plus the ranked survivors of the search's rounds are
+// rebuilt as STGs. The engine span carries the same totals.
 func TestCostedCounter(t *testing.T) {
 	reg := obs.NewRegistry()
 	root := reg.Root("flow:test")
@@ -261,21 +266,42 @@ func TestCostedCounter(t *testing.T) {
 	}
 	root.End()
 	snap := reg.Snapshot()
-	if got := snap.Counters["encoding.costed"]; got != 68 {
-		t.Fatalf("encoding.costed = %d, want 68", got)
+	c := snap.Counters
+	if c["encoding.candidates"] != 3140 || c["encoding.costed"] != 68 {
+		t.Fatalf("encoding.candidates = %d, encoding.costed = %d; want 3140 and 68",
+			c["encoding.candidates"], c["encoding.costed"])
+	}
+	if c["encoding.rebuilt"] < 68 || c["encoding.rebuilt"] > 83 {
+		t.Fatalf("encoding.rebuilt = %d, want 68..83", c["encoding.rebuilt"])
+	}
+	if c["encoding.memo_misses"] != 68 {
+		t.Fatalf("encoding.memo_misses = %d, want one per costed class", c["encoding.memo_misses"])
+	}
+	rejected := int64(0)
+	for r := rejectInvalid; r < numReasons; r++ {
+		rejected += c["encoding.rejected_"+reasonNames[r]]
+	}
+	if c["encoding.rejected_inconsistent"] == 0 || c["encoding.rejected_no_progress"] == 0 {
+		t.Fatalf("vme-read-write rejects inconsistent and no-progress candidates: %v", c)
+	}
+	if rejected >= c["encoding.candidates"] {
+		t.Fatalf("%d rejections of %d candidates leave none accepted", rejected, c["encoding.candidates"])
 	}
 	for _, sp := range snap.Spans {
 		if sp.Name != "engine:encoding" {
 			continue
 		}
+		attrs := map[string]string{}
 		for _, kv := range sp.Attrs {
-			if kv.Key == "costed" {
-				if kv.Value != "68" {
-					t.Fatalf("engine:encoding costed = %s, want 68", kv.Value)
-				}
-				return
+			attrs[kv.Key] = kv.Value
+		}
+		for _, name := range []string{"candidates", "rebuilt", "costed", "memo_hits", "memo_misses",
+			"rejected_inconsistent", "rejected_no_progress", "budget_checks"} {
+			if want := strconv.FormatInt(c["encoding."+name], 10); attrs[name] != want {
+				t.Fatalf("engine:encoding %s = %q, want %s", name, attrs[name], want)
 			}
 		}
+		return
 	}
-	t.Fatal("engine:encoding span carries no costed attribute")
+	t.Fatal("no engine:encoding span")
 }

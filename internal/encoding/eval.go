@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"fmt"
 	"runtime/debug"
 	"sort"
 	"strconv"
@@ -18,21 +19,25 @@ import (
 // Options configure the CSC solvers.
 type Options struct {
 	// Workers sizes the candidate evaluator's worker pool (0 or 1 = one
-	// worker): the (rise, fall) insertion pairs of every ranking round are
-	// fanned out across it. The ranking key is (conflicts, literals,
-	// enumeration order), so the solution list is identical at any worker
-	// count.
+	// worker): the (rise, fall) insertion pairs of every ranking round, and
+	// then the solved candidates it costs, are fanned out across it. The
+	// ranking key is (conflicts, literals, enumeration order), so the
+	// solution list is identical at any worker count.
 	Workers int
 	// Budget adds cancellation between candidate evaluations; nil is
-	// unlimited. Each candidate builds a full state graph, so the check runs
-	// once per candidate rather than amortized.
+	// unlimited. The check runs once per scored insertion pair and once per
+	// costed candidate; scoring a pair explores its state graph on the
+	// round's base state graph, which no single check interrupts.
 	Budget *budget.Budget
 	// Obs is the parent observability span: the solve records an
-	// "engine:encoding" child span, per-worker spans, and the encoding.*
-	// counters (candidates, memo hits/misses, costed candidates, budget
-	// checks) into its registry. Per-candidate state-graph builds stay
-	// uninstrumented — a solve evaluates thousands of them. nil disables
-	// observability.
+	// "engine:encoding" child span carrying the totals below as
+	// attributes, per-worker spans, and the encoding.* counters into its
+	// registry: candidates (insertion pairs scored on the state-graph
+	// product), rebuilt (candidates built as STGs and re-explored), one
+	// rejected_<reason> per rejection reason, memo_hits and memo_misses
+	// (the solved candidates' canonical-signature dedup), costed and
+	// budget_checks. The per-candidate explorations stay uninstrumented —
+	// a solve scores thousands of them. nil disables observability.
 	Obs *obs.Span
 }
 
@@ -43,39 +48,57 @@ func (o Options) workers() int {
 	return 1
 }
 
-// evalCtx carries the per-solve evaluation state: the worker count, the
-// reusable reachability arena for the solve's own state-graph builds, the
-// solve budget and the observability handles (engine span plus the
-// encoding.* counters, all nil no-ops when observability is off).
+// evalCtx carries the per-solve evaluation state: the worker count and
+// per-worker scratch, the reusable reachability arena for the solve's own
+// state-graph builds, the solve budget and the observability handles
+// (engine span plus the encoding.* counters, all nil no-ops when
+// observability is off).
 type evalCtx struct {
 	workers int
+	scratch []*workerScratch
 	arena   *reach.Arena
 	bgt     *budget.Budget
 
 	sp         *obs.Span
 	candidates *obs.Counter
+	rebuilt    *obs.Counter
+	rejected   [numReasons]*obs.Counter
 	memoHits   *obs.Counter
 	memoMisses *obs.Counter
 	// costed counts the solved candidates whose complex-gate logic was
-	// derived to cost them in literals (memo misses only).
+	// derived to cost them in literals: one per isomorphism class.
 	costed *obs.Counter
 	checks *obs.Counter
+}
+
+// workerScratch is one pool worker's reusable memory.
+type workerScratch struct {
+	prod  productScratch
+	arena *reach.Arena
 }
 
 func newEvalCtx(opts Options) *evalCtx {
 	sp := opts.Obs.Child("engine:encoding")
 	reg := sp.Registry()
-	return &evalCtx{
+	c := &evalCtx{
 		workers:    opts.workers(),
 		arena:      reach.NewArena(),
 		bgt:        opts.Budget,
 		sp:         sp,
 		candidates: reg.Counter("encoding.candidates"),
+		rebuilt:    reg.Counter("encoding.rebuilt"),
 		memoHits:   reg.Counter("encoding.memo_hits"),
 		memoMisses: reg.Counter("encoding.memo_misses"),
 		costed:     reg.Counter("encoding.costed"),
 		checks:     reg.Counter("encoding.budget_checks"),
 	}
+	for r := rejectInvalid; r < numReasons; r++ {
+		c.rejected[r] = reg.Counter("encoding.rejected_" + reasonNames[r])
+	}
+	for range c.workers {
+		c.scratch = append(c.scratch, &workerScratch{arena: reach.NewArena()})
+	}
+	return c
 }
 
 // finish closes the engine span with the registry's evaluation totals.
@@ -83,9 +106,18 @@ func (c *evalCtx) finish(err error) {
 	if c.sp == nil {
 		return
 	}
-	c.sp.Attr("candidates", strconv.FormatInt(c.candidates.Value(), 10))
-	c.sp.Attr("memo_hits", strconv.FormatInt(c.memoHits.Value(), 10))
-	c.sp.Attr("costed", strconv.FormatInt(c.costed.Value(), 10))
+	attr := func(key string, ctr *obs.Counter) {
+		c.sp.Attr(key, strconv.FormatInt(ctr.Value(), 10))
+	}
+	attr("candidates", c.candidates)
+	attr("rebuilt", c.rebuilt)
+	for r := rejectInvalid; r < numReasons; r++ {
+		attr("rejected_"+reasonNames[r], c.rejected[r])
+	}
+	attr("memo_hits", c.memoHits)
+	attr("memo_misses", c.memoMisses)
+	attr("costed", c.costed)
+	attr("budget_checks", c.checks)
 	if err != nil {
 		c.sp.Attr("error", err.Error())
 	}
@@ -100,47 +132,76 @@ func (c *evalCtx) buildSG(g *stg.STG) (*ts.SG, error) {
 	return ts.ContractDummies(sg)
 }
 
-// candMetrics is the memoizable outcome of evaluating one candidate STG.
-// Isomorphic candidates have identical metrics: conflict counts, the
-// implementability verdict and literal costs are all graph-level properties.
-type candMetrics struct {
-	ok        bool // property-preserving and reduces the conflict count
-	conflicts int
-	lits      int
+// rebuildSG builds a candidate's state graph the one way every returned
+// Solution's is built — reach.BuildSG and dummy contraction — counts it in
+// rebuilt, and checks it against the conflict count the product scored.
+func (c *evalCtx) rebuildSG(cand *stg.STG, desc string, conflicts int, opts reach.Options) (*ts.SG, error) {
+	c.rebuilt.Inc()
+	sg, err := reach.BuildSG(cand, opts)
+	if err == nil {
+		sg, err = ts.ContractDummies(sg)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("encoding: rebuilding %s: %w", desc, err)
+	}
+	if got := len(sg.CSCConflicts()); got != conflicts {
+		return nil, fmt.Errorf("encoding: %s: rebuilt state graph has %d CSC conflicts, the product scored %d",
+			desc, got, conflicts)
+	}
+	return sg, nil
 }
 
-// evaluateCandidate scores one candidate STG — a signal insertion or a
-// concurrency reduction: build the SG (candidates violating consistency or
-// safety fail here), require persistency and deadlock freedom, require
-// conflict-count progress, and cost the solved candidates by complex-gate
-// literals, counting each in costed. Unsolved survivors carry
-// unsolvedLiteralCost.
-func evaluateCandidate(cand *stg.STG, baseConflicts int, ar *reach.Arena, costed *obs.Counter) (*ts.SG, candMetrics) {
-	sg, err := reach.BuildSG(cand, reach.Options{Arena: ar})
-	if err != nil {
-		return nil, candMetrics{}
+// runPool runs task(ws, i) for every i < n across the worker pool, each
+// worker on its own scratch, polling the budget once per task. The pool is
+// panic-safe: a panicking task stops the others and surfaces as
+// budget.ErrInternal with the captured stack; a task error or a budget trip
+// stops them the same way.
+func (c *evalCtx) runPool(n int, task func(ws *workerScratch, i int) error) error {
+	if n == 0 {
+		return nil
 	}
-	if sg, err = ts.ContractDummies(sg); err != nil {
-		return nil, candMetrics{}
+	var next atomic.Int64
+	var stop atomic.Bool
+	errs := make([]error, c.workers)
+	var wg sync.WaitGroup
+	for w := range c.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wsp := c.sp.ChildLane("worker:"+strconv.Itoa(w+1), w+1)
+			defer wsp.End()
+			defer func() {
+				if r := recover(); r != nil {
+					errs[w] = budget.Internal(r, debug.Stack())
+					stop.Store(true)
+				}
+			}()
+			for !stop.Load() {
+				c.checks.Inc()
+				if err := c.bgt.Check("encoding.eval"); err != nil {
+					errs[w] = err
+					stop.Store(true)
+					return
+				}
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if err := task(c.scratch[w], i); err != nil {
+					errs[w] = err
+					stop.Store(true)
+					return
+				}
+			}
+		}()
 	}
-	imp := sg.CheckImplementability()
-	if !imp.Persistent || !imp.DeadlockFree {
-		return nil, candMetrics{}
-	}
-	conflicts := len(sg.CSCConflicts())
-	if conflicts >= baseConflicts {
-		return nil, candMetrics{}
-	}
-	lits := unsolvedLiteralCost
-	if conflicts == 0 {
-		costed.Inc()
-		l, err := complexLiterals(sg)
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			return nil, candMetrics{}
+			return err
 		}
-		lits = l
 	}
-	return sg, candMetrics{ok: true, conflicts: conflicts, lits: lits}
+	return nil
 }
 
 // insPair is one enumerated (rise, fall) candidate with its deterministic
@@ -151,133 +212,100 @@ type insPair struct {
 	order int
 }
 
+// scored is one accepted candidate with its ranking key. Solved candidates
+// carry the STG built for their canonical signature, and the costed
+// representative of each isomorphism class its state graph.
 type scored struct {
-	sol  *Solution
 	pair insPair
 	key  [3]int
+	stg  *stg.STG
+	sg   *ts.SG
 }
 
-// memoEntry is a singleflight slot: the first worker to claim a canonical
-// signature computes the metrics and closes done; later workers with an
-// isomorphic candidate wait and reuse them.
-type memoEntry struct {
-	done chan struct{}
-	m    candMetrics
-}
-
-// evalPairs fans the candidate evaluations across ctx.workers goroutines,
-// each with its own reachability arena. A canonical-signature memo lets
-// symmetric insertion points (isomorphic candidate STGs) share one
-// evaluation. Results land in a slot per pair, so assembly order — and with
-// it the ranking — is the enumeration order, not the completion order.
-// Memo-hit survivors come back without an SG; the caller rebuilds the few
-// that survive the ranked cut.
-//
-// The pool is panic-safe: a panicking worker closes any memo entry it owns
-// (so no sibling blocks forever on a singleflight slot), stops the others,
-// and surfaces as budget.ErrInternal with the captured stack. Budget
-// cancellation is polled once per candidate and aborts the same way.
-func evalPairs(g *stg.STG, name string, pairs []insPair, baseConflicts int, ctx *evalCtx) ([]scored, error) {
-	workers, bgt := ctx.workers, ctx.bgt
+// evalPairs scores every pair on the round's product across the worker
+// pool, then costs the solved candidates: grouped by canonical signature
+// (isomorphic candidates have the same literal cost), one per class is
+// rebuilt and costed, again across the pool. Results land in a slot per
+// pair, so the assembled order — and with it the ranking — is the
+// enumeration order at any worker count.
+func evalPairs(g *stg.STG, name string, pr *product, pairs []insPair, baseConflicts int, ctx *evalCtx) ([]scored, error) {
 	type result struct {
-		cand *stg.STG
-		sg   *ts.SG
-		m    candMetrics
+		v    verdict
+		cand *stg.STG // solved candidates only
+		sig  string
 	}
 	results := make([]result, len(pairs))
-	memo := make(map[string]*memoEntry)
-	var mu sync.Mutex
-	var next atomic.Int64
-	var stop atomic.Bool
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wsp := ctx.sp.ChildLane("worker:"+strconv.Itoa(w+1), w+1)
-			defer wsp.End()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[w] = budget.Internal(r, debug.Stack())
-					stop.Store(true)
-				}
-			}()
-			ar := reach.NewArena()
-			for {
-				if stop.Load() {
-					return
-				}
-				ctx.checks.Inc()
-				if err := bgt.Check("encoding.eval"); err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(pairs) {
-					return
-				}
-				p := pairs[i]
-				cand, err := InsertSignalAt(g, name, p.r, p.f)
-				if err != nil {
-					continue
-				}
-				sig := canonicalSignature(cand)
-				mu.Lock()
-				e, hit := memo[sig]
-				if !hit {
-					e = &memoEntry{done: make(chan struct{})}
-					memo[sig] = e
-				}
-				mu.Unlock()
-				if hit {
-					ctx.memoHits.Inc()
-					<-e.done
-					if e.m.ok {
-						results[i] = result{cand: cand, m: e.m}
-					}
-					continue
-				}
-				ctx.memoMisses.Inc()
-				ctx.candidates.Inc()
-				// The deferred close keeps the singleflight slot from
-				// wedging siblings if the evaluation panics; the zero
-				// metrics they then read mark the candidate failed.
-				func() {
-					defer close(e.done)
-					sg, m := evaluateCandidate(cand, baseConflicts, ar, ctx.costed)
-					e.m = m
-					if m.ok {
-						results[i] = result{cand: cand, sg: sg, m: m}
-					}
-				}()
+	err := ctx.runPool(len(pairs), func(ws *workerScratch, i int) error {
+		p := pairs[i]
+		v := pr.score(&ws.prod, p.r, p.f, baseConflicts)
+		results[i].v = v
+		if v.reason == none && v.conflicts == 0 {
+			cand, err := InsertSignalAt(g, name, p.r, p.f)
+			if err != nil {
+				return fmt.Errorf("encoding: product accepted %s: %w", describeInsertion(g, name, p.r, p.f), err)
 			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			results[i].cand, results[i].sig = cand, canonicalSignature(cand)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	ctx.candidates.Add(int64(len(pairs)))
+	classOf := make(map[string]int)
+	var reps []int // pair index of each class's first member
+	for i, res := range results {
+		ctx.rejected[res.v.reason].Inc()
+		if res.cand == nil {
+			continue
+		}
+		if _, ok := classOf[res.sig]; ok {
+			ctx.memoHits.Inc()
+			continue
+		}
+		ctx.memoMisses.Inc()
+		classOf[res.sig] = len(reps)
+		reps = append(reps, i)
+	}
+	type class struct {
+		sg   *ts.SG
+		lits int
+	}
+	classes := make([]class, len(reps))
+	err = ctx.runPool(len(reps), func(ws *workerScratch, c int) error {
+		p := pairs[reps[c]]
+		sg, err := ctx.rebuildSG(results[reps[c]].cand, describeInsertion(g, name, p.r, p.f), 0,
+			reach.Options{Arena: ws.arena})
+		if err != nil {
+			return err
+		}
+		ctx.costed.Inc()
+		lits, err := complexLiterals(sg)
+		if err != nil {
+			return err
+		}
+		classes[c] = class{sg: sg, lits: lits}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	var all []scored
 	for i, res := range results {
-		if !res.m.ok {
+		if res.v.reason != none {
 			continue
 		}
-		p := pairs[i]
-		all = append(all, scored{
-			sol: &Solution{
-				STG:         res.cand,
-				SG:          res.sg, // nil on memo hits; rebuilt after ranking
-				Description: describeInsertion(g, name, p.r, p.f),
-				Literals:    res.m.lits,
-			},
-			pair: p,
-			key:  [3]int{res.m.conflicts, res.m.lits, p.order},
-		})
+		s := scored{pair: pairs[i], key: [3]int{res.v.conflicts, unsolvedLiteralCost, pairs[i].order}}
+		if res.cand != nil {
+			c := classOf[res.sig]
+			s.key[1], s.stg = classes[c].lits, res.cand
+			if reps[c] == i {
+				s.sg = classes[c].sg
+			}
+		}
+		all = append(all, s)
 	}
 	return all, nil
 }

@@ -88,7 +88,7 @@ func TestSolutionsDeterministicAcrossWorkers(t *testing.T) {
 // "+ before LDS+, - before D-" as the 9-literal runner-up. Any change to the
 // enumeration order, the sentinel cost or the tie-break shows up here.
 func TestVMETieBreakPinned(t *testing.T) {
-	sols, err := Solutions(vme.ReadSTG(), 0, 2)
+	sols, err := SolutionsOpts(vme.ReadSTG(), 0, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

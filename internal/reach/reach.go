@@ -5,6 +5,7 @@
 package reach
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"time"
@@ -17,7 +18,7 @@ import (
 // Options bound an exploration.
 type Options struct {
 	// MaxStates aborts the exploration when it would exceed this many
-	// states (0 = 1<<22 default). The cap is enforced at insertion time:
+	// states (0 = DefaultMaxStates). The cap is enforced at insertion time:
 	// exactly MaxStates states are explored before ErrStateLimit fires.
 	MaxStates int
 	// Budget, when non-nil, adds cancellation and resource ceilings: the
@@ -40,16 +41,34 @@ type Options struct {
 	Obs *obs.Span
 }
 
+// DefaultMaxStates is the state cap of an exploration whose
+// Options.MaxStates is 0.
+const DefaultMaxStates = 1 << 22
+
 func (o Options) maxStates() int {
 	cap := o.MaxStates
 	if cap <= 0 {
-		cap = 1 << 22
+		cap = DefaultMaxStates
 	}
 	return o.Budget.StateLimit(cap)
 }
 
 // ErrUnsafe is returned when RequireSafe is set and a 2-token place is found.
 var ErrUnsafe = fmt.Errorf("reach: net is not safe (1-bounded)")
+
+// ErrInconsistent is the errors.Is anchor of BuildSG's consistency
+// failures: a signal's rising and falling transitions do not alternate.
+var ErrInconsistent = errors.New("reach: STG is not consistent")
+
+// inconsistency is a consistency failure carrying its own witness message.
+type inconsistency struct{ msg string }
+
+func inconsistent(format string, args ...any) error {
+	return &inconsistency{msg: fmt.Sprintf(format, args...)}
+}
+
+func (e *inconsistency) Error() string        { return e.msg }
+func (e *inconsistency) Is(target error) bool { return target == ErrInconsistent }
 
 // ErrStateLimit is the errors.Is anchor for state-limit aborts. It is an
 // alias of budget.Sentinel(budget.States): the concrete errors returned are

@@ -22,22 +22,44 @@ import (
 //
 // Options.Arena runs the exploration and the labeling scratch on reusable
 // memory — the returned SG owns its own storage either way. The toggle path
-// ignores it.
+// ignores it. Consistency failures match ErrInconsistent under errors.Is.
 func BuildSG(g *stg.STG, opts Options) (*ts.SG, error) {
-	if len(g.Signals) > 64 {
-		return nil, fmt.Errorf("reach: %d signals exceed the 64-signal code limit", len(g.Signals))
-	}
+	sg, _, err := buildSG(g, opts, false)
+	return sg, err
+}
+
+// BuildSGTrans is BuildSG that also returns, parallel to every state's Out,
+// the index of the net transition each arc fires. Arc events cannot stand in
+// for it: the toggle path renames them per state.
+func BuildSGTrans(g *stg.STG, opts Options) (*ts.SG, [][]int, error) {
+	return buildSG(g, opts, true)
+}
+
+// HasToggle reports whether g has a toggle transition. BuildSG then
+// explores (marking, code) pairs, every signal starting at 0, instead of
+// labeling the reachability graph of the net.
+func HasToggle(g *stg.STG) bool {
 	for _, l := range g.Labels {
 		if l.Sig >= 0 && l.Dir == stg.Toggle {
-			// Toggle transitions make the code path-dependent: states are
-			// (marking, code) pairs and every toggle arc is normalized to a
-			// concrete rising or falling edge per state.
-			return buildSGToggle(g, opts)
+			return true
 		}
+	}
+	return false
+}
+
+func buildSG(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, error) {
+	if len(g.Signals) > 64 {
+		return nil, nil, fmt.Errorf("reach: %d signals exceed the 64-signal code limit", len(g.Signals))
+	}
+	if HasToggle(g) {
+		// Toggle transitions make the code path-dependent: states are
+		// (marking, code) pairs and every toggle arc is normalized to a
+		// concrete rising or falling edge per state.
+		return buildSGToggle(g, opts, withTrans)
 	}
 	rg, err := Explore(g.Net, firstSafe(opts))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Phase 1: relative codes. delta[s] is the XOR distance of state s's
@@ -62,7 +84,7 @@ func BuildSG(g *stg.STG, opts Options) (*ts.SG, error) {
 	for head := 0; head < len(queue); head++ {
 		if hooked || head%budget.CheckEvery == 0 {
 			if err := opts.Budget.Check("reach.label"); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		s := queue[head]
@@ -79,7 +101,7 @@ func BuildSG(g *stg.STG, opts Options) (*ts.SG, error) {
 				bit := uint(l.Sig)
 				if initKnown&(1<<bit) != 0 {
 					if initVal.Bit(l.Sig) != want {
-						return nil, fmt.Errorf(
+						return nil, nil, inconsistent(
 							"reach: STG %s is not consistent: signal %s needs contradictory initial values (witness transition %s at %s)",
 							g.Name(), g.Signals[l.Sig].Name,
 							g.Net.Transitions[step.Transition].Name,
@@ -92,7 +114,7 @@ func BuildSG(g *stg.STG, opts Options) (*ts.SG, error) {
 			}
 			if seen[step.To] {
 				if delta[step.To] != next {
-					return nil, fmt.Errorf(
+					return nil, nil, inconsistent(
 						"reach: STG %s is not consistent: marking %s reachable with different signal codes",
 						g.Name(), rg.Markings[step.To].Format(g.Net))
 				}
@@ -115,6 +137,10 @@ func BuildSG(g *stg.STG, opts Options) (*ts.SG, error) {
 	}
 	sg.States = make([]ts.State, rg.NumStates())
 	sg.Out = make([][]ts.Arc, rg.NumStates())
+	var trans [][]int
+	if withTrans {
+		trans = make([][]int, rg.NumStates())
+	}
 	for s := range rg.Markings {
 		sg.States[s] = ts.State{
 			Code:  initVal ^ delta[s],
@@ -125,9 +151,12 @@ func BuildSG(g *stg.STG, opts Options) (*ts.SG, error) {
 			l := g.Labels[step.Transition]
 			ev := ts.Event{Sig: l.Sig, Dir: l.Dir, Name: g.Net.Transitions[step.Transition].Name}
 			sg.Out[s] = append(sg.Out[s], ts.Arc{Event: ev, To: step.To})
+			if withTrans {
+				trans[s] = append(trans[s], step.Transition)
+			}
 		}
 	}
-	return sg, nil
+	return sg, trans, nil
 }
 
 func firstSafe(o Options) Options {
@@ -139,7 +168,7 @@ func firstSafe(o Options) Options {
 // flip their signal's bit, rising/falling transitions additionally assert
 // the expected previous value (consistency). All signals start at 0; arcs
 // are labeled with the concrete edge taken.
-func buildSGToggle(g *stg.STG, opts Options) (*ts.SG, error) {
+func buildSGToggle(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, error) {
 	type node struct {
 		m    petri.Marking
 		code ts.Code
@@ -151,6 +180,7 @@ func buildSGToggle(g *stg.STG, opts Options) (*ts.SG, error) {
 	}
 	index := map[string]int{}
 	var nodes []node
+	var trans [][]int
 	maxStates := opts.maxStates()
 	// add returns (index, false) when inserting would exceed MaxStates, so
 	// the abort is exact: the limit fires with exactly maxStates states
@@ -172,20 +202,23 @@ func buildSGToggle(g *stg.STG, opts Options) (*ts.SG, error) {
 			Label: n.m.Format(g.Net),
 		})
 		sg.Out = append(sg.Out, nil)
+		if withTrans {
+			trans = append(trans, nil)
+		}
 		return i, true
 	}
 	init := node{m: g.Net.InitialMarking(), code: 0}
 	if !init.m.Safe() {
-		return nil, fmt.Errorf("%w: initial marking", ErrUnsafe)
+		return nil, nil, fmt.Errorf("%w: initial marking", ErrUnsafe)
 	}
 	if _, ok := add(init); !ok {
-		return nil, budget.LimitStates(maxStates, len(nodes))
+		return nil, nil, budget.LimitStates(maxStates, len(nodes))
 	}
 	hooked := opts.Budget.Hooked()
 	for head := 0; head < len(nodes); head++ {
 		if hooked || head%budget.CheckEvery == 0 {
 			if err := opts.Budget.Check("reach.toggle"); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		cur := nodes[head]
@@ -201,12 +234,12 @@ func buildSGToggle(g *stg.STG, opts Options) (*ts.SG, error) {
 				switch l.Dir {
 				case stg.Rise:
 					if bit {
-						return nil, fmt.Errorf("reach: STG %s inconsistent: %s fires at value 1",
+						return nil, nil, inconsistent("reach: STG %s inconsistent: %s fires at value 1",
 							g.Name(), g.Net.Transitions[t].Name)
 					}
 				case stg.Fall:
 					if !bit {
-						return nil, fmt.Errorf("reach: STG %s inconsistent: %s fires at value 0",
+						return nil, nil, inconsistent("reach: STG %s inconsistent: %s fires at value 0",
 							g.Name(), g.Net.Transitions[t].Name)
 					}
 				case stg.Toggle:
@@ -221,16 +254,19 @@ func buildSGToggle(g *stg.STG, opts Options) (*ts.SG, error) {
 			}
 			nm := g.Net.Fire(cur.m, t)
 			if !nm.Safe() {
-				return nil, fmt.Errorf("%w: firing %s", ErrUnsafe, g.Net.Transitions[t].Name)
+				return nil, nil, fmt.Errorf("%w: firing %s", ErrUnsafe, g.Net.Transitions[t].Name)
 			}
 			to, ok := add(node{m: nm, code: nextCode})
 			if !ok {
-				return nil, budget.LimitStates(maxStates, len(nodes))
+				return nil, nil, budget.LimitStates(maxStates, len(nodes))
 			}
 			sg.Out[head] = append(sg.Out[head], ts.Arc{Event: ev, To: to})
+			if withTrans {
+				trans[head] = append(trans[head], t)
+			}
 		}
 	}
-	return sg, nil
+	return sg, trans, nil
 }
 
 // toggleKey composes the visited key of a (marking, code) node in a single

@@ -1,7 +1,9 @@
 package ts
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/stg"
@@ -81,23 +83,41 @@ func (g *SG) cscWitness(a, b int) (int, bool) {
 	return -1, false
 }
 
-// groupsSorted returns code-sharing groups of size >= 2 in deterministic
-// order (by smallest member).
+// groupsSorted returns code-sharing groups of size >= 2, each ascending, in
+// deterministic order (by smallest member). States are sorted by (code,
+// index), so every group is a run of the sorted order.
 func (g *SG) groupsSorted() [][]int {
-	byCode := g.StatesByCode()
+	type codeIndex struct {
+		code Code
+		i    int
+	}
+	order := make([]codeIndex, len(g.States))
+	for i, s := range g.States {
+		order[i] = codeIndex{s.Code, i}
+	}
+	slices.SortFunc(order, func(a, b codeIndex) int {
+		if c := cmp.Compare(a.code, b.code); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
+	})
 	var groups [][]int
-	for _, grp := range byCode {
-		if len(grp) >= 2 {
-			groups = append(groups, grp)
+	members := make([]int, 0, len(order))
+	for i := 0; i < len(order); {
+		j := i + 1
+		for j < len(order) && order[j].code == order[i].code {
+			j++
 		}
-	}
-	// Each group is already ascending (states appended in index order);
-	// order groups by first member for determinism.
-	for i := 1; i < len(groups); i++ {
-		for j := i; j > 0 && groups[j][0] < groups[j-1][0]; j-- {
-			groups[j], groups[j-1] = groups[j-1], groups[j]
+		if j-i >= 2 {
+			start := len(members)
+			for _, o := range order[i:j] {
+				members = append(members, o.i)
+			}
+			groups = append(groups, members[start:len(members):len(members)])
 		}
+		i = j
 	}
+	slices.SortFunc(groups, func(a, b []int) int { return cmp.Compare(a[0], b[0]) })
 	return groups
 }
 

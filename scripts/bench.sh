@@ -46,6 +46,7 @@ assert rec["suite"] == "synth", rec
 assert rec["benchmarks"], "no benchmarks parsed"
 names = {b["name"] for b in rec["benchmarks"]}
 for want in ("SolveCSC/cscring-3/w1", "SolveCSC/cscring-3/w4",
+             "SolveCSC/vme-read-write", "SolveCSC/cscring-4",
              "EquationDerivation/cscring-2/w1", "EquationDerivation/cscring-2/w4",
              "ServeSynthesize/cold", "ServeSynthesize/cached",
              "ServeSynthesize/cold-durable", "ServeSynthesize/cached-durable",

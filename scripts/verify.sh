@@ -40,8 +40,10 @@ go test -fuzz=FuzzSTGParse -fuzztime=5s -run '^$' ./internal/stg/
 go test -timeout 60s -race ./internal/prop/ ./cmd/verify/
 go test -fuzz=FuzzPropParse -fuzztime=5s -run '^$' ./internal/prop/
 # Parallel synthesis determinism under the race detector: identical
-# solutions, functions and netlists at every worker count.
-go test -timeout 60s -race -run 'Deterministic|MatchesSequential|TieBreak|CSCError' ./internal/encoding/ ./internal/logic/
+# solutions, functions and netlists at every worker count, and the CSC
+# candidate product agreeing with the rebuild on every insertion pair at
+# one and two workers.
+go test -timeout 60s -race -run 'Deterministic|MatchesSequential|TieBreak|CSCError|ProductMatchesRebuild' ./internal/encoding/ ./internal/logic/
 # Observability gate: instrumented runs of cmd/synth and cmd/reach on the
 # VME example must export a metrics snapshot with non-zero counters for the
 # instrumented engines and a well-formed flow → phase → engine trace. The
@@ -53,7 +55,7 @@ go run ./cmd/synth -metrics "$obsdir/synth.metrics.json" \
 OBS_METRICS_FILE="$obsdir/synth.metrics.json" \
 OBS_TRACE_FILE="$obsdir/synth.trace.json" \
 OBS_REQUIRE_HIERARCHY=1 \
-OBS_REQUIRE_COUNTERS=reach.states,reach.arcs,encoding.candidates,encoding.costed,logic.signals,logic.cover_literals \
+OBS_REQUIRE_COUNTERS=reach.states,reach.arcs,encoding.candidates,encoding.costed,encoding.rebuilt,logic.signals,logic.cover_literals \
     go test -timeout 30s -run TestExternalArtifacts -count=1 ./internal/obs/
 # cmd/reach covers the engines a successful synthesis flow never runs
 # (symbolic, unfolding, stubborn sets) plus the BDD kernel counters.
