@@ -202,11 +202,11 @@ func rankedInsertions(g *stg.STG, name string, limit int, ctx *evalCtx) ([]*Solu
 // returns the property-preserving candidates that reduce the conflict
 // count, sorted by their (conflicts, literals, order) key.
 func scoreInsertions(g *stg.STG, name string, ctx *evalCtx) ([]scored, error) {
-	pr, pairs, baseConflicts, err := newRound(g, name, ctx)
+	pr, pairs, err := newRound(g, name, ctx)
 	if err != nil {
 		return nil, err
 	}
-	all, err := evalPairs(g, name, pr, pairs, baseConflicts, ctx)
+	all, err := evalPairs(g, name, pr, pairs, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -218,20 +218,19 @@ func scoreInsertions(g *stg.STG, name string, ctx *evalCtx) ([]scored, error) {
 }
 
 // newRound prepares the ranking round inserting signal name into g: the
-// product of g's state graph, every ordered pair of distinct (rise, fall)
-// insertion points around non-input transitions, and g's CSC conflict
-// count.
-func newRound(g *stg.STG, name string, ctx *evalCtx) (*product, []insPair, int, error) {
+// product of g's state graph and every ordered pair of distinct (rise,
+// fall) insertion points around non-input transitions.
+func newRound(g *stg.STG, name string, ctx *evalCtx) (*product, []insPair, error) {
 	if g.SignalIndex(name) >= 0 {
-		return nil, nil, 0, fmt.Errorf("encoding: %s already names a signal of %s", name, g.Name())
+		return nil, nil, fmt.Errorf("encoding: %s already names a signal of %s", name, g.Name())
 	}
 	raw, trans, err := reach.BuildSGTrans(g, reach.Options{Arena: ctx.arena, Budget: ctx.bgt})
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	baseSG, err := ts.ContractDummies(raw)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	var points []Point
 	for t := range g.Net.Transitions {
@@ -250,7 +249,7 @@ func newRound(g *stg.STG, name string, ctx *evalCtx) (*product, []insPair, int, 
 			pairs = append(pairs, insPair{r: r, f: f, order: order})
 		}
 	}
-	return newProduct(g, raw, trans, name), pairs, len(baseSG.CSCConflicts()), nil
+	return newProduct(g, raw, trans, name, len(baseSG.CSCConflicts())), pairs, nil
 }
 
 func less(a, b [3]int) bool {

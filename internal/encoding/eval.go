@@ -228,7 +228,7 @@ type scored struct {
 // rebuilt and costed, again across the pool. Results land in a slot per
 // pair, so the assembled order — and with it the ranking — is the
 // enumeration order at any worker count.
-func evalPairs(g *stg.STG, name string, pr *product, pairs []insPair, baseConflicts int, ctx *evalCtx) ([]scored, error) {
+func evalPairs(g *stg.STG, name string, pr *product, pairs []insPair, ctx *evalCtx) ([]scored, error) {
 	type result struct {
 		v    verdict
 		cand *stg.STG // solved candidates only
@@ -237,7 +237,7 @@ func evalPairs(g *stg.STG, name string, pr *product, pairs []insPair, baseConfli
 	results := make([]result, len(pairs))
 	err := ctx.runPool(len(pairs), func(ws *workerScratch, i int) error {
 		p := pairs[i]
-		v := pr.score(&ws.prod, p.r, p.f, baseConflicts)
+		v := pr.score(&ws.prod, p.r, p.f)
 		results[i].v = v
 		if v.reason == none && v.conflicts == 0 {
 			cand, err := InsertSignalAt(g, name, p.r, p.f)

@@ -59,10 +59,11 @@ func scoreSG(sg *ts.SG, baseConflicts int) verdict {
 	return verdict{conflicts: c}
 }
 
-// evaluateCandidate scores one candidate STG — a signal insertion or a
-// concurrency reduction — by building its state graph: reach.BuildSG (which
-// rejects unsafe and inconsistent candidates), dummy contraction, then
-// scoreSG.
+// evaluateCandidate scores one candidate STG by building its state graph:
+// reach.BuildSG (which rejects unsafe and inconsistent candidates), dummy
+// contraction, then scoreSG. Concurrency reduction scores its candidates
+// this way; for signal insertions it is the oracle the product is tested
+// against.
 func evaluateCandidate(cand *stg.STG, baseConflicts int, opts reach.Options) (*ts.SG, verdict) {
 	sg, err := reach.BuildSG(cand, opts)
 	if err != nil {
@@ -117,7 +118,8 @@ type product struct {
 	// place, so a candidate is well formed exactly when the base is.
 	invalid   bool
 	wide      bool // the inserted signal does not fit a 64-bit code
-	maxStates int
+	maxStates int  // the candidate state cap, reach's default as in a rebuild
+	conflicts int  // the base's CSC conflicts, which a candidate must reduce
 	signals   []stg.Signal
 	rise      ts.Event
 	fall      ts.Event
@@ -129,9 +131,9 @@ type product struct {
 }
 
 // newProduct prepares the product of round base g, whose raw state graph
-// and arc transitions reach.BuildSGTrans returned, for inserting signal
-// name.
-func newProduct(g *stg.STG, base *ts.SG, trans [][]int, name string) *product {
+// and arc transitions reach.BuildSGTrans returned and whose contracted
+// state graph has conflicts CSC conflicts, for inserting signal name.
+func newProduct(g *stg.STG, base *ts.SG, trans [][]int, name string, conflicts int) *product {
 	net := g.Net
 	nT := len(net.Transitions)
 	sig := len(g.Signals)
@@ -142,6 +144,7 @@ func newProduct(g *stg.STG, base *ts.SG, trans [][]int, name string) *product {
 		invalid:   g.Validate() != nil,
 		wide:      sig+1 > 64,
 		maxStates: reach.DefaultMaxStates,
+		conflicts: conflicts,
 		signals:   append(append([]stg.Signal(nil), g.Signals...), stg.Signal{Name: name, Kind: stg.Internal}),
 		rise:      ts.Event{Sig: sig, Dir: stg.Rise, Name: name + stg.Rise.String()},
 		fall:      ts.Event{Sig: sig, Dir: stg.Fall, Name: name + stg.Fall.String()},
@@ -231,12 +234,12 @@ func boolInt(b bool) int {
 }
 
 // score scores one insertion pair on the product.
-func (pr *product) score(sc *productScratch, r, f Point, baseConflicts int) verdict {
+func (pr *product) score(sc *productScratch, r, f Point) verdict {
 	sg, why := pr.stateGraph(sc, r, f)
 	if why != none {
 		return verdict{reason: why}
 	}
-	return scoreSG(sg, baseConflicts)
+	return scoreSG(sg, pr.conflicts)
 }
 
 // stateGraph returns the state graph of the candidate inserting the new

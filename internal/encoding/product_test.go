@@ -168,10 +168,11 @@ func TestProductMatchesRebuild(t *testing.T) {
 	pairs := 0
 	for _, rd := range productRounds(t) {
 		ctx := newEvalCtx(Options{Workers: 2})
-		pr, prs, base, err := newRound(rd.g, rd.signal, ctx)
+		pr, prs, err := newRound(rd.g, rd.signal, ctx)
 		if err != nil {
 			t.Fatalf("%s: %v", rd.name, err)
 		}
+		base := pr.conflicts
 		if rd.maxStates > 0 {
 			pr.maxStates = rd.maxStates
 		}

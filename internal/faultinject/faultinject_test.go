@@ -138,9 +138,9 @@ func TestSequentialEngines(t *testing.T) {
 	})
 }
 
-// TestWorkerPoolPanics proves the memoized encoding evaluator and the logic
+// TestWorkerPoolPanics proves the encoding candidate pool and the logic
 // synthesis pool recover injected panics into ErrInternal without wedging a
-// sibling on the singleflight memo or leaking goroutines.
+// sibling or leaking goroutines.
 func TestWorkerPoolPanics(t *testing.T) {
 	t.Run("encoding", func(t *testing.T) {
 		for _, n := range []int{1, 4, 9} {

@@ -79,9 +79,9 @@ func IndependentToggles(n int) *petri.Net {
 // stages and the spec is solvable by inserting exactly one state signal per
 // stage (csc_i+ after a_i+, csc_i- after a_i+/1 splits both pairs).
 // The state graph has 6k states and the net 6k transitions, so the solver's
-// candidate space grows quadratically with k while every candidate rebuild
-// stays linear — the worst case for the serial search and the best target
-// for the memoized parallel one. k is clamped to at least 2: the k=1 ring
+// candidate space grows quadratically with k while every candidate's state
+// graph stays linear: the conflict-rich stress case of the CSC search. k is
+// clamped to at least 2: the k=1 ring
 // degenerates (its b pulse separates the two a pulses, which needs two
 // inserted signals instead of one).
 func CSCRing(k int) *stg.STG {
