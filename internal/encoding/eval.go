@@ -275,15 +275,15 @@ func evalPairs(g *stg.STG, name string, pr *product, pairs []insPair, ctx *evalC
 	classes := make([]class, len(reps))
 	err = ctx.runPool(len(reps), func(ws *workerScratch, c int) error {
 		p := pairs[reps[c]]
-		sg, err := ctx.rebuildSG(results[reps[c]].cand, describeInsertion(g, name, p.r, p.f), 0,
-			reach.Options{Arena: ws.arena})
+		desc := describeInsertion(g, name, p.r, p.f)
+		sg, err := ctx.rebuildSG(results[reps[c]].cand, desc, 0, reach.Options{Arena: ws.arena})
 		if err != nil {
 			return err
 		}
 		ctx.costed.Inc()
 		lits, err := complexLiterals(sg)
 		if err != nil {
-			return err
+			return fmt.Errorf("encoding: costing %s: %w", desc, err)
 		}
 		classes[c] = class{sg: sg, lits: lits}
 		return nil
