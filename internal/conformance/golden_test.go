@@ -28,7 +28,9 @@ var solutionWorkers = []int{1, 2}
 
 // synthesisModels is the golden corpus: every testdata specification plus
 // the conflict-rich CSC rings and the Muller pipelines (which already have
-// CSC, so their cost sits in logic derivation).
+// CSC, so their cost sits in logic derivation). muller-8's 16 signals put
+// its complex-gate covers on the BDD-ISOP path and its gC and rs-latch
+// covers on the espresso-style expansion.
 func synthesisModels(t *testing.T) []struct {
 	name string
 	g    *stg.STG
@@ -63,7 +65,7 @@ func synthesisModels(t *testing.T) []struct {
 	for _, k := range []int{2, 3} {
 		add(fmt.Sprintf("gen/cscring-%d", k), gen.CSCRing(k))
 	}
-	for _, n := range []int{4, 5, 6} {
+	for _, n := range []int{4, 5, 6, 7, 8} {
 		add(fmt.Sprintf("gen/muller-%d", n), gen.MullerPipeline(n))
 	}
 	return out
