@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -82,6 +83,24 @@ func maskVars(b byte) []int {
 	return vars
 }
 
+// mintermList lists t's minterms shuffled by seed, with every third one
+// repeated under garbage bits above fuzzVars: FromMinterms must ignore
+// order, duplicates and out-of-range bits.
+func mintermList(t tt, seed byte) []uint64 {
+	var ms []uint64
+	for e := 0; e < 256; e++ {
+		if t.bit(e) {
+			ms = append(ms, uint64(e))
+			if e%3 == int(seed)%3 {
+				ms = append(ms, uint64(e)|uint64(seed)<<fuzzVars)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(int64(seed)))
+	rng.Shuffle(len(ms), func(i, j int) { ms[i], ms[j] = ms[j], ms[i] })
+	return ms
+}
+
 // fuzzEntry is one slot of the fuzz machine's stack: a managed Ref (held
 // live via IncRef) plus its independently computed truth table.
 type fuzzEntry struct {
@@ -92,7 +111,9 @@ type fuzzEntry struct {
 // FuzzBDDOps drives random operation sequences through the kernel and
 // checks every intermediate result against a dense truth-table oracle,
 // plus the canonicity invariant (equal functions ⇒ equal Refs), before and
-// after garbage collection and sifting.
+// after garbage collection and sifting. FromMinterms rebuilds the top
+// function from its minterm list, so canonicity also pins it to the
+// current variable order.
 func FuzzBDDOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3})                               // push a few vars
 	f.Add([]byte{0, 8, 4, 10, 0x0f})                        // x0, ~x0, and, exists{0..3}
@@ -100,6 +121,8 @@ func FuzzBDDOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 12, 0x07, 17, 0, 1, 4, 16, 17})   // andexists, sift, rebuild, gc, sift
 	f.Add([]byte{7, 6, 5, 4, 13, 9, 14, 0x55, 15, 0xaa})    // ite, not, restricts, quantifiers
 	f.Add([]byte{0, 1, 4, 2, 5, 3, 5, 16, 4, 5, 6, 17, 11}) // grow then reorder then diff
+	f.Add([]byte{0, 20, 4, 1, 21, 4, 13, 18, 7})            // minterm rebuild of an ite
+	f.Add([]byte{0, 20, 4, 1, 21, 5, 6, 17, 18, 0x2a, 16})  // reorder, then minterm rebuild
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 64 {
 			return // keep each case cheap; long inputs add no new structure
@@ -146,7 +169,7 @@ func FuzzBDDOps(f *testing.F) {
 		}
 		for i < len(data) {
 			op := next()
-			switch op % 18 {
+			switch op % 19 {
 			case 0, 1, 2, 3: // push variable (two opcodes each for weight)
 				v := int(op) % fuzzVars
 				push(m.Var(v), ttVar(v))
@@ -177,7 +200,7 @@ func FuzzBDDOps(f *testing.F) {
 				if len(stack) >= 1 {
 					a := peek(0)
 					v := int(next()) % fuzzVars
-					val := op%18 == 10
+					val := op%19 == 10
 					push(m.Restrict(a.ref, v, val), a.tab.restrict(v, val))
 				}
 			case 11: // diff
@@ -215,6 +238,11 @@ func FuzzBDDOps(f *testing.F) {
 			case 17: // dynamic reorder, then re-verify every live Ref
 				m.Sift()
 				check("after Sift")
+			case 18: // rebuild the top function from its minterm list
+				if len(stack) >= 1 {
+					a := peek(0)
+					push(m.FromMinterms(mintermList(a.tab, next())), a.tab)
+				}
 			}
 		}
 		check("final")

@@ -74,19 +74,32 @@ func (m *Manager) FromCover(cv boolmin.Cover) Ref {
 	return r
 }
 
-// FromMinterms builds the BDD of a set of minterms.
+// FromMinterms builds the BDD of a set of minterms. Duplicates are allowed
+// and bits at or above NumVars are ignored. The list is split on each
+// level's variable in turn with one mk per split: O(len(ms)·NumVars), no
+// ITE.
 func (m *Manager) FromMinterms(ms []uint64) Ref {
-	r := False
-	for _, mt := range ms {
-		cube := True
-		for v := 0; v < m.numVars; v++ {
-			if mt&(1<<uint(v)) != 0 {
-				cube = m.And(cube, m.Var(v))
-			} else {
-				cube = m.And(cube, m.NVar(v))
-			}
-		}
-		r = m.Or(r, cube)
+	return m.fromMinterms(append([]uint64(nil), ms...), 0)
+}
+
+// fromMinterms builds the function of ms below level, partitioning ms in
+// place on the variable tested at level.
+func (m *Manager) fromMinterms(ms []uint64, level int32) Ref {
+	if len(ms) == 0 {
+		return False
 	}
-	return r
+	if int(level) == m.numVars {
+		return True
+	}
+	bit := uint64(1) << uint(m.level2var[level])
+	lo, hi := 0, len(ms)
+	for lo < hi {
+		if ms[lo]&bit == 0 {
+			lo++
+		} else {
+			hi--
+			ms[lo], ms[hi] = ms[hi], ms[lo]
+		}
+	}
+	return m.mk(level, m.fromMinterms(ms[:lo], level+1), m.fromMinterms(ms[lo:], level+1))
 }
