@@ -64,8 +64,18 @@ func (g *SG) CSCConflicts() []CodeConflict {
 // HasCSC reports whether the Complete State Coding property holds.
 func (g *SG) HasCSC() bool { return len(g.CSCConflicts()) == 0 }
 
-// HasUSC reports whether the Unique State Coding property holds.
-func (g *SG) HasUSC() bool { return len(g.USCConflicts()) == 0 }
+// HasUSC reports whether the Unique State Coding property holds. It stops
+// at the first code two states share.
+func (g *SG) HasUSC() bool {
+	seen := make(map[Code]struct{}, len(g.States))
+	for _, s := range g.States {
+		if _, dup := seen[s.Code]; dup {
+			return false
+		}
+		seen[s.Code] = struct{}{}
+	}
+	return true
+}
 
 // cscWitness returns a non-input signal whose excitation differs between
 // states a and b.

@@ -1,9 +1,13 @@
 package ts_test
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/reach"
 	"repro/internal/stg"
 	"repro/internal/ts"
@@ -181,5 +185,54 @@ func TestSGHelpers(t *testing.T) {
 	}
 	if _, ok := sg.Excited(sg.Initial, sg.SignalIndex("LDS")); ok {
 		t.Fatal("LDS must not be excited initially")
+	}
+}
+
+// TestHasUSCMatchesPairList checks HasUSC, which stops at the first shared
+// code, against the full USC pair list on the testdata corpus and the gen
+// STG families, before and after dummy contraction.
+func TestHasUSCMatchesPairList(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.g"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata specifications: %v", err)
+	}
+	specs := map[string]*stg.STG{}
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := stg.ParseG(strings.NewReader(string(data)))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		specs[filepath.Base(path)] = g
+	}
+	for n := 1; n <= 5; n++ {
+		specs[fmt.Sprintf("muller-%d", n)] = gen.MullerPipeline(n)
+	}
+	for k := 2; k <= 4; k++ {
+		specs[fmt.Sprintf("cscring-%d", k)] = gen.CSCRing(k)
+	}
+	verdicts := map[bool]int{}
+	for name, g := range specs {
+		raw, err := reach.BuildSG(g, reach.Options{})
+		if err != nil {
+			continue // inconsistent or unsafe specs have no state graph
+		}
+		contracted, err := ts.ContractDummies(raw)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, sg := range []*ts.SG{raw, contracted} {
+			want := len(sg.USCConflicts()) == 0
+			if got := sg.HasUSC(); got != want {
+				t.Fatalf("%s: HasUSC = %v, but %d USC pairs", name, got, len(sg.USCConflicts()))
+			}
+			verdicts[want]++
+		}
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Fatalf("corpus exercises one verdict only: %v", verdicts)
 	}
 }
