@@ -457,7 +457,7 @@ func ConflictSummary(sg *ts.SG) string {
 	for _, c := range confl {
 		lines = append(lines, fmt.Sprintf("code %s: states %s and %s (signal %s)",
 			c.Code.String(len(sg.Signals)),
-			sg.States[c.A].Label, sg.States[c.B].Label,
+			sg.Label(c.A), sg.Label(c.B),
 			sg.Signals[c.Signal].Name))
 	}
 	sort.Strings(lines)

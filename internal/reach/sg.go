@@ -134,6 +134,9 @@ func buildSG(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, error) 
 		Name:    g.Name(),
 		Signals: append([]stg.Signal(nil), g.Signals...),
 		Initial: 0,
+		FormatKey: func(key string) string {
+			return petri.Marking(key).Format(g.Net)
+		},
 	}
 	sg.States = make([]ts.State, rg.NumStates())
 	sg.Out = make([][]ts.Arc, rg.NumStates())
@@ -142,11 +145,7 @@ func buildSG(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, error) 
 		trans = make([][]int, rg.NumStates())
 	}
 	for s := range rg.Markings {
-		sg.States[s] = ts.State{
-			Code:  initVal ^ delta[s],
-			Key:   rg.Markings[s].Key(),
-			Label: rg.Markings[s].Format(g.Net),
-		}
+		sg.States[s] = ts.State{Code: initVal ^ delta[s], Key: rg.Markings[s].Key()}
 		for _, step := range rg.Out[s] {
 			l := g.Labels[step.Transition]
 			ev := ts.Event{Sig: l.Sig, Dir: l.Dir, Name: g.Net.Transitions[step.Transition].Name}
@@ -177,6 +176,10 @@ func buildSGToggle(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, e
 	sg := &ts.SG{
 		Name:    g.Name(),
 		Signals: append([]stg.Signal(nil), g.Signals...),
+		// The key is the marking followed by the 8-byte code.
+		FormatKey: func(key string) string {
+			return petri.Marking(key[:len(key)-8]).Format(g.Net)
+		},
 	}
 	index := map[string]int{}
 	var nodes []node
@@ -196,11 +199,7 @@ func buildSGToggle(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, e
 		i := len(nodes)
 		index[k] = i
 		nodes = append(nodes, n)
-		sg.States = append(sg.States, ts.State{
-			Code:  n.code,
-			Key:   k,
-			Label: n.m.Format(g.Net),
-		})
+		sg.States = append(sg.States, ts.State{Code: n.code, Key: k})
 		sg.Out = append(sg.Out, nil)
 		if withTrans {
 			trans = append(trans, nil)

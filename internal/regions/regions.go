@@ -471,7 +471,7 @@ func (r Region) Describe(g *ts.SG) string {
 	var parts []string
 	for i, in := range r.In {
 		if in {
-			parts = append(parts, g.States[i].Label)
+			parts = append(parts, g.Label(i))
 		}
 	}
 	return "{" + strings.Join(parts, " ") + "}"

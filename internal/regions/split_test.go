@@ -93,7 +93,7 @@ func TestSplittingGracefulOnHardTS(t *testing.T) {
 	}
 	g.States = make([]ts.State, 4)
 	for i := range g.States {
-		g.States[i] = ts.State{Code: ts.Code(i), Label: string(rune('A' + i))}
+		g.States[i] = ts.State{Code: ts.Code(i), Key: string(rune('A' + i))}
 	}
 	g.Out = make([][]ts.Arc, 4)
 	add := func(from int, sig int, dir stg.Dir, to int) {

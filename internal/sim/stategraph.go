@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/logic"
 	"repro/internal/petri"
@@ -52,7 +53,10 @@ func StateGraph(nl *logic.Netlist, spec *stg.STG, opts Options) (*ts.SG, error) 
 		return nil, err
 	}
 
-	out := &ts.SG{Name: nl.Name + "-impl"}
+	// The key is the binary vector, "|", then the spec marking.
+	out := &ts.SG{Name: nl.Name + "-impl", FormatKey: func(key string) string {
+		return petri.Marking(key[strings.IndexByte(key, '|')+1:]).Format(spec.Net)
+	}}
 	for i, name := range nl.Signals {
 		kind := stg.Internal
 		if s := ver.netToSpec[i]; s >= 0 {
@@ -73,11 +77,7 @@ func StateGraph(nl *logic.Netlist, spec *stg.STG, opts Options) (*ts.SG, error) 
 		}
 		i := len(out.States)
 		index[key] = i
-		out.States = append(out.States, ts.State{
-			Code:  ts.Code(v),
-			Key:   fmt.Sprintf("%b|%s", v, m.Key()),
-			Label: m.Format(spec.Net),
-		})
+		out.States = append(out.States, ts.State{Code: ts.Code(v), Key: fmt.Sprintf("%b|%s", v, m.Key())})
 		out.Out = append(out.Out, nil)
 		return i
 	}

@@ -56,7 +56,7 @@ func ContractDummies(g *SG) (*SG, error) {
 	}
 	// Build the contracted SG.
 	remap := map[int]int{}
-	out := &SG{Name: g.Name + "-contracted", Signals: g.Signals}
+	out := &SG{Name: g.Name + "-contracted", Signals: g.Signals, FormatKey: g.FormatKey}
 	var roots []int
 	for s := range g.States {
 		if find(s) == s {
@@ -66,11 +66,7 @@ func ContractDummies(g *SG) (*SG, error) {
 	sort.Ints(roots)
 	for _, r := range roots {
 		remap[r] = len(out.States)
-		out.States = append(out.States, State{
-			Code:  g.States[r].Code,
-			Key:   g.States[r].Key,
-			Label: g.States[r].Label,
-		})
+		out.States = append(out.States, g.States[r])
 		out.Out = append(out.Out, nil)
 	}
 	out.Initial = remap[find(g.Initial)]

@@ -110,7 +110,7 @@ func (g *SG) WriteDOT(w io.Writer) error {
 			peripheries = ", peripheries=2"
 		}
 		fmt.Fprintf(&b, "  s%d [label=\"%s\\n%s\"%s%s];\n",
-			i, s.Code.String(n), s.Label, style, peripheries)
+			i, s.Code.String(n), g.Label(i), style, peripheries)
 	}
 	for i, arcs := range g.Out {
 		for _, a := range arcs {

@@ -64,8 +64,6 @@ type State struct {
 	Code Code
 	// Key identifies the underlying marking (or other generator state).
 	Key string
-	// Label is a printable form of the generator state, e.g. "{p0,p4}".
-	Label string
 }
 
 // SG is a state graph: a transition system whose states carry binary codes.
@@ -77,6 +75,18 @@ type SG struct {
 	Out [][]Arc
 	// Initial is the index of the initial state.
 	Initial int
+	// FormatKey renders a state's Key for display, e.g. "{p0,p4}". Builders
+	// set it so that labels are formatted only when a renderer asks for
+	// one; nil renders the Key as is.
+	FormatKey func(key string) string
+}
+
+// Label renders state s's generator state, e.g. its marking "{p0,p4}".
+func (g *SG) Label(s int) string {
+	if g.FormatKey == nil {
+		return g.States[s].Key
+	}
+	return g.FormatKey(g.States[s].Key)
 }
 
 // NumStates returns the number of states.
@@ -177,7 +187,7 @@ func (g *SG) Dump() string {
 		if i == g.Initial {
 			mark = "*"
 		}
-		fmt.Fprintf(&b, "%s s%-3d %s %s\n", mark, i, s.Code.String(n), s.Label)
+		fmt.Fprintf(&b, "%s s%-3d %s %s\n", mark, i, s.Code.String(n), g.Label(i))
 		arcs := append([]Arc(nil), g.Out[i]...)
 		sort.Slice(arcs, func(x, y int) bool { return arcs[x].Event.Name < arcs[y].Event.Name })
 		for _, a := range arcs {
