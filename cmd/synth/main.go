@@ -214,7 +214,7 @@ func synthesizeByReduction(g *stg.STG, style logic.Style, workers int, bgt *budg
 		return nil, err
 	}
 	verifySpan := flow.Child("phase:verify")
-	rep.Verification, err = sim.Verify(rep.Netlist, rep.Spec, sim.Options{Budget: bgt})
+	rep.Verification, err = sim.Verify(rep.Netlist, rep.Spec, sim.Options{Budget: bgt, SG: rep.SG})
 	verifySpan.End()
 	if err != nil {
 		return nil, err

@@ -280,22 +280,26 @@ func synthesize(g *stg.STG, opts Options, flow *obs.Span) (*Report, error) {
 
 	// State encoding can be solved in several ways; technology mapping may
 	// fail on one encoding and succeed on another, so iterate over ranked
-	// solutions.
+	// solutions. A specification that already has CSC has one: itself, on
+	// the state graph just built.
 	if err := opts.Budget.Check("core.encoding"); err != nil {
 		return rep, err
 	}
-	phase = time.Now()
-	encSpan := flow.Child("phase:encoding")
-	sols, err := encoding.SolutionsOpts(g, opts.MaxCSCSignals, 5,
-		encoding.Options{Workers: opts.Workers, Budget: opts.Budget, Obs: encSpan})
-	encSpan.End()
-	if err != nil {
-		if budgetErr(err) {
-			return rep, err
+	sols := []*encoding.Solution{{STG: g, SG: baseSG}}
+	if !rep.Properties.CSC {
+		phase = time.Now()
+		encSpan := flow.Child("phase:encoding")
+		sols, err = encoding.SolutionsOpts(g, opts.MaxCSCSignals, 5,
+			encoding.Options{Workers: opts.Workers, Budget: opts.Budget, Obs: encSpan})
+		encSpan.End()
+		if err != nil {
+			if budgetErr(err) {
+				return rep, err
+			}
+			return nil, fmt.Errorf("core: state encoding: %w", err)
 		}
-		return nil, fmt.Errorf("core: state encoding: %w", err)
+		rep.Timing.Encoding = time.Since(phase)
 	}
-	rep.Timing.Encoding = time.Since(phase)
 	if err := opts.Budget.Check("core.logic"); err != nil {
 		return rep, err
 	}
@@ -322,7 +326,8 @@ func synthesize(g *stg.STG, opts Options, flow *obs.Span) (*Report, error) {
 			}
 			phase = time.Now()
 			mapSpan := flow.Child("phase:map")
-			rep.Netlist, err = techmap.Map(rep.Netlist, rep.Spec, techmap.Options{MaxFanIn: opts.MaxFanIn})
+			rep.Netlist, err = techmap.Map(rep.Netlist, rep.Spec,
+				techmap.Options{MaxFanIn: opts.MaxFanIn, Sim: sim.Options{SG: rep.SG}})
 			mapSpan.End()
 			rep.Timing.Mapping += time.Since(phase)
 			if err != nil {
@@ -344,7 +349,7 @@ func synthesize(g *stg.STG, opts Options, flow *obs.Span) (*Report, error) {
 		phase = time.Now()
 		verifySpan := flow.Child("phase:verify")
 		rep.Verification, err = sim.Verify(rep.Netlist, rep.Spec,
-			sim.Options{Constraints: opts.Constraints, Budget: opts.Budget})
+			sim.Options{Constraints: opts.Constraints, Budget: opts.Budget, SG: rep.SG})
 		verifySpan.End()
 		rep.Timing.Verify = time.Since(phase)
 		if err != nil {

@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/budget"
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/vme"
 )
@@ -41,6 +43,36 @@ func TestFlowMetricsSnapshot(t *testing.T) {
 	h, ok := rep.Metrics.Histograms["logic.cover_size"]
 	if !ok || h.Count == 0 {
 		t.Fatalf("logic.cover_size histogram missing or empty: %+v", h)
+	}
+}
+
+// TestCSCSpecSkipsEncoding runs a spec that already has CSC with
+// observability on: the flow builds its state graph once and runs no
+// encoding search (no encoding span, no encoding.* counter), and the
+// netlist it derives on that graph verifies.
+func TestCSCSpecSkipsEncoding(t *testing.T) {
+	rep, err := core.Synthesize(gen.MullerPipeline(4), core.Options{Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CSC != "" || !rep.Properties.CSC {
+		t.Fatalf("CSC = %q, properties %s: want no encoding on a CSC-holding spec", rep.CSC, rep.Properties)
+	}
+	if rep.Verification == nil || !rep.Verification.OK() {
+		t.Fatalf("netlist does not verify: %+v", rep.Verification)
+	}
+	for _, name := range []string{"phase:encoding", "engine:encoding"} {
+		if hasSpan(rep.Metrics, name) {
+			t.Fatalf("span %s opened on a CSC-holding spec", name)
+		}
+	}
+	for name, v := range rep.Metrics.Counters {
+		if strings.HasPrefix(name, "encoding.") {
+			t.Fatalf("counter %s = %d on a CSC-holding spec", name, v)
+		}
+	}
+	if got, want := rep.Metrics.Counters["reach.states"], int64(rep.SG.NumStates()); got != want {
+		t.Fatalf("reach.states = %d, want one build of %d states", got, want)
 	}
 }
 

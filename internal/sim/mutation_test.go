@@ -10,22 +10,18 @@ import (
 	"repro/internal/sim"
 )
 
-// Mutation robustness: random single-literal mutations of a verified circuit
-// must never crash the verifier, and flipping a literal's polarity must
-// always be detected (the mutated function differs on some reachable code,
-// so the circuit misbehaves).
-func TestMutationPolarityAlwaysCaught(t *testing.T) {
-	spec := timedSpec(t)
-	sg, err := reach.BuildSG(spec, reach.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden, err := logic.Synthesize(sg, logic.ComplexGate)
-	if err != nil {
-		t.Fatal(err)
-	}
+// mutant is a netlist with one gate's network changed.
+type mutant struct {
+	nl   *logic.Netlist
+	gate int // index of the mutated gate
+}
+
+// polarityMutants flips the polarity of one random literal of golden per
+// trial (40 trials, seed 7; trials that draw a gate or cube without
+// literals are skipped).
+func polarityMutants(golden *logic.Netlist) []mutant {
 	rng := rand.New(rand.NewSource(7))
-	mutations := 0
+	var out []mutant
 	for trial := 0; trial < 40; trial++ {
 		nl := cloneForMutation(golden)
 		gi := rng.Intn(len(nl.Gates))
@@ -40,11 +36,44 @@ func TestMutationPolarityAlwaysCaught(t *testing.T) {
 			continue
 		}
 		v := lits[rng.Intn(len(lits))]
-		// Flip the polarity of literal v.
 		g.F.Cubes[ci] = boolmin.Cube{Val: cube.Val ^ (1 << uint(v)), Care: cube.Care}
-		mutations++
+		out = append(out, mutant{nl, gi})
+	}
+	return out
+}
 
-		res, err := sim.Verify(nl, spec, sim.Options{MaxViolations: 3})
+// droppedCubeMutants drops the first cube of every gate of nl with at least
+// two (a stuck-at fault on part of the network).
+func droppedCubeMutants(nl *logic.Netlist) []mutant {
+	var out []mutant
+	for gi := range nl.Gates {
+		if len(nl.Gates[gi].F.Cubes) < 2 {
+			continue
+		}
+		mut := cloneForMutation(nl)
+		mut.Gates[gi].F.Cubes = mut.Gates[gi].F.Cubes[1:]
+		out = append(out, mutant{mut, gi})
+	}
+	return out
+}
+
+// Mutation robustness: random single-literal mutations of a verified circuit
+// must never crash the verifier, and flipping a literal's polarity must
+// always be detected (the mutated function differs on some reachable code,
+// so the circuit misbehaves).
+func TestMutationPolarityAlwaysCaught(t *testing.T) {
+	spec := timedSpec(t)
+	sg, err := reach.BuildSG(spec, reach.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := logic.Synthesize(sg, logic.ComplexGate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutants := polarityMutants(golden)
+	for i, mut := range mutants {
+		res, err := sim.Verify(mut.nl, spec, sim.Options{MaxViolations: 3})
 		if err != nil {
 			// Structural rejection (e.g. no stable initial vector) is a
 			// legitimate detection too.
@@ -53,16 +82,17 @@ func TestMutationPolarityAlwaysCaught(t *testing.T) {
 		if res.OK() {
 			// A mutation can only go unnoticed if the mutated cover equals
 			// the original on every reachable code — check that is the case.
+			out := golden.Gates[mut.gate].Output
 			for s := range sg.States {
 				code := uint64(sg.States[s].Code)
-				if nl.Next(code, nl.Gates[gi].Output) != golden.Next(code, golden.Gates[gi].Output) {
-					t.Fatalf("trial %d: functional mutation escaped verification", trial)
+				if mut.nl.Next(code, out) != golden.Next(code, out) {
+					t.Fatalf("mutant %d: functional mutation escaped verification", i)
 				}
 			}
 		}
 	}
-	if mutations < 20 {
-		t.Fatalf("only %d mutations exercised", mutations)
+	if len(mutants) < 20 {
+		t.Fatalf("only %d mutations exercised", len(mutants))
 	}
 }
 
@@ -94,20 +124,14 @@ func supportOf(c boolmin.Cube) []int {
 // caught as deadlock or conformance failure.
 func TestMutationDroppedCube(t *testing.T) {
 	spec := timedSpec(t)
-	nl := timedNetlist(t, spec)
-	for gi := range nl.Gates {
-		if len(nl.Gates[gi].F.Cubes) < 2 {
-			continue
-		}
-		mut := cloneForMutation(nl)
-		mut.Gates[gi].F.Cubes = mut.Gates[gi].F.Cubes[1:]
-		res, err := sim.Verify(mut, spec, sim.Options{MaxViolations: 3})
+	for _, mut := range droppedCubeMutants(timedNetlist(t, spec)) {
+		res, err := sim.Verify(mut.nl, spec, sim.Options{MaxViolations: 3})
 		if err != nil {
 			continue // structural detection
 		}
 		if res.OK() {
 			t.Fatalf("dropping a cube of %s escaped verification",
-				mut.Signals[mut.Gates[gi].Output])
+				mut.nl.Signals[mut.nl.Gates[mut.gate].Output])
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/logic"
 	"repro/internal/petri"
-	"repro/internal/reach"
 	"repro/internal/stg"
 	"repro/internal/ts"
 )
@@ -18,41 +17,13 @@ import (
 // (Figure 10a). The exploration fails on the first violation — extract state
 // graphs only from verified circuits.
 func StateGraph(nl *logic.Netlist, spec *stg.STG, opts Options) (*ts.SG, error) {
-	if err := nl.Validate(); err != nil {
-		return nil, err
-	}
 	if len(opts.Constraints) > 0 {
 		return nil, fmt.Errorf("sim: StateGraph does not support timing constraints; prune afterwards")
 	}
-	ver := &verifier{nl: nl, spec: spec, opts: opts, res: &Result{}, seen: map[compKey]bool{}}
-	ver.specToNet = make([]int, len(spec.Signals))
-	ver.netToSpec = make([]int, len(nl.Signals))
-	for i := range ver.netToSpec {
-		ver.netToSpec[i] = -1
-	}
-	for i, s := range spec.Signals {
-		idx := nl.SignalIndex(s.Name)
-		if idx < 0 {
-			return nil, fmt.Errorf("sim: spec signal %s missing from netlist", s.Name)
-		}
-		ver.specToNet[i] = idx
-		ver.netToSpec[idx] = i
-	}
-	specSG, err := reach.BuildSG(spec, reach.Options{})
+	ver, v0, err := newVerifier(nl, spec, opts)
 	if err != nil {
 		return nil, err
 	}
-	var v0 uint64
-	for i := range spec.Signals {
-		if specSG.States[specSG.Initial].Code.Bit(i) {
-			v0 |= 1 << uint(ver.specToNet[i])
-		}
-	}
-	v0, err = ver.settleExtras(v0)
-	if err != nil {
-		return nil, err
-	}
-
 	// The key is the binary vector, "|", then the spec marking.
 	out := &ts.SG{Name: nl.Name + "-impl", FormatKey: func(key string) string {
 		return petri.Marking(key[strings.IndexByte(key, '|')+1:]).Format(spec.Net)

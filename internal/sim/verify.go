@@ -25,6 +25,7 @@ import (
 	"repro/internal/petri"
 	"repro/internal/reach"
 	"repro/internal/stg"
+	"repro/internal/ts"
 )
 
 // EventRef names a signal edge, e.g. {Signal:"D", Dir:stg.Fall}.
@@ -114,6 +115,10 @@ type Options struct {
 	Constraints []RelativeOrder
 	// Budget adds cancellation and tightens MaxStates; nil is unlimited.
 	Budget *budget.Budget
+	// SG is the spec's state graph when the caller has already built it
+	// (the synthesis flow does): the initial code is read from it. nil
+	// builds it with reach.BuildSG.
+	SG *ts.SG
 }
 
 func (o Options) maxStates() int {
@@ -153,44 +158,10 @@ type compKey struct {
 // contain every spec signal (matched by name); it may contain additional
 // implementation-only wires (decomposition signals).
 func Verify(nl *logic.Netlist, spec *stg.STG, opts Options) (*Result, error) {
-	if err := nl.Validate(); err != nil {
-		return nil, err
-	}
-	if len(nl.Signals) > 64 {
-		return nil, fmt.Errorf("sim: more than 64 netlist signals")
-	}
-	ver := &verifier{nl: nl, spec: spec, opts: opts, res: &Result{}, seen: map[compKey]bool{}}
-	ver.specToNet = make([]int, len(spec.Signals))
-	ver.netToSpec = make([]int, len(nl.Signals))
-	for i := range ver.netToSpec {
-		ver.netToSpec[i] = -1
-	}
-	for i, s := range spec.Signals {
-		idx := nl.SignalIndex(s.Name)
-		if idx < 0 {
-			return nil, fmt.Errorf("sim: spec signal %s missing from netlist", s.Name)
-		}
-		ver.specToNet[i] = idx
-		ver.netToSpec[idx] = i
-	}
-
-	// Initial state: the spec SG's initial code mapped into netlist space,
-	// with implementation-only wires settled to a stable assignment.
-	specSG, err := reach.BuildSG(spec, reach.Options{Budget: opts.Budget})
-	if err != nil {
-		return nil, fmt.Errorf("sim: spec rejected: %w", err)
-	}
-	var v0 uint64
-	for i := range spec.Signals {
-		if specSG.States[specSG.Initial].Code.Bit(i) {
-			v0 |= 1 << uint(ver.specToNet[i])
-		}
-	}
-	v0, err = ver.settleExtras(v0)
+	ver, v0, err := newVerifier(nl, spec, opts)
 	if err != nil {
 		return nil, err
 	}
-
 	if len(opts.Constraints) > 32 {
 		return nil, fmt.Errorf("sim: more than 32 timing constraints")
 	}
@@ -205,6 +176,52 @@ func Verify(nl *logic.Netlist, spec *stg.STG, opts Options) (*Result, error) {
 		return ver.res, err
 	}
 	return ver.res, nil
+}
+
+// newVerifier validates nl against spec, maps the spec's signals into the
+// netlist, and returns the composed system's initial vector: the spec's
+// initial code in netlist space, with implementation-only wires settled to
+// a stable assignment.
+func newVerifier(nl *logic.Netlist, spec *stg.STG, opts Options) (*verifier, uint64, error) {
+	if err := nl.Validate(); err != nil {
+		return nil, 0, err
+	}
+	if len(nl.Signals) > 64 {
+		return nil, 0, fmt.Errorf("sim: more than 64 netlist signals")
+	}
+	ver := &verifier{nl: nl, spec: spec, opts: opts, res: &Result{}, seen: map[compKey]bool{}}
+	ver.specToNet = make([]int, len(spec.Signals))
+	ver.netToSpec = make([]int, len(nl.Signals))
+	for i := range ver.netToSpec {
+		ver.netToSpec[i] = -1
+	}
+	for i, s := range spec.Signals {
+		idx := nl.SignalIndex(s.Name)
+		if idx < 0 {
+			return nil, 0, fmt.Errorf("sim: spec signal %s missing from netlist", s.Name)
+		}
+		ver.specToNet[i] = idx
+		ver.netToSpec[idx] = i
+	}
+	specSG := opts.SG
+	if specSG == nil {
+		sg, err := reach.BuildSG(spec, reach.Options{Budget: opts.Budget})
+		if err != nil {
+			return nil, 0, fmt.Errorf("sim: spec rejected: %w", err)
+		}
+		specSG = sg
+	}
+	var v0 uint64
+	for i := range spec.Signals {
+		if specSG.States[specSG.Initial].Code.Bit(i) {
+			v0 |= 1 << uint(ver.specToNet[i])
+		}
+	}
+	v0, err := ver.settleExtras(v0)
+	if err != nil {
+		return nil, 0, err
+	}
+	return ver, v0, nil
 }
 
 // settleExtras finds stable values for implementation-only wires given the

@@ -23,6 +23,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/sim"
 	"repro/internal/stg"
+	"repro/internal/ts"
 )
 
 // Options configure mapping.
@@ -31,7 +32,8 @@ type Options struct {
 	MaxFanIn int
 	// MaxNewSignals bounds decomposition depth (default 8).
 	MaxNewSignals int
-	// Verify bounds for each trial.
+	// Sim configures every trial verification. Its SG, the spec's state
+	// graph when the caller has it, also seeds the care-set exploration.
 	Sim sim.Options
 }
 
@@ -147,7 +149,7 @@ func decomposeOnce(nl *logic.Netlist, gi int, spec *stg.STG, opts Options, round
 		return nil, fmt.Errorf("techmap: no decomposition candidate for %s = %s",
 			nl.Signals[g.Output], target.Expr(nl.Signals))
 	}
-	care, err := reachableCare(nl, spec)
+	care, err := reachableCare(nl, spec, opts.Sim.SG)
 	if err != nil {
 		return nil, err
 	}
@@ -453,9 +455,10 @@ func literalsOf(c boolmin.Cube, n int) []literal {
 
 // reachableCare returns the reachable codes of the closed system over the
 // netlist's current signal space (spec signals from the spec SG, added wires
-// evaluated combinationally).
-func reachableCare(nl *logic.Netlist, spec *stg.STG) ([]uint64, error) {
-	sg, err := sim.StateGraph(nl, spec, sim.Options{})
+// evaluated combinationally). specSG is the spec's state graph, nil to
+// build it.
+func reachableCare(nl *logic.Netlist, spec *stg.STG, specSG *ts.SG) ([]uint64, error) {
+	sg, err := sim.StateGraph(nl, spec, sim.Options{SG: specSG})
 	if err != nil {
 		return nil, err
 	}

@@ -44,6 +44,10 @@ go test -fuzz=FuzzPropParse -fuzztime=5s -run '^$' ./internal/prop/
 # candidate product agreeing with the rebuild on every insertion pair at
 # one and two workers.
 go test -timeout 60s -race -run 'Deterministic|MatchesSequential|TieBreak|CSCError|ProductMatchesRebuild' ./internal/encoding/ ./internal/logic/
+# One state graph per flow under the race detector: Verify handed the
+# flow's state graph returns exactly what it returns when it builds its own,
+# and a spec that already has CSC runs no encoding search.
+go test -timeout 60s -race -run 'TestVerifySpecSGMatchesRebuild|TestCSCSpecSkipsEncoding' ./internal/sim/ ./internal/core/
 # Observability gate: instrumented runs of cmd/synth and cmd/reach on the
 # VME example must export a metrics snapshot with non-zero counters for the
 # instrumented engines and a well-formed flow → phase → engine trace. The
