@@ -452,7 +452,9 @@ func BenchmarkBurstModeSynth(b *testing.B) {
 	}
 }
 
-// End-to-end flow benchmark: spec to verified netlist.
+// End-to-end flow benchmark: spec to verified netlist. muller-8 (92,736
+// states, 16 signals) already has CSC: its flow builds one state graph,
+// runs no encoding search and derives its logic once, on the BDD-ISOP path.
 func BenchmarkFullFlow(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -460,6 +462,7 @@ func BenchmarkFullFlow(b *testing.B) {
 	}{
 		{"vme-read", vme.ReadSTG()},
 		{"vme-read-write", vme.ReadWriteSTG()},
+		{"muller-8", gen.MullerPipeline(8)},
 	} {
 		for _, w := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%s/w%d", tc.name, w), func(b *testing.B) {

@@ -48,6 +48,7 @@ names = {b["name"] for b in rec["benchmarks"]}
 for want in ("SolveCSC/cscring-3/w1", "SolveCSC/cscring-3/w4",
              "SolveCSC/vme-read-write", "SolveCSC/cscring-4",
              "EquationDerivation/cscring-2/w1", "EquationDerivation/cscring-2/w4",
+             "FullFlow/muller-8/w1",
              "ServeSynthesize/cold", "ServeSynthesize/cached",
              "ServeSynthesize/cold-durable", "ServeSynthesize/cached-durable",
              "ServeSynthesize/disk-hit",
