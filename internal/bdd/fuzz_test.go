@@ -84,8 +84,8 @@ func maskVars(b byte) []int {
 }
 
 // mintermList lists t's minterms shuffled by seed, with every third one
-// repeated under garbage bits above fuzzVars: FromMinterms must ignore
-// order, duplicates and out-of-range bits.
+// repeated and the repeat carrying seed in the bits above fuzzVars:
+// FromMinterms must ignore order, duplicates and out-of-range bits.
 func mintermList(t tt, seed byte) []uint64 {
 	var ms []uint64
 	for e := 0; e < 256; e++ {

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// fromMintermsOR is the builder FromMinterms replaced: one NumVars-literal
-// cube per minterm, ORed in through ITE. It stays as the reference the
-// split builder must reproduce Ref for Ref.
+// fromMintermsOR is the construction FromMinterms replaced: one
+// NumVars-literal cube per minterm, ORed in through ITE. It stays as the
+// reference the level-by-level split must reproduce Ref for Ref.
 func fromMintermsOR(m *Manager, ms []uint64) Ref {
 	r := False
 	for _, mt := range ms {
@@ -24,10 +24,10 @@ func fromMintermsOR(m *Manager, ms []uint64) Ref {
 	return r
 }
 
-// TestFromMintermsMatchesOrOfCubes compares the split builder with the
-// OR-of-cubes reference at 16 to 24 variables, in the identity order and
-// after sifting has moved every level: canonicity makes equal functions
-// equal Refs, so the two must agree exactly.
+// TestFromMintermsMatchesOrOfCubes compares the level-by-level split with
+// the OR-of-cubes reference at 16 to 24 variables, in the identity order and
+// in a sifted one: canonicity makes equal functions equal Refs, so the two
+// must agree exactly.
 func TestFromMintermsMatchesOrOfCubes(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for _, n := range []int{16, 20, 24} {

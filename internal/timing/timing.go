@@ -52,7 +52,8 @@ func PruneSG(g *ts.SG, cons []sim.RelativeOrder) *ts.SG {
 	for i := range remap {
 		remap[i] = -1
 	}
-	out := &ts.SG{Name: g.Name + "+rt", Signals: append([]stg.Signal(nil), g.Signals...), FormatKey: g.FormatKey}
+	out := &ts.SG{Name: g.Name + "+rt", Signals: append([]stg.Signal(nil), g.Signals...),
+		FormatKey: g.FormatKey}
 	queue := []int{g.Initial}
 	remap[g.Initial] = 0
 	out.States = append(out.States, g.States[g.Initial])

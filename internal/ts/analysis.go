@@ -67,7 +67,7 @@ func (g *SG) HasCSC() bool { return len(g.CSCConflicts()) == 0 }
 // HasUSC reports whether the Unique State Coding property holds. It stops
 // at the first code two states share.
 func (g *SG) HasUSC() bool {
-	seen := make(map[Code]struct{}, len(g.States))
+	seen := map[Code]struct{}{}
 	for _, s := range g.States {
 		if _, dup := seen[s.Code]; dup {
 			return false
