@@ -75,10 +75,9 @@ type SG struct {
 	Out [][]Arc
 	// Initial is the index of the initial state.
 	Initial int
-	// FormatKey renders a state's Key for display, e.g. "{p0,p4}". The
-	// functions that construct a state graph set it, so that labels are
-	// formatted only when a renderer asks for one; nil renders the Key as
-	// is.
+	// FormatKey renders a state's Key for display, e.g. "{p0,p4}", so that
+	// labels are formatted only when a renderer asks; state-graph
+	// constructors set it. nil renders the Key as is.
 	FormatKey func(key string) string
 }
 
