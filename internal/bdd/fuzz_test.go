@@ -108,6 +108,11 @@ type fuzzEntry struct {
 	tab tt
 }
 
+// mintermOp is the lowest op byte that rebuilds the top function from its
+// minterm list. Every other op byte selects an op by op%18; the committed
+// corpus uses no op byte this high, so each of its inputs keeps its meaning.
+const mintermOp = 0xfc
+
 // FuzzBDDOps drives random operation sequences through the kernel and
 // checks every intermediate result against a dense truth-table oracle,
 // plus the canonicity invariant (equal functions ⇒ equal Refs), before and
@@ -115,14 +120,14 @@ type fuzzEntry struct {
 // function from its minterm list, so canonicity also pins it to the
 // current variable order.
 func FuzzBDDOps(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3})                               // push a few vars
-	f.Add([]byte{0, 8, 4, 10, 0x0f})                        // x0, ~x0, and, exists{0..3}
-	f.Add([]byte{0, 1, 4, 2, 3, 5, 6, 16})                  // and, or, xor, gc
-	f.Add([]byte{0, 1, 2, 12, 0x07, 17, 0, 1, 4, 16, 17})   // andexists, sift, rebuild, gc, sift
-	f.Add([]byte{7, 6, 5, 4, 13, 9, 14, 0x55, 15, 0xaa})    // ite, not, restricts, quantifiers
-	f.Add([]byte{0, 1, 4, 2, 5, 3, 5, 16, 4, 5, 6, 17, 11}) // grow then reorder then diff
-	f.Add([]byte{0, 20, 4, 1, 21, 4, 13, 18, 7})            // minterm rebuild of an ite
-	f.Add([]byte{0, 20, 4, 1, 21, 5, 6, 17, 18, 0x2a, 16})  // reorder, then minterm rebuild
+	f.Add([]byte{0, 1, 2, 3})                                     // push a few vars
+	f.Add([]byte{0, 8, 4, 10, 0x0f})                              // x0, ~x0, and, exists{0..3}
+	f.Add([]byte{0, 1, 4, 2, 3, 5, 6, 16})                        // and, or, xor, gc
+	f.Add([]byte{0, 1, 2, 12, 0x07, 17, 0, 1, 4, 16, 17})         // andexists, sift, rebuild, gc, sift
+	f.Add([]byte{7, 6, 5, 4, 13, 9, 14, 0x55, 15, 0xaa})          // ite, not, restricts, quantifiers
+	f.Add([]byte{0, 1, 4, 2, 5, 3, 5, 16, 4, 5, 6, 17, 11})       // grow then reorder then diff
+	f.Add([]byte{0, 20, 4, 1, 21, 4, 13, mintermOp, 7})           // minterm rebuild of an ite
+	f.Add([]byte{0, 20, 4, 1, 21, 5, 6, 17, mintermOp, 0x2a, 16}) // reorder, then minterm rebuild
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 64 {
 			return // keep each case cheap; long inputs add no new structure
@@ -169,7 +174,14 @@ func FuzzBDDOps(f *testing.F) {
 		}
 		for i < len(data) {
 			op := next()
-			switch op % 19 {
+			if op >= mintermOp { // rebuild the top function from its minterm list
+				if len(stack) >= 1 {
+					a := peek(0)
+					push(m.FromMinterms(mintermList(a.tab, next())), a.tab)
+				}
+				continue
+			}
+			switch op % 18 {
 			case 0, 1, 2, 3: // push variable (two opcodes each for weight)
 				v := int(op) % fuzzVars
 				push(m.Var(v), ttVar(v))
@@ -200,7 +212,7 @@ func FuzzBDDOps(f *testing.F) {
 				if len(stack) >= 1 {
 					a := peek(0)
 					v := int(next()) % fuzzVars
-					val := op%19 == 10
+					val := op%18 == 10
 					push(m.Restrict(a.ref, v, val), a.tab.restrict(v, val))
 				}
 			case 11: // diff
@@ -238,11 +250,6 @@ func FuzzBDDOps(f *testing.F) {
 			case 17: // dynamic reorder, then re-verify every live Ref
 				m.Sift()
 				check("after Sift")
-			case 18: // rebuild the top function from its minterm list
-				if len(stack) >= 1 {
-					a := peek(0)
-					push(m.FromMinterms(mintermList(a.tab, next())), a.tab)
-				}
 			}
 		}
 		check("final")
