@@ -14,7 +14,7 @@ import (
 	"repro/internal/stg"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/ranked.golden")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 const rankedGolden = "testdata/ranked.golden"
 
@@ -35,8 +35,8 @@ type namedSTG struct {
 }
 
 // rankedModels is the golden corpus: every testdata specification and the
-// conflict-rich CSC rings.
-func rankedModels(t *testing.T) []namedSTG {
+// conflict-rich CSC rings of the given sizes.
+func rankedModels(t *testing.T, rings ...int) []namedSTG {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.g"))
 	if err != nil || len(files) == 0 {
@@ -55,7 +55,7 @@ func rankedModels(t *testing.T) []namedSTG {
 		}
 		out = append(out, namedSTG{filepath.Base(path), g})
 	}
-	for _, k := range []int{2, 3, 4} {
+	for _, k := range rings {
 		out = append(out, namedSTG{fmt.Sprintf("gen/cscring-%d", k), gen.CSCRing(k)})
 	}
 	return out
@@ -75,12 +75,19 @@ func writeRound(b *strings.Builder, title string, g *stg.STG, name string, all [
 		lines[i] = fmt.Sprintf("%s | %d %d %d\n", describeInsertion(g, name, s.pair.r, s.pair.f),
 			s.key[0], s.key[1], s.key[2])
 	}
+	writeLines(b, "survivors", lines)
+}
+
+// writeLines writes a round's lines under a count of noun: in clear up to
+// rankedClearLines, else as the SHA-256 of all of them and the first
+// rankedHeadLines.
+func writeLines(b *strings.Builder, noun string, lines []string) {
 	if len(lines) <= rankedClearLines {
-		fmt.Fprintf(b, "%d survivors\n", len(lines))
+		fmt.Fprintf(b, "%d %s\n", len(lines), noun)
 		b.WriteString(strings.Join(lines, ""))
 		return
 	}
-	fmt.Fprintf(b, "%d survivors, sha256 %x, first %d:\n", len(lines),
+	fmt.Fprintf(b, "%d %s, sha256 %x, first %d:\n", len(lines), noun,
 		sha256.Sum256([]byte(strings.Join(lines, ""))), rankedHeadLines)
 	b.WriteString(strings.Join(lines[:rankedHeadLines], ""))
 }
@@ -92,7 +99,7 @@ func writeRound(b *strings.Builder, title string, g *stg.STG, name string, all [
 // intended change of the search's outcome.
 func TestRankedGolden(t *testing.T) {
 	var b strings.Builder
-	for _, m := range rankedModels(t) {
+	for _, m := range rankedModels(t, 2, 3, 4) {
 		fmt.Fprintf(&b, "== %s\n", m.name)
 		ctx := newEvalCtx(Options{Workers: 2})
 		all, err := scoreInsertions(m.g, "csc0", ctx)
@@ -113,17 +120,23 @@ func TestRankedGolden(t *testing.T) {
 				cand, "csc1", next, err)
 		}
 	}
-	got := b.String()
+	matchGolden(t, rankedGolden, b.String())
+}
+
+// matchGolden compares got with the golden file at path, or rewrites the
+// file under -update.
+func matchGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(rankedGolden, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(rankedGolden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run with -args -update to create)", err)
 	}
@@ -131,9 +144,9 @@ func TestRankedGolden(t *testing.T) {
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {
-				t.Fatalf("%s differs at line %d:\n got: %s\nwant: %s", rankedGolden, i+1, gl[i], wl[i])
+				t.Fatalf("%s differs at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
 			}
 		}
-		t.Fatalf("%s differs in length: got %d lines, want %d", rankedGolden, len(gl), len(wl))
+		t.Fatalf("%s differs in length: got %d lines, want %d", path, len(gl), len(wl))
 	}
 }
