@@ -26,6 +26,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
+	"strconv"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
 // Resource names one budgeted quantity.
@@ -135,6 +141,62 @@ func (e *ErrInternal) Error() string {
 // Internal wraps a recovered panic value and its stack as an *ErrInternal.
 func Internal(value any, stack []byte) error {
 	return &ErrInternal{Value: value, Stack: stack}
+}
+
+// Run runs task(w, i) for every i < n across min(workers, n) goroutines
+// (at least one), w being the worker's index, each in a "worker:<w+1>" lane
+// span under sp. Results keyed by i stay deterministic however the indexes
+// are claimed. Every claim polls b at site and adds one to checks. The pool
+// is panic-safe: a panicking task stops the others and surfaces as
+// ErrInternal with the captured stack; a task error or a budget trip stops
+// them the same way, and the first worker's error is returned.
+func Run(workers, n int, b *Budget, site string, sp *obs.Span, checks *obs.Counter, task func(w, i int) error) error {
+	if n == 0 {
+		return nil
+	}
+	workers = max(1, min(workers, n))
+	var next atomic.Int64
+	var stop atomic.Bool
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wsp := sp.ChildLane("worker:"+strconv.Itoa(w+1), w+1)
+			defer wsp.End()
+			defer func() {
+				if r := recover(); r != nil {
+					errs[w] = Internal(r, debug.Stack())
+					stop.Store(true)
+				}
+			}()
+			for !stop.Load() {
+				checks.Inc()
+				if err := b.Check(site); err != nil {
+					errs[w] = err
+					stop.Store(true)
+					return
+				}
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if err := task(w, i); err != nil {
+					errs[w] = err
+					stop.Store(true)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ctx returns the effective context.

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestNilBudgetIsUnlimited(t *testing.T) {
@@ -147,5 +150,49 @@ func TestInternalError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "worker panic") {
 		t.Fatalf("message: %q", err)
+	}
+}
+
+// TestRun covers the shared worker pool: every index runs exactly once,
+// with one budget check per claim plus one per worker that finds the
+// indexes exhausted; the first task error stops the pool; a panic becomes
+// ErrInternal with its stack.
+func TestRun(t *testing.T) {
+	reg := obs.NewRegistry()
+	checks := reg.Counter("checks")
+	var seen [10]atomic.Int32
+	if err := Run(4, len(seen), nil, "pool", nil, checks, func(_, i int) error {
+		seen[i].Add(1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range seen {
+		if seen[i].Load() != 1 {
+			t.Fatalf("index %d ran %d times", i, seen[i].Load())
+		}
+	}
+	if got := checks.Value(); got != int64(len(seen)+4) {
+		t.Fatalf("checks = %d, want %d", got, len(seen)+4)
+	}
+	if err := Run(4, 0, nil, "pool", nil, nil, func(_, i int) error {
+		t.Fatal("task ran with n = 0")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	if err := Run(2, 100, nil, "pool", nil, nil, func(_, i int) error { return boom }); err != boom {
+		t.Fatalf("task error: got %v", err)
+	}
+	err := Run(3, 100, nil, "pool", nil, nil, func(w, i int) error {
+		if i == 5 {
+			panic("task 5")
+		}
+		return nil
+	})
+	var ie *ErrInternal
+	if !errors.As(err, &ie) || ie.Value != "task 5" || len(ie.Stack) == 0 {
+		t.Fatalf("panic: got %v", err)
 	}
 }

@@ -2,12 +2,9 @@ package encoding
 
 import (
 	"fmt"
-	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/budget"
 	"repro/internal/obs"
@@ -152,56 +149,12 @@ func (c *evalCtx) rebuildSG(cand *stg.STG, desc string, conflicts int, opts reac
 }
 
 // runPool runs task(ws, i) for every i < n across the worker pool, each
-// worker on its own scratch, polling the budget once per task. The pool is
-// panic-safe: a panicking task stops the others and surfaces as
-// budget.ErrInternal with the captured stack; a task error or a budget trip
-// stops them the same way.
+// worker on its own scratch, polling the budget at encoding.eval once per
+// task; see budget.Run.
 func (c *evalCtx) runPool(n int, task func(ws *workerScratch, i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	var next atomic.Int64
-	var stop atomic.Bool
-	errs := make([]error, c.workers)
-	var wg sync.WaitGroup
-	for w := range c.workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wsp := c.sp.ChildLane("worker:"+strconv.Itoa(w+1), w+1)
-			defer wsp.End()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[w] = budget.Internal(r, debug.Stack())
-					stop.Store(true)
-				}
-			}()
-			for !stop.Load() {
-				c.checks.Inc()
-				if err := c.bgt.Check("encoding.eval"); err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := task(c.scratch[w], i); err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return budget.Run(c.workers, n, c.bgt, "encoding.eval", c.sp, c.checks, func(w, i int) error {
+		return task(c.scratch[w], i)
+	})
 }
 
 // insPair is one enumerated (rise, fall) candidate with its deterministic

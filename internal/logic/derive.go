@@ -2,10 +2,7 @@ package logic
 
 import (
 	"fmt"
-	"runtime/debug"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/boolmin"
 	"repro/internal/budget"
@@ -343,55 +340,12 @@ func (ex *extraction) setResetCovers(sig int) (set, reset boolmin.Cover) {
 	return set, reset
 }
 
-// runWorkers fans f over n indexes across w goroutines. Results keyed by
-// index stay deterministic however the indexes are claimed. A panicking
-// worker stops the others and the panic surfaces as budget.ErrInternal with
-// the captured stack; budget cancellation is polled once per index and
-// aborts the same way.
+// runWorkers fans f over n indexes across w goroutines, polling the budget
+// at logic.worker once per index; see budget.Run.
 func runWorkers(w, n int, bgt *budget.Budget, sp *obs.Span, f func(i int)) error {
-	if w > n {
-		w = n
-	}
-	checks := sp.Registry().Counter("logic.budget_checks")
-	var next atomic.Int64
-	var stop atomic.Bool
-	errs := make([]error, w)
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			wsp := sp.ChildLane("worker:"+strconv.Itoa(k+1), k+1)
-			defer wsp.End()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[k] = budget.Internal(r, debug.Stack())
-					stop.Store(true)
-				}
-			}()
-			for {
-				if stop.Load() {
-					return
-				}
-				checks.Inc()
-				if err := bgt.Check("logic.worker"); err != nil {
-					errs[k] = err
-					stop.Store(true)
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}(k)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return budget.Run(w, n, bgt, "logic.worker", sp, sp.Registry().Counter("logic.budget_checks"),
+		func(_, i int) error {
+			f(i)
+			return nil
+		})
 }
