@@ -19,7 +19,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/encoding"
 	"repro/internal/reach"
-	"repro/internal/stg"
 )
 
 func main() {
@@ -38,7 +37,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	g, err := load(fs.Arg(0), stdin)
+	g, err := cli.LoadSTG(fs.Arg(0), stdin)
 	if err != nil {
 		return err
 	}
@@ -70,17 +69,4 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		fmt.Fprint(stdout, sg.Dump())
 	}
 	return nil
-}
-
-func load(path string, stdin io.Reader) (*stg.STG, error) {
-	r := stdin
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	return stg.ParseG(r)
 }

@@ -38,7 +38,6 @@ import (
 	"repro/internal/budget"
 	"repro/internal/cli"
 	"repro/internal/reach"
-	"repro/internal/stg"
 	"repro/internal/stubborn"
 	"repro/internal/symbolic"
 	"repro/internal/unfold"
@@ -59,7 +58,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
-	g, err := load(fs.Arg(0), stdin)
+	g, err := cli.LoadSTG(fs.Arg(0), stdin)
 	if err != nil {
 		return err
 	}
@@ -182,17 +181,4 @@ func partialGraph(rg *reach.Graph) string {
 func budgetAbort(err error) bool {
 	var le budget.ErrLimit
 	return errors.Is(err, budget.ErrCanceled) || errors.As(err, &le)
-}
-
-func load(path string, stdin io.Reader) (*stg.STG, error) {
-	r := stdin
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	return stg.ParseG(r)
 }

@@ -88,7 +88,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 		return fmt.Errorf("unknown style %q", *styleName)
 	}
 
-	g, err := load(fs.Arg(0), stdin)
+	g, err := cli.LoadSTG(fs.Arg(0), stdin)
 	if err != nil {
 		return err
 	}
@@ -266,17 +266,4 @@ func spend(used, limit int) string {
 		return fmt.Sprintf("%d/unlimited", used)
 	}
 	return fmt.Sprintf("%d/%d", used, limit)
-}
-
-func load(path string, stdin io.Reader) (*stg.STG, error) {
-	r := stdin
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	return stg.ParseG(r)
 }

@@ -64,7 +64,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	g, err := load(fs.Arg(0), stdin)
+	g, err := cli.LoadSTG(fs.Arg(0), stdin)
 	if err != nil {
 		return err
 	}
@@ -126,17 +126,4 @@ func parseOcc(g *stg.STG, s string) (timing.Occurrence, error) {
 		}
 	}
 	return timing.Occurrence{Transition: t, Cycle: k}, nil
-}
-
-func load(path string, stdin io.Reader) (*stg.STG, error) {
-	r := stdin
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	return stg.ParseG(r)
 }

@@ -97,7 +97,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
-	spec, err := loadSTG(fs.Arg(0), stdin)
+	spec, err := cli.LoadSTG(fs.Arg(0), stdin)
 	if err != nil {
 		return fmt.Errorf("spec: %w", err)
 	}
@@ -223,17 +223,4 @@ func runProps(spec *stg.STG, path, engine string, timeout time.Duration, ins *cl
 		return fmt.Errorf("%d of %d properties violated", n, len(props))
 	}
 	return nil
-}
-
-func loadSTG(path string, stdin io.Reader) (*stg.STG, error) {
-	r := stdin
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	return stg.ParseG(r)
 }

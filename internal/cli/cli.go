@@ -7,10 +7,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/debug"
 
 	"repro/internal/budget"
+	"repro/internal/stg"
 )
 
 // Usage marks a flag-parse or usage error so Exit maps it to status 2. The
@@ -60,4 +62,19 @@ func Exit(name string, err error) {
 		fmt.Fprintln(os.Stderr, name+":", err)
 		os.Exit(1)
 	}
+}
+
+// LoadSTG parses the .g specification at path, or from stdin when path is
+// empty.
+func LoadSTG(path string, stdin io.Reader) (*stg.STG, error) {
+	r := stdin
+	if path != "" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		r = f
+	}
+	return stg.ParseG(r)
 }
