@@ -42,12 +42,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/encoding"
 	"repro/internal/logic"
-	"repro/internal/obs"
-	"repro/internal/reach"
-	"repro/internal/sim"
-	"repro/internal/stg"
 )
 
 func main() {
@@ -87,6 +82,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 	default:
 		return fmt.Errorf("unknown style %q", *styleName)
 	}
+	if *method != "insert" && *method != "reduce" {
+		return fmt.Errorf("unknown method %q", *method)
+	}
 
 	g, err := cli.LoadSTG(fs.Arg(0), stdin)
 	if err != nil {
@@ -110,15 +108,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 	defer cli.Recover(&err)
 	defer ins.FinishTo(stdout, stderr, &err)
 
-	var rep *core.Report
-	if *method == "reduce" {
-		rep, err = synthesizeByReduction(g, style, *workers, bgt, ins.Registry)
-	} else {
-		rep, err = core.Synthesize(g, core.Options{
-			Style: style, MaxFanIn: *maxFanIn, Workers: *workers,
-			Budget: bgt, Fallback: *fallback, Obs: ins.Registry,
-		})
-	}
+	rep, err := core.Synthesize(g, core.Options{
+		Style: style, MaxFanIn: *maxFanIn, Reduce: *method == "reduce", Workers: *workers,
+		Budget: bgt, Fallback: *fallback, Obs: ins.Registry,
+	})
 	if err != nil {
 		// A budget trip still carries the partial analysis; show it so the
 		// nonzero exit comes with the stats reached before the abort.
@@ -169,60 +162,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 	}
 	fmt.Fprint(stdout, rep.Summary())
 	return nil
-}
-
-// synthesizeByReduction runs the flow with the concurrency-reduction CSC
-// method instead of signal insertion. Like core.Synthesize it opens a
-// flow:synthesize root span with one phase child per stage, so both CSC
-// methods export the same trace shape.
-func synthesizeByReduction(g *stg.STG, style logic.Style, workers int, bgt *budget.Budget, reg *obs.Registry) (rep *core.Report, err error) {
-	flow := reg.Root("flow:synthesize")
-	defer func() {
-		if flow != nil {
-			if err != nil {
-				flow.Attr("error", err.Error())
-			}
-			flow.End()
-			if rep != nil {
-				rep.Metrics = reg.Snapshot()
-			}
-		}
-	}()
-	sgSpan := flow.Child("phase:sg")
-	sg, err := reach.BuildSG(g, reach.Options{Budget: bgt, Obs: sgSpan})
-	sgSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	rep = &core.Report{Input: g, Spec: g, SG: sg, Properties: sg.CheckImplementability()}
-	if !rep.Properties.Persistent {
-		return nil, fmt.Errorf("specification is not persistent (arbitration needed)")
-	}
-	if !rep.Properties.CSC {
-		encSpan := flow.Child("phase:encoding")
-		sol, err := encoding.SolveByReduction(g, 0)
-		encSpan.End()
-		if err != nil {
-			return nil, err
-		}
-		rep.Spec, rep.SG, rep.CSC = sol.STG, sol.SG, sol.Description
-	}
-	logicSpan := flow.Child("phase:logic")
-	rep.Netlist, err = logic.SynthesizeOpts(rep.SG, style, logic.Options{Workers: workers, Budget: bgt, Obs: logicSpan})
-	logicSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	verifySpan := flow.Child("phase:verify")
-	rep.Verification, err = sim.Verify(rep.Netlist, rep.Spec, sim.Options{Budget: bgt, SG: rep.SG})
-	verifySpan.End()
-	if err != nil {
-		return nil, err
-	}
-	if !rep.Verification.OK() {
-		return rep, fmt.Errorf("implementation fails verification: %v", rep.Verification.Violations)
-	}
-	return rep, nil
 }
 
 // printBudget reports budget spend — states and BDD nodes used against their

@@ -3,13 +3,17 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/budget"
 	"repro/internal/cli"
 	"repro/internal/obs"
+	"repro/internal/reach"
+	"repro/internal/ts"
 )
 
 const vmeRead = `
@@ -223,7 +227,8 @@ func TestSynthMetricsExport(t *testing.T) {
 }
 
 // TestSynthReduceMetricsExport pins the trace shape of the -method reduce
-// path: same flow:synthesize root and phase spans as the insertion flow.
+// path: same flow:synthesize root and phase spans as the insertion flow,
+// with the reduction search's engine:encoding span and counters.
 func TestSynthReduceMetricsExport(t *testing.T) {
 	dir := t.TempDir()
 	mpath := dir + "/m.json"
@@ -248,10 +253,71 @@ func TestSynthReduceMetricsExport(t *testing.T) {
 	for _, sp := range snap.Spans {
 		names[sp.Name] = true
 	}
-	for _, want := range []string{"flow:synthesize", "phase:sg", "phase:logic", "phase:verify"} {
+	for _, want := range []string{"flow:synthesize", "phase:sg", "phase:encoding", "engine:encoding",
+		"phase:logic", "phase:verify"} {
 		if !names[want] {
 			t.Fatalf("span %s missing from reduce flow; spans: %v", want, names)
 		}
+	}
+	for _, c := range []string{"encoding.candidates", "encoding.costed", "encoding.rebuilt"} {
+		if snap.Counters[c] == 0 {
+			t.Fatalf("counter %s is zero; counters: %v", c, snap.Counters)
+		}
+	}
+}
+
+// TestSynthReduceMatchesInsert: on every testdata spec that already has
+// CSC neither method changes the spec, so -method reduce prints what
+// -method insert prints, or fails the same way, also under -maxfanin 2.
+func TestSynthReduceMatchesInsert(t *testing.T) {
+	files, err := filepath.Glob("../../testdata/*.g")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata specifications: %v", err)
+	}
+	for _, path := range files {
+		g, err := cli.LoadSTG(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sg, err := reach.BuildSG(g, reach.Options{})
+		if err == nil {
+			sg, err = ts.ContractDummies(sg)
+		}
+		if err != nil || !sg.HasCSC() {
+			continue
+		}
+		var outs [2]string
+		var errs [2]error
+		for i, method := range []string{"insert", "reduce"} {
+			var out, errOut bytes.Buffer
+			errs[i] = run([]string{"-method", method, "-maxfanin", "2", "-workers", "2", path}, nil, &out, &errOut)
+			outs[i] = stripTiming(out.String())
+		}
+		if outs[0] != outs[1] || fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
+			t.Fatalf("%s: -method reduce differs from -method insert:\n%s(%v)\nvs\n%s(%v)",
+				path, outs[1], errs[1], outs[0], errs[0])
+		}
+	}
+}
+
+// TestSynthReduceFallback: -fallback reaches the reduce method too, so a
+// state ceiling degrades the analysis instead of failing.
+func TestSynthReduceFallback(t *testing.T) {
+	var out, errOut bytes.Buffer
+	err := run([]string{"-method", "reduce", "-fallback", "-maxstates", "5", "../../testdata/vme-read-write.g"},
+		nil, &out, &errOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := out.String(); !strings.Contains(s, "degraded analysis") || !strings.Contains(s, "symbolic") {
+		t.Fatalf("degraded analysis expected:\n%s", s)
+	}
+}
+
+func TestSynthUnknownMethod(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if err := run([]string{"-method", "bogus"}, strings.NewReader(vmeRead), &out, &errOut); err == nil {
+		t.Fatal("unknown method must error")
 	}
 }
 

@@ -31,8 +31,12 @@ type Options struct {
 	// MaxFanIn, when > 0, runs decomposition/technology mapping to the
 	// given gate input budget after synthesis.
 	MaxFanIn int
-	// MaxCSCSignals bounds state-signal insertion (default 3).
+	// MaxCSCSignals bounds the inserted state signals, or with Reduce the
+	// added orderings (default 3).
 	MaxCSCSignals int
+	// Reduce resolves CSC conflicts by concurrency reduction, delaying
+	// non-input transitions, instead of by state-signal insertion.
+	Reduce bool
 	// SkipVerify skips the final speed-independence verification.
 	SkipVerify bool
 	// Constraints are relative timing assumptions applied during
@@ -116,7 +120,8 @@ func (t Timing) String() string {
 type Report struct {
 	// Input is the original specification.
 	Input *stg.STG
-	// Spec is the final specification (after any state-signal insertion).
+	// Spec is the final specification (after any state-signal insertion or
+	// concurrency reduction).
 	Spec *stg.STG
 	// SG is the state graph of Spec.
 	SG *ts.SG
@@ -280,8 +285,9 @@ func synthesize(g *stg.STG, opts Options, flow *obs.Span) (*Report, error) {
 
 	// State encoding can be solved in several ways; technology mapping may
 	// fail on one encoding and succeed on another, so iterate over ranked
-	// solutions. A specification that already has CSC has one: itself, on
-	// the state graph just built.
+	// insertions. Concurrency reduction returns its one solution. A
+	// specification that already has CSC has one: itself, on the state
+	// graph just built.
 	if err := opts.Budget.Check("core.encoding"); err != nil {
 		return rep, err
 	}
@@ -289,8 +295,12 @@ func synthesize(g *stg.STG, opts Options, flow *obs.Span) (*Report, error) {
 	if !rep.Properties.CSC {
 		phase = time.Now()
 		encSpan := flow.Child("phase:encoding")
-		sols, err = encoding.SolutionsOpts(g, opts.MaxCSCSignals, 5,
-			encoding.Options{Workers: opts.Workers, Budget: opts.Budget, Obs: encSpan})
+		eopts := encoding.Options{Workers: opts.Workers, Budget: opts.Budget, Obs: encSpan}
+		if opts.Reduce {
+			sols[0], err = encoding.SolveByReduction(g, opts.MaxCSCSignals, eopts)
+		} else {
+			sols, err = encoding.SolutionsOpts(g, opts.MaxCSCSignals, 5, eopts)
+		}
 		encSpan.End()
 		if err != nil {
 			if budgetErr(err) {

@@ -124,3 +124,52 @@ func hasSpan(snap *obs.Snapshot, name string) bool {
 	}
 	return false
 }
+
+// TestReduceInFlow runs concurrency reduction inside the flow: on the VME
+// read cycle it delays DTACK- until LDTACK- and the netlist verifies. The
+// search opens engine:encoding under phase:encoding, and its counters
+// account for every one of the 54 orderings: 23 deadlock, 28 make no
+// progress, 1 is unsafe and 2 solve CSC and are costed. The equations are
+// the same at one and two workers.
+func TestReduceInFlow(t *testing.T) {
+	var eqns []string
+	for _, workers := range []int{1, 2} {
+		rep, err := core.Synthesize(vme.ReadSTG(), core.Options{Reduce: true, Workers: workers, Obs: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.CSC != "delay DTACK- until LDTACK-" {
+			t.Fatalf("CSC = %q, want delay DTACK- until LDTACK-", rep.CSC)
+		}
+		if rep.Verification == nil || !rep.Verification.OK() {
+			t.Fatalf("netlist does not verify: %+v", rep.Verification)
+		}
+		eqns = append(eqns, rep.Equations())
+		ids := map[string]int{}
+		for _, sp := range rep.Metrics.Spans {
+			ids[sp.Name] = sp.ID
+		}
+		under := false
+		for _, sp := range rep.Metrics.Spans {
+			if sp.Name == "engine:encoding" {
+				under = sp.Parent == ids["phase:encoding"]
+			}
+		}
+		if !under {
+			t.Fatalf("no engine:encoding span under phase:encoding: %+v", rep.Metrics.Spans)
+		}
+		c := rep.Metrics.Counters
+		for name, want := range map[string]int64{
+			"encoding.candidates": 54, "encoding.rebuilt": 54, "encoding.costed": 2,
+			"encoding.rejected_deadlock": 23, "encoding.rejected_no_progress": 28,
+			"encoding.rejected_unsafe": 1,
+		} {
+			if c[name] != want {
+				t.Fatalf("w%d: %s = %d, want %d", workers, name, c[name], want)
+			}
+		}
+	}
+	if eqns[0] != eqns[1] {
+		t.Fatalf("equations differ across workers:\n%s\nvs\n%s", eqns[0], eqns[1])
+	}
+}

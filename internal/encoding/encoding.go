@@ -344,95 +344,132 @@ func continueGreedy(start *Solution, rounds int, ctx *evalCtx) (*Solution, error
 // SolveByReduction resolves CSC conflicts with the paper's second method:
 // concurrency reduction — delaying a non-input transition until another
 // transition has fired, so that the conflicting states disappear from the
-// specification. It searches (delayed, until) pairs of transitions, keeps
-// property-preserving candidates that reduce the conflict count, and greedily
-// iterates up to maxOrders added orderings. Unlike signal insertion this can
-// fail on specs whose conflicts are not caused by concurrency.
-func SolveByReduction(g *stg.STG, maxOrders int) (*Solution, error) {
+// specification. Each round scores every (delayed, until) ordering across
+// the Options worker pool and keeps the property-preserving one that
+// reduces the conflict count with the least (conflicts, literals,
+// enumeration order) key; up to maxOrders orderings (default 3) are added
+// greedily. The solution is identical at every Options.Workers value.
+// Unlike signal insertion this can fail on specs whose conflicts are not
+// caused by concurrency.
+func SolveByReduction(g *stg.STG, maxOrders int, opts Options) (*Solution, error) {
 	if maxOrders <= 0 {
 		maxOrders = 3
 	}
-	ctx := newEvalCtx(Options{})
-	cur := g
-	desc := ""
-	for round := 0; round < maxOrders+1; round++ {
-		sg, err := ctx.buildSG(cur)
-		if err != nil {
-			return nil, err
-		}
-		if sg.HasCSC() {
-			lits, err := complexLiterals(sg)
-			if err != nil {
-				return nil, err
-			}
-			return &Solution{STG: cur, SG: sg, Description: desc, Literals: lits}, nil
-		}
+	ctx := newEvalCtx(opts)
+	sol, err := reduceConcurrency(g, maxOrders, ctx)
+	ctx.finish(err)
+	return sol, err
+}
+
+func reduceConcurrency(g *stg.STG, maxOrders int, ctx *evalCtx) (*Solution, error) {
+	sg, err := ctx.buildSG(g)
+	if err != nil {
+		return nil, err
+	}
+	cur := &Solution{STG: g, SG: sg}
+	for round := 0; !cur.SG.HasCSC(); round++ {
 		if round == maxOrders {
-			break
+			return nil, fmt.Errorf("encoding: CSC not solved within %d concurrency reductions", maxOrders)
 		}
-		best, bestDesc, err := bestReduction(cur, len(sg.CSCConflicts()), ctx)
+		next, err := bestReduction(cur.STG, len(cur.SG.CSCConflicts()), ctx)
 		if err != nil {
 			return nil, fmt.Errorf("encoding: reduction round %d: %w", round, err)
 		}
-		cur = best
-		if desc != "" {
-			desc += "; "
+		if cur.Description != "" {
+			next.Description = cur.Description + "; " + next.Description
 		}
-		desc += bestDesc
+		cur = next
 	}
-	return nil, fmt.Errorf("encoding: CSC not solved within %d concurrency reductions", maxOrders)
+	if cur.Literals, err = complexLiterals(cur.SG); err != nil {
+		return nil, err
+	}
+	return cur, nil
 }
 
-// bestReduction scores every (delayed, until) ordering of g with the same
-// evaluator as signal insertion and returns the best by (conflicts,
-// literals, enumeration order).
-func bestReduction(g *stg.STG, baseConflicts int, ctx *evalCtx) (*stg.STG, string, error) {
-	type cand struct {
-		g    *stg.STG
-		desc string
-		key  [3]int
+// bestReduction returns the accepted ordering of g with the least
+// (conflicts, literals, enumeration order) key.
+func bestReduction(g *stg.STG, baseConflicts int, ctx *evalCtx) (*Solution, error) {
+	all, err := scoreReductions(g, baseConflicts, ctx)
+	if err != nil {
+		return nil, err
 	}
-	var best *cand
-	order := 0
+	var best *Solution
+	var bestKey [3]int
+	for i, r := range all {
+		if r.sol == nil {
+			continue
+		}
+		if key := [3]int{r.v.conflicts, r.sol.Literals, i}; best == nil || less(key, bestKey) {
+			best, bestKey = r.sol, key
+		}
+	}
+	if best == nil {
+		return nil, fmt.Errorf("no property-preserving reduction found")
+	}
+	return best, nil
+}
+
+// reduction is one scored ordering: its description and verdict and, when
+// accepted, the candidate solution, whose literal cost is
+// unsolvedLiteralCost while conflicts remain.
+type reduction struct {
+	desc string
+	v    verdict
+	sol  *Solution
+}
+
+// scoreReductions scores every (delayed, until) ordering of g, each
+// non-input signal transition delayed until any other transition, across
+// the worker pool. Each ordering is built by DelayTransition, explored by
+// evaluateCandidate without the budget (the pool polls it once per
+// ordering) and, when it solves CSC, costed in literals. Results land in a
+// slot per ordering, in enumeration order at any worker count.
+func scoreReductions(g *stg.STG, baseConflicts int, ctx *evalCtx) ([]reduction, error) {
+	var pairs [][2]int
 	for delayed := range g.Net.Transitions {
 		if g.IsInput(delayed) || g.Labels[delayed].Sig < 0 {
 			continue
 		}
 		for until := range g.Net.Transitions {
-			if until == delayed {
-				continue
-			}
-			order++
-			c, err := DelayTransition(g, delayed, until)
-			if err != nil {
-				continue
-			}
-			sg, v := evaluateCandidate(c, baseConflicts, reach.Options{Arena: ctx.arena})
-			if v.reason != none {
-				continue
-			}
-			lits := unsolvedLiteralCost
-			if v.conflicts == 0 {
-				ctx.costed.Inc()
-				if lits, err = complexLiterals(sg); err != nil {
-					continue
-				}
-			}
-			key := [3]int{v.conflicts, lits, order}
-			if best == nil || less(key, best.key) {
-				best = &cand{
-					g: c,
-					desc: fmt.Sprintf("delay %s until %s",
-						g.Net.Transitions[delayed].Name, g.Net.Transitions[until].Name),
-					key: key,
-				}
+			if until != delayed {
+				pairs = append(pairs, [2]int{delayed, until})
 			}
 		}
 	}
-	if best == nil {
-		return nil, "", fmt.Errorf("no property-preserving reduction found")
+	all := make([]reduction, len(pairs))
+	err := ctx.runPool(len(pairs), func(ws *workerScratch, i int) error {
+		delayed, until := pairs[i][0], pairs[i][1]
+		r := &all[i]
+		r.desc = fmt.Sprintf("delay %s until %s", g.Net.Transitions[delayed].Name, g.Net.Transitions[until].Name)
+		cand, err := DelayTransition(g, delayed, until)
+		if err != nil {
+			r.v.reason = rejectInvalid
+			return nil
+		}
+		sg, v := evaluateCandidate(cand, baseConflicts, reach.Options{Arena: ws.arena})
+		if r.v = v; v.reason != none {
+			return nil
+		}
+		r.sol = &Solution{STG: cand, SG: sg, Description: r.desc, Literals: unsolvedLiteralCost}
+		if v.conflicts == 0 {
+			if r.sol.Literals, err = complexLiterals(sg); err != nil {
+				return fmt.Errorf("encoding: costing %s: %w", r.desc, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return best.g, best.desc, nil
+	ctx.candidates.Add(int64(len(all)))
+	ctx.rebuilt.Add(int64(len(all)))
+	for _, r := range all {
+		ctx.rejected[r.v.reason].Inc()
+		if r.sol != nil && r.v.conflicts == 0 {
+			ctx.costed.Inc()
+		}
+	}
+	return all, nil
 }
 
 func complexLiterals(sg *ts.SG) (int, error) {

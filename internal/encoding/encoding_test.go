@@ -181,7 +181,7 @@ func TestSolveCSCNoop(t *testing.T) {
 // cycle, shrinking the state space instead of adding a signal.
 func TestSolveByReduction(t *testing.T) {
 	g := vme.ReadSTG()
-	sol, err := SolveByReduction(g, 0)
+	sol, err := SolveByReduction(g, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestSolveByReductionFails(t *testing.T) {
 	if sg.HasCSC() {
 		t.Skip("spec unexpectedly has CSC")
 	}
-	if _, err := SolveByReduction(g, 2); err == nil {
+	if _, err := SolveByReduction(g, 2, Options{}); err == nil {
 		t.Fatal("sequential conflict must defeat concurrency reduction")
 	}
 }

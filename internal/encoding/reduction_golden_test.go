@@ -4,75 +4,54 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"repro/internal/reach"
-	"repro/internal/stg"
 )
 
 const reductionGolden = "testdata/reduction.golden"
 
-// reductionRound renders the verdict of every (delayed, until) ordering of
-// g's first reduction round in enumeration order: its rejection reason, or
-// its (conflicts, literals) key.
-func reductionRound(t *testing.T, g *stg.STG, baseConflicts int) []string {
-	t.Helper()
-	var lines []string
-	for delayed := range g.Net.Transitions {
-		if g.IsInput(delayed) || g.Labels[delayed].Sig < 0 {
-			continue
-		}
-		for until := range g.Net.Transitions {
-			if until == delayed {
-				continue
-			}
-			desc := fmt.Sprintf("delay %s until %s", g.Net.Transitions[delayed].Name, g.Net.Transitions[until].Name)
-			c, err := DelayTransition(g, delayed, until)
-			if err != nil {
-				lines = append(lines, desc+" | "+reasonNames[rejectInvalid]+"\n")
-				continue
-			}
-			sg, v := evaluateCandidate(c, baseConflicts, reach.Options{})
-			if v.reason != none {
-				lines = append(lines, desc+" | "+reasonNames[v.reason]+"\n")
-				continue
-			}
-			lits := unsolvedLiteralCost
-			if v.conflicts == 0 {
-				if lits, err = complexLiterals(sg); err != nil {
-					t.Fatalf("costing %s: %v", desc, err)
-				}
-			}
-			lines = append(lines, fmt.Sprintf("%s | %d %d\n", desc, v.conflicts, lits))
-		}
-	}
-	return lines
-}
-
 // TestReductionGolden pins the concurrency-reduction search: for every
 // corpus model, the base CSC conflict count, the verdict of every ordering
-// of the first reduction round (when the base has conflicts), and the
-// solution SolveByReduction returns or the error it fails with. Regenerate
-// with -args -update only for an intended change of the search's outcome.
+// of the first reduction round (when the base has conflicts) in
+// enumeration order — its rejection reason, or its (conflicts, literals)
+// key — and the solution SolveByReduction returns or the error it fails
+// with. The verdicts come from the pooled scoring path, and the golden
+// holds at one and two workers. Regenerate with -args -update only for an
+// intended change of the search's outcome.
 func TestReductionGolden(t *testing.T) {
-	var b strings.Builder
-	for _, m := range rankedModels(t, 2, 3) {
-		fmt.Fprintf(&b, "== %s\n", m.name)
-		sg, err := newEvalCtx(Options{}).buildSG(m.g)
-		if err != nil {
-			fmt.Fprintf(&b, "error: %v\n", err)
-			continue
+	for _, workers := range []int{1, 2} {
+		opts := Options{Workers: workers}
+		var b strings.Builder
+		for _, m := range rankedModels(t, 2, 3) {
+			fmt.Fprintf(&b, "== %s\n", m.name)
+			ctx := newEvalCtx(opts)
+			sg, err := ctx.buildSG(m.g)
+			if err != nil {
+				fmt.Fprintf(&b, "error: %v\n", err)
+				continue
+			}
+			base := len(sg.CSCConflicts())
+			fmt.Fprintf(&b, "base conflicts: %d\n", base)
+			if base > 0 {
+				all, err := scoreReductions(m.g, base, ctx)
+				if err != nil {
+					t.Fatalf("%s: %v", m.name, err)
+				}
+				lines := make([]string, len(all))
+				for i, r := range all {
+					if r.sol == nil {
+						lines[i] = r.desc + " | " + reasonNames[r.v.reason] + "\n"
+					} else {
+						lines[i] = fmt.Sprintf("%s | %d %d\n", r.desc, r.v.conflicts, r.sol.Literals)
+					}
+				}
+				writeLines(&b, "orderings", lines)
+			}
+			sol, err := SolveByReduction(m.g, 0, opts)
+			if err != nil {
+				fmt.Fprintf(&b, "solution error: %v\n", err)
+				continue
+			}
+			fmt.Fprintf(&b, "solution: %q, %d literals, %d states\n", sol.Description, sol.Literals, sol.SG.NumStates())
 		}
-		base := len(sg.CSCConflicts())
-		fmt.Fprintf(&b, "base conflicts: %d\n", base)
-		if base > 0 {
-			writeLines(&b, "orderings", reductionRound(t, m.g, base))
-		}
-		sol, err := SolveByReduction(m.g, 0)
-		if err != nil {
-			fmt.Fprintf(&b, "solution error: %v\n", err)
-			continue
-		}
-		fmt.Fprintf(&b, "solution: %q, %d literals, %d states\n", sol.Description, sol.Literals, sol.SG.NumStates())
+		matchGolden(t, reductionGolden, b.String())
 	}
-	matchGolden(t, reductionGolden, b.String())
 }

@@ -138,9 +138,10 @@ func TestSequentialEngines(t *testing.T) {
 	})
 }
 
-// TestWorkerPoolPanics proves the encoding candidate pool and the logic
-// synthesis pool recover injected panics into ErrInternal without wedging a
-// sibling or leaking goroutines.
+// TestWorkerPoolPanics proves the encoding candidate pool, on insertion and
+// on concurrency reduction, and the logic synthesis pool recover injected
+// panics into ErrInternal without wedging a sibling or leaking goroutines;
+// cancellation and limits in the encoding pool surface typed too.
 func TestWorkerPoolPanics(t *testing.T) {
 	t.Run("encoding", func(t *testing.T) {
 		for _, n := range []int{1, 4, 9} {
@@ -173,6 +174,25 @@ func TestWorkerPoolPanics(t *testing.T) {
 			done()
 		}
 	})
+	t.Run("reduction", func(t *testing.T) {
+		for _, plan := range []Plan{
+			{Mode: Panic, N: 1, Site: "encoding.eval"},
+			{Mode: Panic, N: 9, Site: "encoding.eval"},
+			{Mode: Cancel, N: 6, Site: "encoding.eval"},
+			{Mode: Limit, N: 2, Site: "encoding.eval"},
+		} {
+			done := leakCheck(t)
+			in, b := New(plan)
+			_, err := encoding.SolveByReduction(vme.ReadSTG(), 0,
+				encoding.Options{Workers: 4, Budget: b})
+			wantTyped(t, plan, in, err)
+			if !in.Fired() {
+				t.Fatalf("%v: VME read scores 54 orderings; plan must fire", plan)
+			}
+			in.Release()
+			done()
+		}
+	})
 	t.Run("encoding-cancel-and-limit", func(t *testing.T) {
 		for _, plan := range []Plan{
 			{Mode: Cancel, N: 6, Site: "encoding.eval"},
@@ -190,8 +210,9 @@ func TestWorkerPoolPanics(t *testing.T) {
 }
 
 // TestCorePipeline injects faults at the flow's phase boundaries and inside
-// its phases: Synthesize must always come back with a typed budget error
-// (or, unfired, a verified netlist) — never a hang or a crash.
+// its phases, with either CSC method: Synthesize must always come back with
+// a typed budget error (or, unfired, a verified netlist) — never a hang or
+// a crash.
 func TestCorePipeline(t *testing.T) {
 	plans := []Plan{
 		{Mode: Cancel, N: 1, Site: "core.encoding"},
@@ -204,22 +225,25 @@ func TestCorePipeline(t *testing.T) {
 		{Mode: Cancel, N: 9, Site: "reach.toggle"},
 		{Mode: Limit, N: 4, Site: "reach.label"},
 	}
-	for _, workers := range []int{1, 4} {
-		for _, plan := range plans {
-			t.Run(fmt.Sprintf("w%d/%v", workers, plan), func(t *testing.T) {
-				done := leakCheck(t)
-				in, b := New(plan)
-				defer in.Release()
-				rep, err := core.Synthesize(vme.ReadSTG(), core.Options{
-					Workers: workers,
-					Budget:  b,
+	for _, method := range []string{"", "reduce/"} {
+		for _, workers := range []int{1, 4} {
+			for _, plan := range plans {
+				t.Run(fmt.Sprintf("%sw%d/%v", method, workers, plan), func(t *testing.T) {
+					done := leakCheck(t)
+					in, b := New(plan)
+					defer in.Release()
+					rep, err := core.Synthesize(vme.ReadSTG(), core.Options{
+						Reduce:  method != "",
+						Workers: workers,
+						Budget:  b,
+					})
+					wantTyped(t, plan, in, err)
+					if err == nil && rep.Netlist == nil {
+						t.Fatal("success without a netlist")
+					}
+					done()
 				})
-				wantTyped(t, plan, in, err)
-				if err == nil && rep.Netlist == nil {
-					t.Fatal("success without a netlist")
-				}
-				done()
-			})
+			}
 		}
 	}
 }
