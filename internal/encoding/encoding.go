@@ -345,45 +345,39 @@ func continueGreedy(start *Solution, rounds int, ctx *evalCtx) (*Solution, error
 // concurrency reduction — delaying a non-input transition until another
 // transition has fired, so that the conflicting states disappear from the
 // specification. Each round scores every (delayed, until) ordering across
-// the Options worker pool and keeps the property-preserving one that
-// reduces the conflict count with the least (conflicts, literals,
-// enumeration order) key; up to maxOrders orderings (default 3) are added
-// greedily. The solution is identical at every Options.Workers value.
-// Unlike signal insertion this can fail on specs whose conflicts are not
-// caused by concurrency.
-func SolveByReduction(g *stg.STG, maxOrders int, opts Options) (*Solution, error) {
+// the worker pool and keeps the property-preserving one with the least
+// (conflicts, literals, enumeration order) key, so the solution is the same
+// at every Options.Workers value. Up to maxOrders orderings (default 3) are
+// added. Unlike signal insertion this can fail on specs whose conflicts are
+// not caused by concurrency.
+func SolveByReduction(g *stg.STG, maxOrders int, opts Options) (sol *Solution, err error) {
 	if maxOrders <= 0 {
 		maxOrders = 3
 	}
 	ctx := newEvalCtx(opts)
-	sol, err := reduceConcurrency(g, maxOrders, ctx)
-	ctx.finish(err)
-	return sol, err
-}
-
-func reduceConcurrency(g *stg.STG, maxOrders int, ctx *evalCtx) (*Solution, error) {
+	defer func() { ctx.finish(err) }()
 	sg, err := ctx.buildSG(g)
 	if err != nil {
 		return nil, err
 	}
-	cur := &Solution{STG: g, SG: sg}
-	for round := 0; !cur.SG.HasCSC(); round++ {
+	sol = &Solution{STG: g, SG: sg}
+	for round := 0; !sol.SG.HasCSC(); round++ {
 		if round == maxOrders {
 			return nil, fmt.Errorf("encoding: CSC not solved within %d concurrency reductions", maxOrders)
 		}
-		next, err := bestReduction(cur.STG, len(cur.SG.CSCConflicts()), ctx)
+		next, err := bestReduction(sol.STG, len(sol.SG.CSCConflicts()), ctx)
 		if err != nil {
 			return nil, fmt.Errorf("encoding: reduction round %d: %w", round, err)
 		}
-		if cur.Description != "" {
-			next.Description = cur.Description + "; " + next.Description
+		if sol.Description != "" {
+			next.Description = sol.Description + "; " + next.Description
 		}
-		cur = next
+		sol = next
 	}
-	if cur.Literals, err = complexLiterals(cur.SG); err != nil {
+	if sol.Literals, err = complexLiterals(sol.SG); err != nil {
 		return nil, err
 	}
-	return cur, nil
+	return sol, nil
 }
 
 // bestReduction returns the accepted ordering of g with the least

@@ -17,24 +17,26 @@ import (
 type Options struct {
 	// Workers sizes the candidate evaluator's worker pool (0 or 1 = one
 	// worker): the (rise, fall) insertion pairs of every ranking round, and
-	// then the solved candidates it costs, are fanned out across it. The
+	// then the solved candidates it costs, or the (delayed, until)
+	// orderings of every reduction round, are fanned out across it. The
 	// ranking key is (conflicts, literals, enumeration order), so the
-	// solution list is identical at any worker count.
+	// solutions are identical at any worker count.
 	Workers int
 	// Budget adds cancellation between candidate evaluations; nil is
-	// unlimited. The check runs once per scored insertion pair and once per
-	// costed candidate; scoring a pair explores its state graph on the
-	// round's base state graph, which no single check interrupts.
+	// unlimited. The check runs once per scored insertion pair or ordering
+	// and once per costed insertion; scoring one explores a candidate state
+	// graph, which no single check interrupts.
 	Budget *budget.Budget
 	// Obs is the parent observability span: the solve records an
 	// "engine:encoding" child span carrying the totals below as
 	// attributes, per-worker spans, and the encoding.* counters into its
 	// registry: candidates (insertion pairs scored on the state-graph
-	// product), rebuilt (candidates built as STGs and re-explored), one
-	// rejected_<reason> per rejection reason, memo_hits and memo_misses
-	// (the solved candidates' canonical-signature dedup), costed and
-	// budget_checks. The per-candidate explorations stay uninstrumented —
-	// a solve scores thousands of them. nil disables observability.
+	// product, and orderings), rebuilt (candidates built as STGs and
+	// explored, every ordering among them), one rejected_<reason> per
+	// rejection reason, memo_hits and memo_misses (the solved insertions'
+	// canonical-signature dedup), costed and budget_checks. The
+	// per-candidate explorations stay uninstrumented — a solve scores
+	// thousands of them. nil disables observability.
 	Obs *obs.Span
 }
 
@@ -63,7 +65,8 @@ type evalCtx struct {
 	memoHits   *obs.Counter
 	memoMisses *obs.Counter
 	// costed counts the solved candidates whose complex-gate logic was
-	// derived to cost them in literals: one per isomorphism class.
+	// derived to cost them in literals: one per isomorphism class of
+	// insertions, one per ordering.
 	costed *obs.Counter
 	checks *obs.Counter
 }

@@ -40,14 +40,18 @@ go test -fuzz=FuzzSTGParse -fuzztime=5s -run '^$' ./internal/stg/
 go test -timeout 60s -race ./internal/prop/ ./cmd/verify/
 go test -fuzz=FuzzPropParse -fuzztime=5s -run '^$' ./internal/prop/
 # Parallel synthesis determinism under the race detector: identical
-# solutions, functions and netlists at every worker count, and the CSC
+# solutions, functions and netlists at every worker count, the CSC
 # candidate product agreeing with the rebuild on every insertion pair at
-# one and two workers.
-go test -timeout 60s -race -run 'Deterministic|MatchesSequential|TieBreak|CSCError|ProductMatchesRebuild' ./internal/encoding/ ./internal/logic/
+# one and two workers, and the pooled concurrency-reduction search
+# matching its golden at one and two workers.
+go test -timeout 60s -race -run 'Deterministic|MatchesSequential|TieBreak|CSCError|ProductMatchesRebuild|ReductionGolden' ./internal/encoding/ ./internal/logic/
 # One state graph per flow under the race detector: Verify handed the
 # flow's state graph returns exactly what it returns when it builds its own,
-# and a spec that already has CSC runs no encoding search.
-go test -timeout 60s -race -run 'TestVerifySpecSGMatchesRebuild|TestCSCSpecSkipsEncoding' ./internal/sim/ ./internal/core/
+# and a spec that already has CSC runs no encoding search. Concurrency
+# reduction runs inside the same flow: its counters and span in core, and
+# cmd/synth -method reduce matching -method insert where no encoding runs.
+go test -timeout 60s -race -run 'TestVerifySpecSGMatchesRebuild|TestCSCSpecSkipsEncoding|TestReduceInFlow' ./internal/sim/ ./internal/core/
+go test -timeout 60s -race -run 'TestSynthReduce|TestSynthUnknownMethod' ./cmd/synth/
 # Observability gate: instrumented runs of cmd/synth and cmd/reach on the
 # VME example must export a metrics snapshot with non-zero counters for the
 # instrumented engines and a well-formed flow → phase → engine trace. The
@@ -60,6 +64,15 @@ OBS_METRICS_FILE="$obsdir/synth.metrics.json" \
 OBS_TRACE_FILE="$obsdir/synth.trace.json" \
 OBS_REQUIRE_HIERARCHY=1 \
 OBS_REQUIRE_COUNTERS=reach.states,reach.arcs,encoding.candidates,encoding.costed,encoding.rebuilt,logic.signals,logic.cover_literals \
+    go test -timeout 30s -run TestExternalArtifacts -count=1 ./internal/obs/
+# The concurrency-reduction flow exports the same trace shape and the
+# encoding search's counters.
+go run ./cmd/synth -method reduce -metrics "$obsdir/reduce.metrics.json" \
+    -trace-json "$obsdir/reduce.trace.json" testdata/vme-read.g > /dev/null
+OBS_METRICS_FILE="$obsdir/reduce.metrics.json" \
+OBS_TRACE_FILE="$obsdir/reduce.trace.json" \
+OBS_REQUIRE_HIERARCHY=1 \
+OBS_REQUIRE_COUNTERS=reach.states,encoding.candidates,encoding.costed,encoding.rebuilt,logic.signals \
     go test -timeout 30s -run TestExternalArtifacts -count=1 ./internal/obs/
 # cmd/reach covers the engines a successful synthesis flow never runs
 # (symbolic, unfolding, stubborn sets) plus the BDD kernel counters.
