@@ -149,7 +149,8 @@ func Internal(value any, stack []byte) error {
 // are claimed. Every claim polls b at site and adds one to checks. The pool
 // is panic-safe: a panicking task stops the others and surfaces as
 // ErrInternal with the captured stack; a task error or a budget trip stops
-// them the same way, and the first worker's error is returned.
+// them the same way. Run returns the error of the lowest-numbered failing
+// worker.
 func Run(workers, n int, b *Budget, site string, sp *obs.Span, checks *obs.Counter, task func(w, i int) error) error {
 	if n == 0 {
 		return nil
