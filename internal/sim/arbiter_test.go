@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"strings"
@@ -7,6 +7,7 @@ import (
 	"repro/internal/boolmin"
 	"repro/internal/logic"
 	"repro/internal/reach"
+	"repro/internal/sim"
 	"repro/internal/stg"
 )
 
@@ -94,7 +95,7 @@ func TestArbiterSpecNeedsMutex(t *testing.T) {
 func TestMutexImplementationVerifies(t *testing.T) {
 	spec := arbiterSpec(t)
 	nl := arbiterNetlist(t, logic.MutexHalf)
-	res, err := Verify(nl, spec, Options{})
+	res, err := sim.Verify(nl, spec, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestMutexImplementationVerifies(t *testing.T) {
 func TestPlainGatesAreHazardous(t *testing.T) {
 	spec := arbiterSpec(t)
 	nl := arbiterNetlist(t, logic.Comb)
-	res, err := Verify(nl, spec, Options{MaxViolations: 10})
+	res, err := sim.Verify(nl, spec, sim.Options{MaxViolations: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestPlainGatesAreHazardous(t *testing.T) {
 	}
 	hazardOnGrant := false
 	for _, v := range res.Violations {
-		if v.Kind == Hazard && strings.HasPrefix(v.Signal, "g") {
+		if v.Kind == sim.Hazard && strings.HasPrefix(v.Signal, "g") {
 			hazardOnGrant = true
 		}
 	}
@@ -133,7 +134,7 @@ func TestPlainGatesAreHazardous(t *testing.T) {
 func TestMutexExclusionInvariant(t *testing.T) {
 	spec := arbiterSpec(t)
 	nl := arbiterNetlist(t, logic.MutexHalf)
-	sg, err := StateGraph(nl, spec, Options{})
+	sg, err := sim.StateGraph(nl, spec, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
