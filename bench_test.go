@@ -477,6 +477,53 @@ func BenchmarkFullFlow(b *testing.B) {
 	}
 }
 
+// layerSpecs are the specs of the flow-layer benches: the paper's two VME
+// specs and muller-8, the benchmark's slowest op.
+var layerSpecs = []struct {
+	name string
+	g    *stg.STG
+}{
+	{"vme-read", vme.ReadSTG()},
+	{"vme-read-write", vme.ReadWriteSTG()},
+	{"muller-8", gen.MullerPipeline(8)},
+}
+
+// E-VER — the spec's state graph build, the flow's phase:sg exploration.
+func BenchmarkBuildSG(b *testing.B) {
+	for _, tc := range layerSpecs {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sg, err := reach.BuildSG(tc.g, reach.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(sg.NumStates()), "states")
+			}
+		})
+	}
+}
+
+// E-VER — implementation verification as the flow's phase:verify runs it:
+// the flow's netlist composed with its spec's mirror, handed the flow's
+// state graph. The flow itself runs outside the timer.
+func BenchmarkVerify(b *testing.B) {
+	for _, tc := range layerSpecs {
+		rep, err := core.Synthesize(tc.g, core.Options{SkipVerify: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := sim.Verify(rep.Netlist, rep.Spec, sim.Options{SG: rep.SG})
+				if err != nil || !res.OK() {
+					b.Fatalf("verification failed: %v %v", err, res)
+				}
+				b.ReportMetric(float64(res.States), "states")
+			}
+		})
+	}
+}
+
 // E-SERVE — service-layer latency through the full HTTP/JSON path: a cold
 // synthesize runs the engines on every request (cache disabled), a cached
 // one replays the content-addressed result. The gap is the price of the

@@ -18,7 +18,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHES='^(BenchmarkSolveCSC|BenchmarkEquationDerivation|BenchmarkFullFlow|BenchmarkMinimize|BenchmarkSymbolicVsExplicit|BenchmarkServeSynthesize|BenchmarkPropCheck|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledCounter)$'
+BENCHES='^(BenchmarkSolveCSC|BenchmarkEquationDerivation|BenchmarkFullFlow|BenchmarkBuildSG|BenchmarkVerify|BenchmarkMinimize|BenchmarkSymbolicVsExplicit|BenchmarkServeSynthesize|BenchmarkPropCheck|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledCounter)$'
 # The obs overhead guards live in their own package; the root package holds
 # everything else.
 BENCH_PKGS='. ./internal/obs'
@@ -48,7 +48,7 @@ names = {b["name"] for b in rec["benchmarks"]}
 for want in ("SolveCSC/cscring-3/w1", "SolveCSC/cscring-3/w4",
              "SolveCSC/vme-read-write", "SolveCSC/cscring-4",
              "EquationDerivation/cscring-2/w1", "EquationDerivation/cscring-2/w4",
-             "FullFlow/muller-8/w1",
+             "FullFlow/muller-8/w1", "Verify/muller-8", "BuildSG/muller-8",
              "ServeSynthesize/cold", "ServeSynthesize/cached",
              "ServeSynthesize/cold-durable", "ServeSynthesize/cached-durable",
              "ServeSynthesize/disk-hit",
