@@ -103,11 +103,15 @@ func (nl *Netlist) GateFor(idx int) *Gate {
 // (bit i of v = value of signal i). For input signals it returns the current
 // value (the environment drives them).
 func (nl *Netlist) Next(v uint64, idx int) bool {
-	g := nl.GateFor(idx)
-	if g == nil {
-		return v&(1<<uint(idx)) != 0
+	if g := nl.GateFor(idx); g != nil {
+		return g.Next(v)
 	}
-	cur := v&(1<<uint(idx)) != 0
+	return v&(1<<uint(idx)) != 0
+}
+
+// Next computes the value the gate drives its output towards under v.
+func (g *Gate) Next(v uint64) bool {
+	cur := v&(1<<uint(g.Output)) != 0
 	switch g.Kind {
 	case Comb, MutexHalf:
 		return g.F.Eval(v)
@@ -137,6 +141,20 @@ func (nl *Netlist) Next(v uint64, idx int) bool {
 func (nl *Netlist) Excited(v uint64, idx int) bool {
 	cur := v&(1<<uint(idx)) != 0
 	return nl.Next(v, idx) != cur
+}
+
+// ExcitedMask returns the signals whose gates want to switch under v, one
+// bit per signal, in one pass over Gates. Inputs are never excited.
+func (nl *Netlist) ExcitedMask(v uint64) uint64 {
+	var mask uint64
+	for i := range nl.Gates {
+		g := &nl.Gates[i]
+		bit := uint64(1) << uint(g.Output)
+		if g.Next(v) != (v&bit != 0) {
+			mask |= bit
+		}
+	}
+	return mask
 }
 
 // Validate checks every non-input signal has exactly one driver and every

@@ -436,7 +436,9 @@ func referenceStateGraph(nl *logic.Netlist, spec *stg.STG, opts sim.Options) (*t
 				stack = append(stack, node{nv, nm})
 			}
 			if len(out.States) > refMaxStates(ver.opts) {
-				return nil, fmt.Errorf("sim: state limit exceeded")
+				// The cap trips with the typed state-limit error, counting
+				// the states held before the one that overflowed.
+				return nil, budget.LimitStates(refMaxStates(ver.opts), len(out.States)-1)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/budget"
 	"repro/internal/logic"
 	"repro/internal/petri"
 	"repro/internal/stg"
@@ -14,8 +15,9 @@ import (
 // returns it as a state graph over the netlist's signals. This is the input
 // to back-annotation (Section 4): a Petri net extracted from this SG is the
 // STG of the implementation, including decomposition wires such as map0
-// (Figure 10a). The exploration fails on the first violation — extract state
-// graphs only from verified circuits.
+// (Figure 10a). The exploration fails on the first conformance violation —
+// extract state graphs only from verified circuits. Like Verify it polls
+// Options.Budget, and its state cap trips with a typed budget.ErrLimit.
 func StateGraph(nl *logic.Netlist, spec *stg.STG, opts Options) (*ts.SG, error) {
 	if len(opts.Constraints) > 0 {
 		return nil, fmt.Errorf("sim: StateGraph does not support timing constraints; prune afterwards")
@@ -36,58 +38,66 @@ func StateGraph(nl *logic.Netlist, spec *stg.STG, opts Options) (*ts.SG, error) 
 		out.Signals = append(out.Signals, stg.Signal{Name: name, Kind: kind})
 	}
 
+	// names[3*i+dir] labels edge dir of netlist signal i.
+	names := make([]string, 0, 3*len(nl.Signals))
+	for _, name := range nl.Signals {
+		for _, dir := range []stg.Dir{stg.Rise, stg.Fall, stg.Toggle} {
+			names = append(names, name+dir.String())
+		}
+	}
+
 	type node struct {
 		v uint64
 		m petri.Marking
+		s int
 	}
-	index := map[compKey]int{}
-	addState := func(v uint64, m petri.Marking) int {
-		key := compKey{v, m.Key(), 0}
-		if i, ok := index[key]; ok {
-			return i
-		}
+	sp := newSpace(spec.Net)
+	// add appends the state last looked up in sp.
+	add := func(v uint64, m petri.Marking) node {
 		i := len(out.States)
-		index[key] = i
 		out.States = append(out.States, ts.State{Code: ts.Code(v), Key: fmt.Sprintf("%b|%s", v, m.Key())})
 		out.Out = append(out.Out, nil)
-		return i
+		return node{v, sp.add(int32(i), m), i}
 	}
 	m0 := spec.Net.InitialMarking()
-	start := addState(v0, m0)
-	out.Initial = start
-	stack := []node{{v0, m0}}
-	for len(stack) > 0 {
+	sp.lookup(v0, m0, 0)
+	stack := []node{add(v0, m0)}
+	maxStates := ver.opts.maxStates()
+	hooked := ver.opts.Budget.Hooked()
+	for popped := 1; len(stack) > 0; popped++ {
 		nd := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		si := index[compKey{nd.v, nd.m.Key(), 0}]
-		moves := ver.movesAt(nd.v, nd.m, 0)
+		if hooked || popped%budget.CheckEvery == 0 {
+			if err := ver.opts.Budget.Check("sim.explore"); err != nil {
+				return nil, err
+			}
+		}
+		moves := ver.movesAt(nd.v, nd.m, 0, nl.ExcitedMask(nd.v))
 		if len(ver.res.Violations) > 0 {
 			return nil, fmt.Errorf("sim: cannot extract SG from violating circuit: %v",
 				ver.res.Violations[0])
 		}
-		for _, mv := range moves {
+		for i := range moves {
+			mv := &moves[i]
 			nv := nd.v
+			ev := ts.Event{Sig: mv.netSig, Dir: mv.dir}
 			if mv.netSig >= 0 {
 				nv ^= 1 << uint(mv.netSig)
+				ev.Name = names[3*mv.netSig+int(mv.dir)]
+			} else {
+				ev.Name = spec.Net.Transitions[mv.trans].Name
 			}
-			nm := nd.m
-			for _, t := range mv.specPath {
-				nm = ver.spec.Net.Fire(nm, t)
+			nm := sp.fire(nd.m, mv)
+			to, seen := sp.lookup(nv, nm, 0)
+			if !seen {
+				if len(out.States) >= maxStates {
+					return nil, budget.LimitStates(maxStates, len(out.States))
+				}
+				next := add(nv, nm)
+				to = int32(next.s)
+				stack = append(stack, next)
 			}
-			key := compKey{nv, nm.Key(), 0}
-			_, existed := index[key]
-			di := addState(nv, nm)
-			ev := ts.Event{Sig: mv.netSig, Dir: mv.dir, Name: mv.name}
-			if mv.netSig >= 0 {
-				ev.Name = nl.Signals[mv.netSig] + mv.dir.String()
-			}
-			out.Out[si] = append(out.Out[si], ts.Arc{Event: ev, To: di})
-			if !existed {
-				stack = append(stack, node{nv, nm})
-			}
-			if len(out.States) > ver.opts.maxStates() {
-				return nil, fmt.Errorf("sim: state limit exceeded")
-			}
+			out.Out[nd.s] = append(out.Out[nd.s], ts.Arc{Event: ev, To: int(to)})
 		}
 	}
 	return out, nil

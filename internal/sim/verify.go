@@ -18,7 +18,9 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/budget"
 	"repro/internal/logic"
@@ -144,14 +146,17 @@ type verifier struct {
 	specToNet []int // spec signal -> netlist signal
 	netToSpec []int // netlist signal -> spec signal or -1
 
-	res  *Result
-	seen map[compKey]bool
-}
+	cElems  []int   // C-element gates, checked for drive fights
+	mutex   uint64  // mutex grant outputs, exempt from semimodularity
+	env     []int   // spec transitions the environment fires: dummies and inputs
+	dummies []int   // dummy transitions, the ε-closure's steps
+	edges   [][]int // at 2*signal+dir: the spec transitions labelled with that edge
+	// earlier[i] and later[i] are the netlist signals named by constraint
+	// i's Earlier and Later events.
+	earlier, later []uint64
 
-type compKey struct {
-	v       uint64
-	m       string
-	permits uint32
+	res   *Result
+	moves []move // movesAt's result, reused from state to state
 }
 
 // Verify explores the closed circuit×environment system. The netlist must
@@ -171,8 +176,7 @@ func Verify(nl *logic.Netlist, spec *stg.STG, opts Options) (*Result, error) {
 			permits0 |= 1 << uint(i)
 		}
 	}
-	m0 := spec.Net.InitialMarking()
-	if err := ver.explore(v0, m0, permits0); err != nil {
+	if err := ver.explore(v0, permits0); err != nil {
 		return ver.res, err
 	}
 	return ver.res, nil
@@ -189,7 +193,7 @@ func newVerifier(nl *logic.Netlist, spec *stg.STG, opts Options) (*verifier, uin
 	if len(nl.Signals) > 64 {
 		return nil, 0, fmt.Errorf("sim: more than 64 netlist signals")
 	}
-	ver := &verifier{nl: nl, spec: spec, opts: opts, res: &Result{}, seen: map[compKey]bool{}}
+	ver := &verifier{nl: nl, spec: spec, opts: opts, res: &Result{}}
 	ver.specToNet = make([]int, len(spec.Signals))
 	ver.netToSpec = make([]int, len(nl.Signals))
 	for i := range ver.netToSpec {
@@ -202,6 +206,42 @@ func newVerifier(nl *logic.Netlist, spec *stg.STG, opts Options) (*verifier, uin
 		}
 		ver.specToNet[i] = idx
 		ver.netToSpec[idx] = i
+	}
+	for i, g := range nl.Gates {
+		switch g.Kind {
+		case logic.CElem:
+			ver.cElems = append(ver.cElems, i)
+		case logic.MutexHalf:
+			ver.mutex |= 1 << uint(g.Output)
+		}
+	}
+	ver.edges = make([][]int, 2*len(spec.Signals))
+	for t := range spec.Net.Transitions {
+		l := spec.Labels[t]
+		switch {
+		case l.Sig < 0:
+			ver.env = append(ver.env, t)
+			ver.dummies = append(ver.dummies, t)
+			continue
+		case spec.Signals[l.Sig].Kind == stg.Input:
+			ver.env = append(ver.env, t)
+		}
+		if l.Dir == stg.Rise || l.Dir == stg.Fall {
+			ver.edges[2*l.Sig+int(l.Dir)] = append(ver.edges[2*l.Sig+int(l.Dir)], t)
+		}
+	}
+	named := func(name string) uint64 {
+		var mask uint64
+		for i, s := range nl.Signals {
+			if s == name {
+				mask |= 1 << uint(i)
+			}
+		}
+		return mask
+	}
+	for _, c := range opts.Constraints {
+		ver.earlier = append(ver.earlier, named(c.Earlier.Signal))
+		ver.later = append(ver.later, named(c.Later.Signal))
 	}
 	specSG := opts.SG
 	if specSG == nil {
@@ -228,9 +268,11 @@ func newVerifier(nl *logic.Netlist, spec *stg.STG, opts Options) (*verifier, uin
 // fixed spec-signal values in v.
 func (ver *verifier) settleExtras(v uint64) (uint64, error) {
 	var extras []int
+	var extraMask uint64
 	for i := range ver.nl.Signals {
 		if ver.netToSpec[i] < 0 {
 			extras = append(extras, i)
+			extraMask |= 1 << uint(i)
 		}
 	}
 	if len(extras) == 0 {
@@ -246,46 +288,55 @@ func (ver *verifier) settleExtras(v uint64) (uint64, error) {
 				cand |= 1 << uint(idx)
 			}
 		}
-		ok := true
-		for _, idx := range extras {
-			if ver.nl.GateFor(idx) != nil && ver.nl.Excited(cand, idx) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if ver.nl.ExcitedMask(cand)&extraMask == 0 {
 			return cand, nil
 		}
 	}
 	return 0, fmt.Errorf("sim: no stable assignment for implementation-only wires")
 }
 
+// move is one step of the composed system.
 type move struct {
-	// fired netlist signal (or -1 for a pure environment move on an input).
-	netSig int
+	netSig int // fired netlist signal, -1 for a dummy transition
 	dir    stg.Dir
-	name   string
-	// specPath lists the spec transitions fired by this move: possibly a
-	// prefix of dummy transitions (ε-closure) followed by the labeled one.
-	specPath []int
-	isInput  bool
+	trans  int // spec transition fired, -1 for an implementation-only wire
+	// dummies are the dummy transitions the ε-closure fires before trans;
+	// nil when it fires none.
+	dummies []int
+}
+
+// moveName names mv in violation texts: its spec transition, or the edge
+// of an implementation-only wire.
+func (ver *verifier) moveName(mv *move) string {
+	if mv.trans >= 0 {
+		return ver.spec.Net.Transitions[mv.trans].Name
+	}
+	return ver.nl.Signals[mv.netSig] + mv.dir.String()
+}
+
+func (ver *verifier) violate(kind ViolationKind, signal, msg string) {
+	ver.res.Violations = append(ver.res.Violations, Violation{Kind: kind, Signal: signal, Msg: msg})
+}
+
+// state is a composed state: the circuit's vector with its excited gates,
+// the spec's marking and the timing permits.
+type state struct {
+	v, exc  uint64
+	m       petri.Marking
+	permits uint32
 }
 
 // explore runs the composed search. A state-limit trip or cancellation
 // returns the typed budget error with the partial Result still populated;
 // violations found before the abort are preserved.
-func (ver *verifier) explore(v0 uint64, m0 petri.Marking, permits0 uint32) error {
-	type node struct {
-		v       uint64
-		m       petri.Marking
-		permits uint32
-	}
-	start := node{v0, m0, permits0}
-	ver.seen[compKey{v0, m0.Key(), permits0}] = true
-	stack := []node{start}
-	maxStates := ver.opts.maxStates()
+func (ver *verifier) explore(v0 uint64, permits0 uint32) error {
+	sp := newSpace(ver.spec.Net)
+	m0 := ver.spec.Net.InitialMarking()
+	sp.lookup(v0, m0, permits0)
+	stack := []state{{v: v0, exc: ver.nl.ExcitedMask(v0), m: sp.add(0, m0), permits: permits0}}
+	maxStates, maxViol := ver.opts.maxStates(), ver.opts.maxViol()
 	hooked := ver.opts.Budget.Hooked()
-	for len(stack) > 0 && len(ver.res.Violations) < ver.opts.maxViol() {
+	for len(stack) > 0 && len(ver.res.Violations) < maxViol {
 		nd := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		ver.res.States++
@@ -299,179 +350,146 @@ func (ver *verifier) explore(v0 uint64, m0 petri.Marking, permits0 uint32) error
 			}
 		}
 
-		// Drive fights.
-		for i := range ver.nl.Gates {
-			g := &ver.nl.Gates[i]
-			if g.Kind == logic.CElem && g.Set.Eval(nd.v) && g.Reset.Eval(nd.v) {
-				ver.res.Violations = append(ver.res.Violations, Violation{
-					Kind: DriveFight, Signal: ver.nl.Signals[g.Output],
-					Msg: fmt.Sprintf("set and reset both active at %b", nd.v),
-				})
+		for _, gi := range ver.cElems {
+			g := &ver.nl.Gates[gi]
+			if g.Set.Eval(nd.v) && g.Reset.Eval(nd.v) {
+				ver.violate(DriveFight, ver.nl.Signals[g.Output],
+					fmt.Sprintf("set and reset both active at %b", nd.v))
 			}
 		}
-		moves := ver.movesAt(nd.v, nd.m, nd.permits)
+		moves := ver.movesAt(nd.v, nd.m, nd.permits, nd.exc)
 		if len(moves) == 0 {
 			if !ver.specDead(nd.m) {
-				ver.res.Violations = append(ver.res.Violations, Violation{
-					Kind: Deadlock, Signal: "-",
-					Msg: fmt.Sprintf("no moves at vector %b, spec marking %s", nd.v, nd.m.Format(ver.spec.Net)),
-				})
+				ver.violate(Deadlock, "-",
+					fmt.Sprintf("no moves at vector %b, spec marking %s", nd.v, nd.m.Format(ver.spec.Net)))
 			}
 			continue
 		}
 
-		for _, mv := range moves {
-			nv := nd.v
+		for i := range moves {
+			mv := &moves[i]
+			nv, nexc, fired := nd.v, nd.exc, uint64(0)
 			if mv.netSig >= 0 {
-				nv ^= 1 << uint(mv.netSig)
+				fired = 1 << uint(mv.netSig)
+				nv ^= fired
+				nexc = ver.nl.ExcitedMask(nv)
 			}
-			nm := nd.m
-			for _, t := range mv.specPath {
-				nm = ver.spec.Net.Fire(nm, t)
-			}
-			// Semimodularity: every excited gate not equal to the fired one
-			// must stay excited. Mutex grant outputs are exempt: losing an
-			// arbitration race is the element's job, not a hazard.
-			for idx := range ver.nl.Signals {
-				gate := ver.nl.GateFor(idx)
-				if idx == mv.netSig || gate == nil || gate.Kind == logic.MutexHalf {
-					continue
-				}
-				if ver.nl.Excited(nd.v, idx) && !ver.nl.Excited(nv, idx) {
-					ver.res.Violations = append(ver.res.Violations, Violation{
-						Kind: Hazard, Signal: ver.nl.Signals[idx],
-						Msg: fmt.Sprintf("excited %s disabled by %s at vector %b",
-							ver.nl.Signals[idx], mv.name, nd.v),
-					})
-					if len(ver.res.Violations) >= ver.opts.maxViol() {
-						return nil
-					}
+			// Semimodularity: every excited gate other than the fired one
+			// must stay excited, lowest signal reported first. Mutex grant
+			// outputs are exempt: losing an arbitration race is the
+			// element's job, not a hazard.
+			for lost := nd.exc &^ nexc &^ ver.mutex &^ fired; lost != 0; lost &= lost - 1 {
+				idx := bits.TrailingZeros64(lost)
+				ver.violate(Hazard, ver.nl.Signals[idx], fmt.Sprintf("excited %s disabled by %s at vector %b",
+					ver.nl.Signals[idx], ver.moveName(mv), nd.v))
+				if len(ver.res.Violations) >= maxViol {
+					return nil
 				}
 			}
 			np := ver.updatePermits(nd.permits, mv)
-			key := compKey{nv, nm.Key(), np}
-			if !ver.seen[key] {
-				ver.seen[key] = true
-				stack = append(stack, node{nv, nm, np})
+			nm := sp.fire(nd.m, mv)
+			if _, seen := sp.lookup(nv, nm, np); !seen {
+				stack = append(stack, state{v: nv, exc: nexc, m: sp.add(0, nm), permits: np})
 			}
 		}
 	}
 	return nil
 }
 
-// movesAt enumerates all moves: environment input firings and excited gate
-// firings. Conformance violations are recorded here (an excited spec-visible
-// gate with no matching enabled spec transition). Events blocked by a timing
-// constraint without a permit are skipped entirely: physical design
-// guarantees they cannot fire yet, so they are neither moves nor violations.
-func (ver *verifier) movesAt(v uint64, m petri.Marking, permits uint32) []move {
-	blocked := func(signal string, dir stg.Dir) bool {
-		for ci, c := range ver.opts.Constraints {
-			if c.Later.Signal == signal && c.Later.Dir == dir && permits&(1<<uint(ci)) == 0 {
-				return true
-			}
-		}
-		return false
-	}
-	var out []move
-	// Environment moves: enabled input transitions of the spec.
-	for t := range ver.spec.Net.Transitions {
-		if !ver.spec.Net.Enabled(m, t) {
+// movesAt enumerates all moves at a state whose excited gates are exc:
+// environment input firings and excited gate firings. Conformance
+// violations are recorded here (an excited spec-visible gate with no
+// matching enabled spec transition). Events blocked by a timing constraint
+// without a permit are skipped entirely: physical design guarantees they
+// cannot fire yet, so they are neither moves nor violations. The result is
+// valid until the next call.
+func (ver *verifier) movesAt(v uint64, m petri.Marking, permits uint32, exc uint64) []move {
+	net := ver.spec.Net
+	out := ver.moves[:0]
+	// Environment moves: enabled dummy and input transitions of the spec.
+	for _, t := range ver.env {
+		if !net.Enabled(m, t) {
 			continue
 		}
 		l := ver.spec.Labels[t]
 		if l.Sig < 0 {
 			// Dummy transition: advances the marking silently.
-			out = append(out, move{netSig: -1, specPath: []int{t},
-				name: ver.spec.Net.Transitions[t].Name})
+			out = append(out, move{netSig: -1, trans: t})
 			continue
-		}
-		if ver.spec.Signals[l.Sig].Kind != stg.Input {
-			continue // outputs fire only when the circuit drives them
 		}
 		idx := ver.specToNet[l.Sig]
 		cur := v&(1<<uint(idx)) != 0
 		if (l.Dir == stg.Rise) == cur {
 			// Spec/circuit value mismatch: the composed invariant is broken;
 			// report as conformance once.
-			ver.res.Violations = append(ver.res.Violations, Violation{
-				Kind: Conformance, Signal: ver.spec.Signals[l.Sig].Name,
-				Msg: fmt.Sprintf("input %s enabled in spec but wire already %v",
-					ver.spec.Net.Transitions[t].Name, cur),
-			})
+			ver.violate(Conformance, ver.spec.Signals[l.Sig].Name,
+				fmt.Sprintf("input %s enabled in spec but wire already %v", net.Transitions[t].Name, cur))
 			continue
 		}
-		if blocked(ver.spec.Signals[l.Sig].Name, l.Dir) {
+		if ver.blocked(idx, l.Dir, permits) {
 			continue
 		}
-		out = append(out, move{netSig: idx, dir: l.Dir, specPath: []int{t},
-			name: ver.spec.Net.Transitions[t].Name, isInput: true})
+		out = append(out, move{netSig: idx, dir: l.Dir, trans: t})
 	}
 	// Gate moves.
-	for idx := range ver.nl.Signals {
-		if ver.nl.GateFor(idx) == nil || !ver.nl.Excited(v, idx) {
-			continue
-		}
-		cur := v&(1<<uint(idx)) != 0
+	for rest := exc; rest != 0; rest &= rest - 1 {
+		idx := bits.TrailingZeros64(rest)
 		dir := stg.Rise
-		if cur {
+		if v&(1<<uint(idx)) != 0 {
 			dir = stg.Fall
 		}
-		if blocked(ver.nl.Signals[idx], dir) {
+		if ver.blocked(idx, dir, permits) {
 			continue
 		}
 		specSig := ver.netToSpec[idx]
 		if specSig < 0 {
-			out = append(out, move{netSig: idx, dir: dir,
-				name: ver.nl.Signals[idx] + dir.String()})
+			out = append(out, move{netSig: idx, dir: dir, trans: -1})
 			continue
 		}
 		// Spec-visible output: must match a spec transition enabled in the
 		// ε-closure of the marking (dummy transitions fire silently first).
-		matched := false
-		for _, hit := range ver.closureMatches(m, specSig, dir) {
-			matched = true
-			out = append(out, move{netSig: idx, dir: dir, specPath: hit,
-				name: ver.spec.Net.Transitions[hit[len(hit)-1]].Name})
-		}
-		if !matched {
-			ver.res.Violations = append(ver.res.Violations, Violation{
-				Kind: Conformance, Signal: ver.nl.Signals[idx],
-				Msg: fmt.Sprintf("circuit produces %s%s not expected at %s",
-					ver.nl.Signals[idx], dir.String(), m.Format(ver.spec.Net)),
-			})
+		n := len(out)
+		if out = ver.closureMatches(out, m, idx, specSig, dir); len(out) == n {
+			ver.violate(Conformance, ver.nl.Signals[idx], fmt.Sprintf("circuit produces %s%s not expected at %s",
+				ver.nl.Signals[idx], dir.String(), m.Format(net)))
 		}
 	}
+	ver.moves = out
 	return out
 }
 
-// closureMatches finds transitions labeled (sig,dir) enabled at m or at any
-// marking reachable from m by dummy transitions; each hit is returned as the
-// dummy path plus the labeled transition.
-func (ver *verifier) closureMatches(m petri.Marking, sig int, dir stg.Dir) [][]int {
+// closureMatches appends a move of netlist signal idx for every transition
+// labelled (sig, dir) enabled at m or at a marking reachable from m by
+// dummy transitions, with the dummy path that reaches it.
+func (ver *verifier) closureMatches(out []move, m petri.Marking, idx, sig int, dir stg.Dir) []move {
+	net := ver.spec.Net
+	edge := ver.edges[2*sig+int(dir)]
+	if len(ver.dummies) == 0 {
+		for _, t := range edge {
+			if net.Enabled(m, t) {
+				out = append(out, move{netSig: idx, dir: dir, trans: t})
+			}
+		}
+		return out
+	}
 	type node struct {
 		m    petri.Marking
 		path []int
 	}
-	var out [][]int
 	seen := map[string]bool{m.Key(): true}
 	queue := []node{{m: m}}
-	for len(queue) > 0 {
-		nd := queue[0]
-		queue = queue[1:]
-		for t := range ver.spec.Net.Transitions {
-			if !ver.spec.Net.Enabled(nd.m, t) {
+	for head := 0; head < len(queue); head++ {
+		nd := queue[head]
+		for _, t := range edge {
+			if net.Enabled(nd.m, t) {
+				out = append(out, move{netSig: idx, dir: dir, trans: t, dummies: nd.path})
+			}
+		}
+		for _, t := range ver.dummies {
+			if !net.Enabled(nd.m, t) {
 				continue
 			}
-			l := ver.spec.Labels[t]
-			if l.Sig == sig && l.Dir == dir {
-				out = append(out, append(append([]int(nil), nd.path...), t))
-				continue
-			}
-			if l.Sig >= 0 {
-				continue
-			}
-			next := ver.spec.Net.Fire(nd.m, t)
+			next := net.Fire(nd.m, t)
 			if !seen[next.Key()] {
 				seen[next.Key()] = true
 				queue = append(queue, node{m: next, path: append(append([]int(nil), nd.path...), t)})
@@ -481,23 +499,34 @@ func (ver *verifier) closureMatches(m petri.Marking, sig int, dir stg.Dir) [][]i
 	return out
 }
 
+// blocked reports whether a timing constraint whose permit is spent holds
+// back edge dir of netlist signal idx.
+func (ver *verifier) blocked(idx int, dir stg.Dir, permits uint32) bool {
+	for ci, c := range ver.opts.Constraints {
+		if ver.later[ci]&(1<<uint(idx)) != 0 && c.Later.Dir == dir && permits&(1<<uint(ci)) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // updatePermits advances the per-constraint permit bits after a move:
 // Earlier firings grant, Later firings consume.
-func (ver *verifier) updatePermits(permits uint32, mv move) uint32 {
+func (ver *verifier) updatePermits(permits uint32, mv *move) uint32 {
+	if mv.netSig < 0 {
+		return permits
+	}
+	fired := uint64(1) << uint(mv.netSig)
 	for ci, c := range ver.opts.Constraints {
 		bit := uint32(1) << uint(ci)
-		if ver.matches(mv, c.Earlier) {
+		if ver.earlier[ci]&fired != 0 && c.Earlier.Dir == mv.dir {
 			permits |= bit
 		}
-		if ver.matches(mv, c.Later) {
+		if ver.later[ci]&fired != 0 && c.Later.Dir == mv.dir {
 			permits &^= bit
 		}
 	}
 	return permits
-}
-
-func (ver *verifier) matches(mv move, e EventRef) bool {
-	return mv.netSig >= 0 && ver.nl.Signals[mv.netSig] == e.Signal && mv.dir == e.Dir
 }
 
 func (ver *verifier) specDead(m petri.Marking) bool {
@@ -507,4 +536,57 @@ func (ver *verifier) specDead(m petri.Marking) bool {
 		}
 	}
 	return true
+}
+
+// space is the visited set of a composed exploration. A state's key is its
+// marking bytes, vector and permits, written into one reused buffer, so a
+// lookup allocates nothing. A new state's marking is copied once into
+// bump-allocated blocks, and successors fire in place into one scratch
+// marking.
+type space struct {
+	net     *petri.Net
+	index   map[string]int32
+	key     []byte
+	scratch petri.Marking
+	block   []byte
+}
+
+func newSpace(net *petri.Net) *space {
+	return &space{net: net, index: map[string]int32{}, scratch: make(petri.Marking, len(net.Places))}
+}
+
+// fire returns the marking mv reaches from m. It is the scratch marking,
+// valid until the next call, unless mv fires no spec transition.
+func (sp *space) fire(m petri.Marking, mv *move) petri.Marking {
+	if mv.trans < 0 {
+		return m
+	}
+	next := sp.scratch
+	copy(next, m)
+	for _, t := range mv.dummies {
+		sp.net.FireInPlace(next, t)
+	}
+	sp.net.FireInPlace(next, mv.trans)
+	return next
+}
+
+// lookup returns the number of state (v, m, permits) and whether it has
+// been added. Its key stays in the buffer for add.
+func (sp *space) lookup(v uint64, m petri.Marking, permits uint32) (int32, bool) {
+	sp.key = binary.LittleEndian.AppendUint64(append(sp.key[:0], m...), v)
+	sp.key = binary.LittleEndian.AppendUint32(sp.key, permits)
+	i, ok := sp.index[string(sp.key)]
+	return i, ok
+}
+
+// add records the state last looked up, with marking m, as number i, and
+// returns the stored copy of m.
+func (sp *space) add(i int32, m petri.Marking) petri.Marking {
+	sp.index[string(sp.key)] = i
+	if len(sp.block)+len(m) > cap(sp.block) {
+		sp.block = make([]byte, 0, max(min(2*cap(sp.block), 1<<16), 1<<9, len(m)))
+	}
+	off := len(sp.block)
+	sp.block = append(sp.block, m...)
+	return petri.Marking(sp.block[off:len(sp.block):len(sp.block)])
 }
