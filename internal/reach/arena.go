@@ -123,7 +123,7 @@ func (a *Arena) explore(n *petri.Net, opts Options) (*Graph, error) {
 			next := a.fire
 			copy(next, m)
 			n.FireInPlace(next, t)
-			if opts.RequireSafe && !next.Safe() {
+			if opts.RequireSafe && !postSafe(next, n.Transitions[t].Post) {
 				return nil, fmt.Errorf("%w: firing %s from %s", ErrUnsafe,
 					n.Transitions[t].Name, m.Format(n))
 			}
@@ -146,6 +146,18 @@ func (a *Arena) explore(n *petri.Net, opts Options) (*Graph, error) {
 		a.out[head] = steps
 	}
 	return a.finish(g, len(a.markings)-1), nil
+}
+
+// postSafe reports whether the places of post hold at most one token in m.
+// Firing a transition from a safe marking can put a second token only into
+// its postset, so checking it keeps every explored marking safe.
+func postSafe(m petri.Marking, post []int) bool {
+	for _, p := range post {
+		if m[p] > 1 {
+			return false
+		}
+	}
+	return true
 }
 
 // finish attaches the arena's state to g. States past lastExpanded (present

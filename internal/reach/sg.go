@@ -138,21 +138,34 @@ func buildSG(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, error) 
 			return petri.Marking(key).Format(g.Net)
 		},
 	}
+	// Every state's arcs (and transitions) are a capped sub-slice of one
+	// array sized from the exploration's arc count.
 	sg.States = make([]ts.State, rg.NumStates())
 	sg.Out = make([][]ts.Arc, rg.NumStates())
+	arcs := make([]ts.Arc, 0, rg.NumArcs())
 	var trans [][]int
+	var fired []int
 	if withTrans {
 		trans = make([][]int, rg.NumStates())
+		fired = make([]int, 0, rg.NumArcs())
 	}
 	for s := range rg.Markings {
 		sg.States[s] = ts.State{Code: initVal ^ delta[s], Key: rg.Markings[s].Key()}
+		if len(rg.Out[s]) == 0 {
+			continue
+		}
+		first := len(arcs)
 		for _, step := range rg.Out[s] {
 			l := g.Labels[step.Transition]
 			ev := ts.Event{Sig: l.Sig, Dir: l.Dir, Name: g.Net.Transitions[step.Transition].Name}
-			sg.Out[s] = append(sg.Out[s], ts.Arc{Event: ev, To: step.To})
+			arcs = append(arcs, ts.Arc{Event: ev, To: step.To})
 			if withTrans {
-				trans[s] = append(trans[s], step.Transition)
+				fired = append(fired, step.Transition)
 			}
+		}
+		sg.Out[s] = arcs[first:len(arcs):len(arcs)]
+		if withTrans {
+			trans[s] = fired[first:len(fired):len(fired)]
 		}
 	}
 	return sg, trans, nil

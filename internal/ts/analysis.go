@@ -3,6 +3,7 @@ package ts
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -46,11 +47,12 @@ func (g *SG) USCConflicts() []CodeConflict {
 // Section 2.1). Each conflict records one witnessing signal.
 func (g *SG) CSCConflicts() []CodeConflict {
 	var out []CodeConflict
+	nonInputs := g.nonInputs()
 	for _, group := range g.groupsSorted() {
 		for i := 0; i < len(group); i++ {
 			for j := i + 1; j < len(group); j++ {
 				a, b := group[i], group[j]
-				if sig, ok := g.cscWitness(a, b); ok {
+				if sig, ok := g.cscWitness(a, b, nonInputs); ok {
 					out = append(out, CodeConflict{
 						Code: g.States[a].Code, A: a, B: b, Signal: sig,
 					})
@@ -61,8 +63,23 @@ func (g *SG) CSCConflicts() []CodeConflict {
 	return out
 }
 
-// HasCSC reports whether the Complete State Coding property holds.
-func (g *SG) HasCSC() bool { return len(g.CSCConflicts()) == 0 }
+// HasCSC reports whether the Complete State Coding property holds: the
+// states sharing a code all excite the same non-input signals. It compares
+// each state's excitation mask with the first of its code and stops at the
+// first code whose states carry two masks; it lists no pairs.
+func (g *SG) HasCSC() bool {
+	nonInputs := g.nonInputs()
+	first := make(map[Code]uint64, len(g.States))
+	for s, st := range g.States {
+		mask := g.excitedMask(s, nonInputs)
+		if prev, dup := first[st.Code]; !dup {
+			first[st.Code] = mask
+		} else if prev != mask {
+			return false
+		}
+	}
+	return true
+}
 
 // HasUSC reports whether the Unique State Coding property holds. It stops
 // at the first code two states share.
@@ -77,20 +94,36 @@ func (g *SG) HasUSC() bool {
 	return true
 }
 
-// cscWitness returns a non-input signal whose excitation differs between
-// states a and b.
-func (g *SG) cscWitness(a, b int) (int, bool) {
-	for sig, s := range g.Signals {
-		if s.Kind != stg.Output && s.Kind != stg.Internal {
-			continue
-		}
-		_, exA := g.Excited(a, sig)
-		_, exB := g.Excited(b, sig)
-		if exA != exB {
-			return sig, true
+// cscWitness returns the lowest non-input signal whose excitation differs
+// between states a and b.
+func (g *SG) cscWitness(a, b int, nonInputs uint64) (int, bool) {
+	diff := g.excitedMask(a, nonInputs) ^ g.excitedMask(b, nonInputs)
+	if diff == 0 {
+		return -1, false
+	}
+	return bits.TrailingZeros64(diff), true
+}
+
+// nonInputs returns the output and internal signals, one bit per signal.
+func (g *SG) nonInputs() uint64 {
+	var mask uint64
+	for i, s := range g.Signals {
+		if s.Kind == stg.Output || s.Kind == stg.Internal {
+			mask |= 1 << uint(i)
 		}
 	}
-	return -1, false
+	return mask
+}
+
+// excitedMask returns the signals of mask that label an arc leaving state s.
+func (g *SG) excitedMask(s int, mask uint64) uint64 {
+	var excited uint64
+	for _, a := range g.Out[s] {
+		if a.Event.Sig >= 0 {
+			excited |= 1 << uint(a.Event.Sig)
+		}
+	}
+	return excited & mask
 }
 
 // groupsSorted returns code-sharing groups of size >= 2, each ascending, in

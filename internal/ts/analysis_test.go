@@ -188,9 +188,12 @@ func TestSGHelpers(t *testing.T) {
 	}
 }
 
-// TestHasUSCMatchesPairList checks HasUSC, which stops at the first shared
-// code, against the full USC pair list on the testdata corpus and the gen
-// STG families, before and after dummy contraction.
+// TestHasUSCMatchesPairList checks HasUSC and HasCSC, which stop at the
+// first shared code and at the first code with two excitation masks,
+// against the full USC and CSC pair lists on the testdata corpus and the
+// gen STG families, before and after dummy contraction. Every CSC pair's
+// witness must be the one the per-signal scan cscWitnessScan finds, and
+// every USC pair the scan finds a witness for must be a CSC pair.
 func TestHasUSCMatchesPairList(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.g"))
 	if err != nil || len(files) == 0 {
@@ -215,6 +218,7 @@ func TestHasUSCMatchesPairList(t *testing.T) {
 		specs[fmt.Sprintf("cscring-%d", k)] = gen.CSCRing(k)
 	}
 	verdicts := map[bool]int{}
+	cscVerdicts := map[bool]int{}
 	for name, g := range specs {
 		raw, err := reach.BuildSG(g, reach.Options{})
 		if err != nil {
@@ -230,9 +234,48 @@ func TestHasUSCMatchesPairList(t *testing.T) {
 				t.Fatalf("%s: HasUSC = %v, but %d USC pairs", name, got, len(sg.USCConflicts()))
 			}
 			verdicts[want]++
+
+			csc := sg.CSCConflicts()
+			if got := sg.HasCSC(); got != (len(csc) == 0) {
+				t.Fatalf("%s: HasCSC = %v, but %d CSC pairs", name, got, len(csc))
+			}
+			cscVerdicts[len(csc) == 0]++
+			for _, c := range csc {
+				if sig, ok := cscWitnessScan(sg, c.A, c.B); !ok || sig != c.Signal {
+					t.Fatalf("%s: %v, but the scan finds witness %d (%v)", name, c, sig, ok)
+				}
+			}
+			witnessed := 0
+			for _, c := range sg.USCConflicts() {
+				if _, ok := cscWitnessScan(sg, c.A, c.B); ok {
+					witnessed++
+				}
+			}
+			if witnessed != len(csc) {
+				t.Fatalf("%s: the scan finds %d CSC pairs, CSCConflicts %d", name, witnessed, len(csc))
+			}
 		}
 	}
 	if verdicts[true] == 0 || verdicts[false] == 0 {
-		t.Fatalf("corpus exercises one verdict only: %v", verdicts)
+		t.Fatalf("corpus exercises one USC verdict only: %v", verdicts)
 	}
+	if cscVerdicts[true] == 0 || cscVerdicts[false] == 0 {
+		t.Fatalf("corpus exercises one CSC verdict only: %v", cscVerdicts)
+	}
+}
+
+// cscWitnessScan is the reference witness search: the first output or
+// internal signal, in signal order, excited in one of states a and b only.
+func cscWitnessScan(g *ts.SG, a, b int) (int, bool) {
+	for sig, s := range g.Signals {
+		if s.Kind != stg.Output && s.Kind != stg.Internal {
+			continue
+		}
+		_, exA := g.Excited(a, sig)
+		_, exB := g.Excited(b, sig)
+		if exA != exB {
+			return sig, true
+		}
+	}
+	return -1, false
 }
