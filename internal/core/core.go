@@ -336,11 +336,15 @@ func synthesize(g *stg.STG, opts Options, flow *obs.Span) (*Report, error) {
 			}
 			phase = time.Now()
 			mapSpan := flow.Child("phase:map")
-			rep.Netlist, err = techmap.Map(rep.Netlist, rep.Spec,
-				techmap.Options{MaxFanIn: opts.MaxFanIn, Sim: sim.Options{SG: rep.SG}})
+			rep.Netlist, err = techmap.Map(rep.Netlist, rep.Spec, techmap.Options{
+				MaxFanIn: opts.MaxFanIn, Sim: sim.Options{SG: rep.SG, Budget: opts.Budget}})
 			mapSpan.End()
 			rep.Timing.Mapping += time.Since(phase)
 			if err != nil {
+				if budgetErr(err) {
+					logicSpan.End()
+					return rep, err
+				}
 				lastErr = fmt.Errorf("core: technology mapping: %w", err)
 				continue
 			}

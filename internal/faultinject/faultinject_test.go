@@ -246,6 +246,36 @@ func TestCorePipeline(t *testing.T) {
 			}
 		}
 	}
+	// Technology mapping runs under the flow budget: its trial
+	// verifications and care-set explorations check sim.explore, so trips
+	// planned there come from mapping and the verify phase never runs.
+	mapPlans := []Plan{
+		{Mode: Cancel, N: 1, Site: "sim.explore"},
+		{Mode: Limit, N: 3, Site: "sim.explore"},
+		{Mode: Cancel, N: 1, Site: "core.map"},
+	}
+	for _, workers := range []int{1, 4} {
+		for _, plan := range mapPlans {
+			t.Run(fmt.Sprintf("map/w%d/%v", workers, plan), func(t *testing.T) {
+				done := leakCheck(t)
+				in, b := New(plan)
+				defer in.Release()
+				rep, err := core.Synthesize(vme.ReadSTG(), core.Options{
+					MaxFanIn: 2,
+					Workers:  workers,
+					Budget:   b,
+				})
+				if !in.Fired() {
+					t.Fatalf("%v never fired (%d checks)", plan, in.Calls())
+				}
+				wantTyped(t, plan, in, err)
+				if plan.Site == "sim.explore" && (rep == nil || rep.Verification != nil) {
+					t.Fatalf("%v: want the partial report of a mapping trip, got %+v", plan, rep)
+				}
+				done()
+			})
+		}
+	}
 }
 
 // TestCoreFallbackLadder trips the explicit engine's state ceiling and

@@ -23,7 +23,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/sim"
 	"repro/internal/stg"
-	"repro/internal/ts"
 )
 
 // Options configure mapping.
@@ -33,7 +32,8 @@ type Options struct {
 	// MaxNewSignals bounds decomposition depth (default 8).
 	MaxNewSignals int
 	// Sim configures every trial verification. Its SG, the spec's state
-	// graph when the caller has it, also seeds the care-set exploration.
+	// graph when the caller has it, and its Budget also serve the care-set
+	// exploration.
 	Sim sim.Options
 }
 
@@ -149,7 +149,7 @@ func decomposeOnce(nl *logic.Netlist, gi int, spec *stg.STG, opts Options, round
 		return nil, fmt.Errorf("techmap: no decomposition candidate for %s = %s",
 			nl.Signals[g.Output], target.Expr(nl.Signals))
 	}
-	care, err := reachableCare(nl, spec, opts.Sim.SG)
+	care, err := reachableCare(nl, spec, opts.Sim)
 	if err != nil {
 		return nil, err
 	}
@@ -455,10 +455,10 @@ func literalsOf(c boolmin.Cube, n int) []literal {
 
 // reachableCare returns the reachable codes of the closed system over the
 // netlist's current signal space (spec signals from the spec SG, added wires
-// evaluated combinationally). specSG is the spec's state graph, nil to
-// build it.
-func reachableCare(nl *logic.Netlist, spec *stg.STG, specSG *ts.SG) ([]uint64, error) {
-	sg, err := sim.StateGraph(nl, spec, sim.Options{SG: specSG})
+// evaluated combinationally). It explores under the trial verifications'
+// spec state graph and budget.
+func reachableCare(nl *logic.Netlist, spec *stg.STG, opts sim.Options) ([]uint64, error) {
+	sg, err := sim.StateGraph(nl, spec, sim.Options{SG: opts.SG, Budget: opts.Budget})
 	if err != nil {
 		return nil, err
 	}
