@@ -50,7 +50,10 @@ go test -timeout 60s -race -run 'Deterministic|MatchesSequential|TieBreak|CSCErr
 # and a spec that already has CSC runs no encoding search. Concurrency
 # reduction runs inside the same flow: its counters and span in core, and
 # cmd/synth -method reduce matching -method insert where no encoding runs.
-go test -timeout 60s -race -run 'TestVerifySpecSGMatchesRebuild|TestCSCSpecSkipsEncoding|TestReduceInFlow' ./internal/sim/ ./internal/core/
+# Verify and StateGraph return exactly what the reference explorer returns,
+# StateGraph honours its budget, and HasUSC/HasCSC agree with the pair
+# lists.
+go test -timeout 60s -race -run 'TestVerifySpecSGMatchesRebuild|TestVerifyMatchesReference|TestStateGraphMatchesReference|TestStateGraphBudget|TestHasUSCMatchesPairList|TestCSCSpecSkipsEncoding|TestReduceInFlow' ./internal/sim/ ./internal/ts/ ./internal/core/
 go test -timeout 60s -race -run 'TestSynthReduce|TestSynthUnknownMethod' ./cmd/synth/
 # Observability gate: instrumented runs of cmd/synth and cmd/reach on the
 # VME example must export a metrics snapshot with non-zero counters for the
@@ -104,7 +107,7 @@ go test -timeout 30s -run Regress -count=1 ./cmd/report/
 # no acknowledged job lost, died-mid-run jobs reported interrupted, torn
 # cache writes never served, warm p50 journaling overhead within 10%.
 go test -timeout 300s -race -count=1 ./internal/chaos/
-# Benchmark trajectory harness smoke: one iteration of the suite, parsed
+# Benchmark trajectory harness smoke: 20 ms per row of the suite, parsed
 # through cmd/report -bench-json into a validated throwaway record.
 scripts/bench.sh -smoke
 echo "verify: OK"
