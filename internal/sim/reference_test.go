@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -513,6 +514,7 @@ func collectReferenceCases(t *testing.T) []refCase {
 			cases = append(cases, refCase{fmt.Sprintf("%s/mutant-%d", c.name, i), mut.nl, c.spec, c.sg, c.cons})
 		}
 	}
+	var vmeRead *core.Report
 	for _, name := range names {
 		g := specs[name]
 		for _, style := range []logic.Style{logic.ComplexGate, logic.GeneralizedC, logic.StandardC} {
@@ -521,6 +523,9 @@ func collectReferenceCases(t *testing.T) []refCase {
 				continue // non-persistent or deadlocking specs have no netlist
 			}
 			withMutants(refCase{name: fmt.Sprintf("%s/%v", name, style), nl: rep.Netlist, spec: rep.Spec, sg: rep.SG})
+			if name == "vme-read.g" && style == logic.ComplexGate {
+				vmeRead = rep
+			}
 		}
 		// vme-read-write's and the rings' mappings fail after 0.6-1.1 s
 		// each without a netlist, so they are not mapped here.
@@ -530,6 +535,35 @@ func collectReferenceCases(t *testing.T) []refCase {
 		rep, err := core.Synthesize(g, core.Options{MaxFanIn: 2, SkipVerify: true})
 		if err == nil {
 			withMutants(refCase{name: name + "/fanin-2", nl: rep.Netlist, spec: rep.Spec, sg: rep.SG})
+		}
+	}
+
+	// Every ordered pair of the vme-read circuit's edges as a relative
+	// timing constraint, with and without an initial permit: some reach a
+	// vector and marking again with the other permit, some block an edge
+	// the circuit needs.
+	if vmeRead == nil {
+		t.Fatal("vme-read.g does not synthesize")
+	}
+	var edges []sim.EventRef
+	for _, l := range vmeRead.Spec.Labels {
+		if l.Sig < 0 {
+			continue
+		}
+		if e := (sim.EventRef{Signal: vmeRead.Spec.Signals[l.Sig].Name, Dir: l.Dir}); !slices.Contains(edges, e) {
+			edges = append(edges, e)
+		}
+	}
+	for _, earlier := range edges {
+		for _, later := range edges {
+			if earlier == later {
+				continue
+			}
+			for _, initial := range []bool{false, true} {
+				cons := sim.RelativeOrder{Earlier: earlier, Later: later, InitialPermit: initial}
+				cases = append(cases, refCase{name: fmt.Sprintf("vme-read/%v/%v", cons, initial),
+					nl: vmeRead.Netlist, spec: vmeRead.Spec, sg: vmeRead.SG, cons: []sim.RelativeOrder{cons}})
+			}
 		}
 	}
 
