@@ -148,9 +148,8 @@ func (a *Arena) explore(n *petri.Net, opts Options) (*Graph, error) {
 	return a.finish(g, len(a.markings)-1), nil
 }
 
-// postSafe reports whether the places of post hold at most one token in m.
-// Firing a transition from a safe marking can put a second token only into
-// its postset, so checking it keeps every explored marking safe.
+// postSafe reports whether the places of post hold at most one token in m:
+// firing from a safe marking can put a second token only into the postset.
 func postSafe(m petri.Marking, post []int) bool {
 	for _, p := range post {
 		if m[p] > 1 {

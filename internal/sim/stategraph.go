@@ -38,29 +38,19 @@ func StateGraph(nl *logic.Netlist, spec *stg.STG, opts Options) (*ts.SG, error) 
 		out.Signals = append(out.Signals, stg.Signal{Name: name, Kind: kind})
 	}
 
-	// names[3*i+dir] labels edge dir of netlist signal i.
-	names := make([]string, 0, 3*len(nl.Signals))
-	for _, name := range nl.Signals {
-		for _, dir := range []stg.Dir{stg.Rise, stg.Fall, stg.Toggle} {
-			names = append(names, name+dir.String())
-		}
-	}
-
 	type node struct {
 		v uint64
 		m petri.Marking
 		s int
 	}
 	sp := newSpace(spec.Net)
-	// add appends the state last looked up in sp.
+	// add appends the state sp just added as number len(out.States).
 	add := func(v uint64, m petri.Marking) node {
-		i := len(out.States)
 		out.States = append(out.States, ts.State{Code: ts.Code(v), Key: fmt.Sprintf("%b|%s", v, m.Key())})
 		out.Out = append(out.Out, nil)
-		return node{v, sp.add(int32(i), m), i}
+		return node{v, m, len(out.States) - 1}
 	}
-	m0 := spec.Net.InitialMarking()
-	sp.lookup(v0, m0, 0)
+	_, m0, _ := sp.visit(v0, spec.Net.InitialMarking(), 0, 0)
 	stack := []node{add(v0, m0)}
 	maxStates := ver.opts.maxStates()
 	hooked := ver.opts.Budget.Hooked()
@@ -83,19 +73,16 @@ func StateGraph(nl *logic.Netlist, spec *stg.STG, opts Options) (*ts.SG, error) 
 			ev := ts.Event{Sig: mv.netSig, Dir: mv.dir}
 			if mv.netSig >= 0 {
 				nv ^= 1 << uint(mv.netSig)
-				ev.Name = names[3*mv.netSig+int(mv.dir)]
+				ev.Name = nl.Signals[mv.netSig] + mv.dir.String()
 			} else {
 				ev.Name = spec.Net.Transitions[mv.trans].Name
 			}
-			nm := sp.fire(nd.m, mv)
-			to, seen := sp.lookup(nv, nm, 0)
-			if !seen {
+			to, nm, added := sp.visit(nv, sp.fire(nd.m, mv), 0, int32(len(out.States)))
+			if added {
 				if len(out.States) >= maxStates {
 					return nil, budget.LimitStates(maxStates, len(out.States))
 				}
-				next := add(nv, nm)
-				to = int32(next.s)
-				stack = append(stack, next)
+				stack = append(stack, add(nv, nm))
 			}
 			out.Out[nd.s] = append(out.Out[nd.s], ts.Arc{Event: ev, To: int(to)})
 		}

@@ -331,9 +331,8 @@ type state struct {
 // violations found before the abort are preserved.
 func (ver *verifier) explore(v0 uint64, permits0 uint32) error {
 	sp := newSpace(ver.spec.Net)
-	m0 := ver.spec.Net.InitialMarking()
-	sp.lookup(v0, m0, permits0)
-	stack := []state{{v: v0, exc: ver.nl.ExcitedMask(v0), m: sp.add(0, m0), permits: permits0}}
+	_, m0, _ := sp.visit(v0, ver.spec.Net.InitialMarking(), permits0, 0)
+	stack := []state{{v: v0, exc: ver.nl.ExcitedMask(v0), m: m0, permits: permits0}}
 	maxStates, maxViol := ver.opts.maxStates(), ver.opts.maxViol()
 	hooked := ver.opts.Budget.Hooked()
 	for len(stack) > 0 && len(ver.res.Violations) < maxViol {
@@ -387,9 +386,8 @@ func (ver *verifier) explore(v0 uint64, permits0 uint32) error {
 				}
 			}
 			np := ver.updatePermits(nd.permits, mv)
-			nm := sp.fire(nd.m, mv)
-			if _, seen := sp.lookup(nv, nm, np); !seen {
-				stack = append(stack, state{v: nv, exc: nexc, m: sp.add(0, nm), permits: np})
+			if _, nm, added := sp.visit(nv, sp.fire(nd.m, mv), np, 0); added {
+				stack = append(stack, state{v: nv, exc: nexc, m: nm, permits: np})
 			}
 		}
 	}
@@ -570,23 +568,20 @@ func (sp *space) fire(m petri.Marking, mv *move) petri.Marking {
 	return next
 }
 
-// lookup returns the number of state (v, m, permits) and whether it has
-// been added. Its key stays in the buffer for add.
-func (sp *space) lookup(v uint64, m petri.Marking, permits uint32) (int32, bool) {
+// visit looks state (v, m, permits) up. An unseen state is added as number
+// next, with m copied into the blocks. It returns the state's number, the
+// stored marking of an added state, and whether it was added.
+func (sp *space) visit(v uint64, m petri.Marking, permits uint32, next int32) (int32, petri.Marking, bool) {
 	sp.key = binary.LittleEndian.AppendUint64(append(sp.key[:0], m...), v)
 	sp.key = binary.LittleEndian.AppendUint32(sp.key, permits)
-	i, ok := sp.index[string(sp.key)]
-	return i, ok
-}
-
-// add records the state last looked up, with marking m, as number i, and
-// returns the stored copy of m.
-func (sp *space) add(i int32, m petri.Marking) petri.Marking {
-	sp.index[string(sp.key)] = i
+	if i, ok := sp.index[string(sp.key)]; ok {
+		return i, nil, false
+	}
+	sp.index[string(sp.key)] = next
 	if len(sp.block)+len(m) > cap(sp.block) {
 		sp.block = make([]byte, 0, max(min(2*cap(sp.block), 1<<16), 1<<9, len(m)))
 	}
 	off := len(sp.block)
 	sp.block = append(sp.block, m...)
-	return petri.Marking(sp.block[off:len(sp.block):len(sp.block)])
+	return next, petri.Marking(sp.block[off:len(sp.block):len(sp.block)]), true
 }

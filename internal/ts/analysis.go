@@ -47,12 +47,11 @@ func (g *SG) USCConflicts() []CodeConflict {
 // Section 2.1). Each conflict records one witnessing signal.
 func (g *SG) CSCConflicts() []CodeConflict {
 	var out []CodeConflict
-	nonInputs := g.nonInputs()
 	for _, group := range g.groupsSorted() {
 		for i := 0; i < len(group); i++ {
 			for j := i + 1; j < len(group); j++ {
 				a, b := group[i], group[j]
-				if sig, ok := g.cscWitness(a, b, nonInputs); ok {
+				if sig, ok := g.cscWitness(a, b); ok {
 					out = append(out, CodeConflict{
 						Code: g.States[a].Code, A: a, B: b, Signal: sig,
 					})
@@ -68,10 +67,9 @@ func (g *SG) CSCConflicts() []CodeConflict {
 // each state's excitation mask with the first of its code and stops at the
 // first code whose states carry two masks; it lists no pairs.
 func (g *SG) HasCSC() bool {
-	nonInputs := g.nonInputs()
 	first := make(map[Code]uint64, len(g.States))
 	for s, st := range g.States {
-		mask := g.excitedMask(s, nonInputs)
+		mask := g.excitedMask(s)
 		if prev, dup := first[st.Code]; !dup {
 			first[st.Code] = mask
 		} else if prev != mask {
@@ -96,34 +94,27 @@ func (g *SG) HasUSC() bool {
 
 // cscWitness returns the lowest non-input signal whose excitation differs
 // between states a and b.
-func (g *SG) cscWitness(a, b int, nonInputs uint64) (int, bool) {
-	diff := g.excitedMask(a, nonInputs) ^ g.excitedMask(b, nonInputs)
+func (g *SG) cscWitness(a, b int) (int, bool) {
+	diff := g.excitedMask(a) ^ g.excitedMask(b)
 	if diff == 0 {
 		return -1, false
 	}
 	return bits.TrailingZeros64(diff), true
 }
 
-// nonInputs returns the output and internal signals, one bit per signal.
-func (g *SG) nonInputs() uint64 {
+// excitedMask returns the output and internal signals that label an arc
+// leaving state s, one bit per signal.
+func (g *SG) excitedMask(s int) uint64 {
 	var mask uint64
-	for i, s := range g.Signals {
-		if s.Kind == stg.Output || s.Kind == stg.Internal {
-			mask |= 1 << uint(i)
+	for _, a := range g.Out[s] {
+		if a.Event.Sig < 0 {
+			continue
+		}
+		if k := g.Signals[a.Event.Sig].Kind; k == stg.Output || k == stg.Internal {
+			mask |= 1 << uint(a.Event.Sig)
 		}
 	}
 	return mask
-}
-
-// excitedMask returns the signals of mask that label an arc leaving state s.
-func (g *SG) excitedMask(s int, mask uint64) uint64 {
-	var excited uint64
-	for _, a := range g.Out[s] {
-		if a.Event.Sig >= 0 {
-			excited |= 1 << uint(a.Event.Sig)
-		}
-	}
-	return excited & mask
 }
 
 // groupsSorted returns code-sharing groups of size >= 2, each ascending, in
