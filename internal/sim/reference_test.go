@@ -455,12 +455,14 @@ type refCase struct {
 	cons []sim.RelativeOrder
 }
 
-// referenceCases collects the comparison's netlists: the flow's netlists
-// for the testdata corpus, muller-1..5 and cscring-2..3 in the three
-// architectures, their polarity and dropped-cube mutants, the flow's
-// fan-in-2 mapped netlists (which carry implementation-only wires), the
-// mutex arbiter with its combinational twin, and the Figure 11c circuit
-// under its relative timing constraint, with its mutants under the same
+// referenceCases collects the comparison's netlists, once per test binary:
+// the flow's netlists for the testdata corpus, muller-1..5 and
+// cscring-2..3 in the three architectures, their polarity and dropped-cube
+// mutants, the flow's fan-in-2 mapped netlists (which carry
+// implementation-only wires) with their mutants, the vme-read circuit
+// under every single relative timing constraint over its edges, the mutex
+// arbiter with its combinational twin, and the Figure 11c circuit under
+// its relative timing constraint, with its mutants under the same
 // constraint.
 func referenceCases(t *testing.T) []refCase {
 	t.Helper()
