@@ -136,6 +136,17 @@ func BenchmarkSolveCSC(b *testing.B) {
 			}
 		}
 	})
+	// The flow's encoding phase on cscring-4: five solutions at two
+	// workers, so the search continues from ten first-round survivors.
+	b.Run("cscring-4/flow", func(b *testing.B) {
+		g := gen.CSCRing(4)
+		for i := 0; i < b.N; i++ {
+			_, err := encoding.SolutionsOpts(g, 3, 5, encoding.Options{Workers: 2})
+			if err == nil || !strings.Contains(err.Error(), "CSC not solved") {
+				b.Fatalf("cscring-4/flow: want a CSC not solved error, got %v", err)
+			}
+		}
+	})
 	ring := gen.CSCRing(3)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("cscring-3/w%d", w), func(b *testing.B) {

@@ -47,6 +47,7 @@ assert rec["benchmarks"], "no benchmarks parsed"
 names = {b["name"] for b in rec["benchmarks"]}
 for want in ("SolveCSC/cscring-3/w1", "SolveCSC/cscring-3/w4",
              "SolveCSC/vme-read-write", "SolveCSC/cscring-4",
+             "SolveCSC/cscring-4/flow",
              "EquationDerivation/cscring-2/w1", "EquationDerivation/cscring-2/w4",
              "FullFlow/muller-8/w1", "Verify/muller-8", "BuildSG/muller-8",
              "ServeSynthesize/cold", "ServeSynthesize/cached",
