@@ -10,6 +10,7 @@
 package encoding
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -211,7 +212,7 @@ func scoreInsertions(g *stg.STG, name string, ctx *evalCtx) ([]scored, error) {
 		return nil, err
 	}
 	if len(all) == 0 {
-		return nil, fmt.Errorf("no property-preserving insertion found for %s", name)
+		return nil, fmt.Errorf("%w for %s", errNoInsertion, name)
 	}
 	sort.Slice(all, func(i, j int) bool { return less(all[i].key, all[j].key) })
 	return all, nil
@@ -281,6 +282,24 @@ func SolutionsOpts(g *stg.STG, maxSignals, limit int, opts Options) ([]*Solution
 	return out, nil
 }
 
+// errNoInsertion and errUnsolved are the two ways a greedy continuation
+// runs out of insertions: a round keeps no candidate, or CSC still fails
+// after the last round. firstRound moves on to the next survivor after
+// either; every other error ends the search.
+var (
+	errNoInsertion = errors.New("no property-preserving insertion found")
+	errUnsolved    = errors.New("encoding: CSC not solved")
+)
+
+// firstRound ranks the first insertions and completes up to limit of them
+// greedily. A survivor whose canonical signature matches one that already
+// ran out of insertions is skipped: both come from g by one InsertSignalAt,
+// so they have the same transitions under the same names and indexes and
+// differ only in place names and order. Every later round — product
+// exploration, blocked sets, conflict counts, literal costs and enumeration
+// order — depends only on transitions, so the twin's continuation would
+// pick the same pairs and run out the same way. Solved continuations are
+// not memoized: each Solution carries its own STG.
 func firstRound(g *stg.STG, maxSignals, limit int, ctx *evalCtx) ([]*Solution, error) {
 	sg, err := ctx.buildSG(g)
 	if err != nil {
@@ -301,6 +320,7 @@ func firstRound(g *stg.STG, maxSignals, limit int, ctx *evalCtx) ([]*Solution, e
 		return nil, err
 	}
 	var out []*Solution
+	exhausted := make(map[string]bool)
 	for _, cand := range ranked {
 		if len(out) >= limit {
 			break
@@ -310,9 +330,18 @@ func firstRound(g *stg.STG, maxSignals, limit int, ctx *evalCtx) ([]*Solution, e
 			continue
 		}
 		// Greedy continuation for multi-signal cases.
+		sig := canonicalSignature(cand.STG)
+		if exhausted[sig] {
+			continue
+		}
 		sol, err := continueGreedy(cand, maxSignals-1, ctx)
-		if err == nil {
+		switch {
+		case err == nil:
 			out = append(out, sol)
+		case errors.Is(err, errNoInsertion), errors.Is(err, errUnsolved):
+			exhausted[sig] = true
+		default:
+			return nil, err
 		}
 	}
 	if len(out) == 0 {
@@ -336,7 +365,7 @@ func continueGreedy(start *Solution, rounds int, ctx *evalCtx) (*Solution, error
 		cur = next
 	}
 	if !cur.SG.HasCSC() {
-		return nil, fmt.Errorf("encoding: CSC not solved")
+		return nil, errUnsolved
 	}
 	return cur, nil
 }

@@ -44,15 +44,16 @@ type verdict struct {
 }
 
 // scoreSG checks a candidate's state graph: persistency, deadlock freedom
-// and conflict-count progress over the base.
-func scoreSG(sg *ts.SG, baseConflicts int) verdict {
+// and conflict-count progress over the base. conflicts returns the graph's
+// CSC conflict count; it runs only once the first two checks pass.
+func scoreSG(sg *ts.SG, conflicts func() int, baseConflicts int) verdict {
 	if !sg.IsPersistent() {
 		return verdict{reason: rejectNotPersistent}
 	}
 	if len(sg.Deadlocks()) > 0 {
 		return verdict{reason: rejectDeadlock}
 	}
-	c := len(sg.CSCConflicts())
+	c := conflicts()
 	if c >= baseConflicts {
 		return verdict{reason: rejectNoProgress, conflicts: c}
 	}
@@ -72,7 +73,7 @@ func evaluateCandidate(cand *stg.STG, baseConflicts int, opts reach.Options) (*t
 	if sg, err = ts.ContractDummies(sg); err != nil {
 		return nil, verdict{reason: rejectInvalid}
 	}
-	return sg, scoreSG(sg, baseConflicts)
+	return sg, scoreSG(sg, func() int { return len(sg.CSCConflicts()) }, baseConflicts)
 }
 
 // buildReason classifies a reach.BuildSG failure. With no budget the only
@@ -120,6 +121,10 @@ type product struct {
 	wide      bool // the inserted signal does not fit a 64-bit code
 	maxStates int  // the candidate state cap, reach's default as in a rebuild
 	conflicts int  // the base's CSC conflicts, which a candidate must reduce
+	// group[s] is raw base state s's code group: a dense index per
+	// distinct base code. codeGroup maps each base code to its group.
+	group     []int32
+	codeGroup map[ts.Code]int32
 	signals   []stg.Signal
 	rise      ts.Event
 	fall      ts.Event
@@ -154,6 +159,16 @@ func newProduct(g *stg.STG, base *ts.SG, trans [][]int, name string, conflicts i
 		if l.Sig < 0 {
 			pr.dummies = true
 		}
+	}
+	pr.group = make([]int32, len(base.States))
+	pr.codeGroup = make(map[ts.Code]int32)
+	for s, st := range base.States {
+		gr, ok := pr.codeGroup[st.Code]
+		if !ok {
+			gr = int32(len(pr.codeGroup))
+			pr.codeGroup[st.Code] = gr
+		}
+		pr.group[s] = gr
 	}
 	pr.blocked = make([]uint64, 2*nT*pr.words)
 	for t, tr := range net.Transitions {
@@ -216,6 +231,18 @@ type productScratch struct {
 	nodes []pnode
 	out   [][]ts.Arc
 	sg    ts.SG
+	// head[b] is the last mask entry of code bucket b, -1 when empty; see
+	// countConflicts.
+	head  []int32
+	masks []maskCount
+}
+
+// maskCount counts the states of one code bucket that carry one
+// excitation mask; next links the bucket's earlier entry.
+type maskCount struct {
+	mask         uint64
+	n            int
+	next, bucket int32
 }
 
 func (pr *product) key(n pnode) int {
@@ -239,7 +266,56 @@ func (pr *product) score(sc *productScratch, r, f Point) verdict {
 	if why != none {
 		return verdict{reason: why}
 	}
-	return scoreSG(sg, pr.conflicts)
+	return scoreSG(sg, func() int { return pr.countConflicts(sc, sg) }, pr.conflicts)
+}
+
+// countConflicts returns len(sg.CSCConflicts()) for the candidate graph sg
+// that stateGraph just returned, without listing or sorting pairs: the
+// pairs of states sharing a code whose excitation masks differ. A
+// candidate's code is a base code plus x's bit, so the states sharing one
+// fall into one bucket (base code group, x's bit). On the raw product graph
+// a state's group is its base state's; a contracted graph keeps no base
+// states, so there it is the group of its code with x's bit cleared. Each
+// state adds the earlier states of its bucket whose masks differ from its
+// own.
+func (pr *product) countConflicts(sc *productScratch, sg *ts.SG) int {
+	if need := 2 * len(pr.codeGroup); len(sc.head) < need {
+		sc.head = make([]int32, need)
+		for i := range sc.head {
+			sc.head[i] = -1
+		}
+	}
+	raw := sg == &sc.sg
+	xSig := uint(len(pr.signals) - 1)
+	total := 0
+	sc.masks = sc.masks[:0]
+	for i, st := range sg.States {
+		var gr int32
+		if raw {
+			gr = pr.group[sc.nodes[i].s]
+		} else {
+			gr = pr.codeGroup[st.Code&^(1<<xSig)]
+		}
+		b := 2*gr + int32(st.Code>>xSig&1)
+		m := sg.ExcitedMask(i)
+		seen := false
+		for e := sc.head[b]; e >= 0; e = sc.masks[e].next {
+			if mc := &sc.masks[e]; mc.mask != m {
+				total += mc.n
+			} else {
+				mc.n++
+				seen = true
+			}
+		}
+		if !seen {
+			sc.masks = append(sc.masks, maskCount{mask: m, n: 1, next: sc.head[b], bucket: b})
+			sc.head[b] = int32(len(sc.masks) - 1)
+		}
+	}
+	for _, mc := range sc.masks {
+		sc.head[mc.bucket] = -1
+	}
+	return total
 }
 
 // stateGraph returns the state graph of the candidate inserting the new

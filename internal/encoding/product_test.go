@@ -146,9 +146,11 @@ func (s *sgShape) equal(o *sgShape) bool {
 
 // TestProductMatchesRebuild is the product's differential: for every
 // enumerated pair of every round, the product's verdict — rejection reason
-// and conflict count — and, wherever both build one, its state graph's
-// state count, arc count and code multiset equal evaluateCandidate's on
-// InsertSignalAt's STG. The product runs at one and two workers.
+// and conflict count, as score counts it inside the base's code groups —
+// and, wherever both build one, its state graph's state count, arc count
+// and code multiset equal evaluateCandidate's on InsertSignalAt's STG,
+// whose count comes from the pair list. The product runs at one and two
+// workers.
 //
 // Every rejection reason occurs except rejectUnsafe, which a safe base
 // cannot produce. Its only source in the product is a second token in a
@@ -196,11 +198,11 @@ func TestProductMatchesRebuild(t *testing.T) {
 			wctx := newEvalCtx(Options{Workers: w})
 			if err := wctx.runPool(len(prs), func(ws *workerScratch, i int) error {
 				p := prs[i]
-				sg, why := pr.stateGraph(&ws.prod, p.r, p.f)
-				got := outcome{v: verdict{reason: why}, shape: shapeOf(sg)}
-				if why == none {
-					got.v = scoreSG(sg, base)
-				}
+				// score explores again in the scratch sg lives in, so
+				// take the shape first.
+				sg, _ := pr.stateGraph(&ws.prod, p.r, p.f)
+				got := outcome{shape: shapeOf(sg)}
+				got.v = pr.score(&ws.prod, p.r, p.f)
 				if got.v != want[i].v || !got.shape.equal(want[i].shape) {
 					mu.Lock()
 					bad = append(bad, fmt.Sprintf("%s: product %+v %+v, rebuild %+v %+v",

@@ -246,6 +246,29 @@ func TestCorePipeline(t *testing.T) {
 			}
 		}
 	}
+	// vme-read-write continues greedily from its first-round survivors, and
+	// these checks fall in continuation rounds: the search must return
+	// their trips, not move on to the next survivor.
+	rwPlans := []Plan{
+		{Mode: Limit, N: 2000, Site: "encoding.eval"},
+		{Mode: Panic, N: 3000, Site: "encoding.eval"},
+		{Mode: Cancel, N: 2000, Site: "encoding.eval"},
+	}
+	for _, workers := range []int{1, 4} {
+		for _, plan := range rwPlans {
+			t.Run(fmt.Sprintf("vme-read-write/w%d/%v", workers, plan), func(t *testing.T) {
+				done := leakCheck(t)
+				in, b := New(plan)
+				defer in.Release()
+				_, err := core.Synthesize(vme.ReadWriteSTG(), core.Options{Workers: workers, Budget: b})
+				if !in.Fired() {
+					t.Fatalf("%v never fired (%d checks)", plan, in.Calls())
+				}
+				wantTyped(t, plan, in, err)
+				done()
+			})
+		}
+	}
 	// Technology mapping runs under the flow budget: its trial
 	// verifications and care-set explorations check sim.explore, so trips
 	// planned there come from mapping and the verify phase never runs.

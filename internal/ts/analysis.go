@@ -69,7 +69,7 @@ func (g *SG) CSCConflicts() []CodeConflict {
 func (g *SG) HasCSC() bool {
 	first := make(map[Code]uint64, len(g.States))
 	for s, st := range g.States {
-		mask := g.excitedMask(s)
+		mask := g.ExcitedMask(s)
 		if prev, dup := first[st.Code]; !dup {
 			first[st.Code] = mask
 		} else if prev != mask {
@@ -95,16 +95,17 @@ func (g *SG) HasUSC() bool {
 // cscWitness returns the lowest non-input signal whose excitation differs
 // between states a and b.
 func (g *SG) cscWitness(a, b int) (int, bool) {
-	diff := g.excitedMask(a) ^ g.excitedMask(b)
+	diff := g.ExcitedMask(a) ^ g.ExcitedMask(b)
 	if diff == 0 {
 		return -1, false
 	}
 	return bits.TrailingZeros64(diff), true
 }
 
-// excitedMask returns the output and internal signals that label an arc
-// leaving state s, one bit per signal.
-func (g *SG) excitedMask(s int) uint64 {
+// ExcitedMask returns the output and internal signals that label an arc
+// leaving state s, one bit per signal. Two states of one code form a CSC
+// conflict exactly when their masks differ.
+func (g *SG) ExcitedMask(s int) uint64 {
 	var mask uint64
 	for _, a := range g.Out[s] {
 		if a.Event.Sig < 0 {
