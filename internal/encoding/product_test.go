@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/reach"
 	"repro/internal/stg"
 	"repro/internal/ts"
@@ -232,4 +233,24 @@ func TestProductMatchesRebuild(t *testing.T) {
 		t.Errorf("%d pairs rejected as unsafe on safe bases", seen[rejectUnsafe])
 	}
 	t.Logf("%d pairs; accepted %d; rejected %v", pairs, seen[none], seen)
+}
+
+// TestScoreAllocatesNothing: on a warm worker scratch, scoring a pair on
+// the product — exploration, the property checks and the conflict count —
+// allocates nothing, on every pair of a spec without dummies.
+func TestScoreAllocatesNothing(t *testing.T) {
+	for _, m := range []namedSTG{{"vme-read-write", vme.ReadWriteSTG()}, {"cscring-4", gen.CSCRing(4)}} {
+		ctx := newEvalCtx(Options{})
+		pr, pairs, err := newRound(m.g, "csc0", ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := &ctx.scratch[0].prod
+		for _, p := range pairs {
+			pr.score(sc, p.r, p.f)
+			if a := testing.AllocsPerRun(3, func() { pr.score(sc, p.r, p.f) }); a != 0 {
+				t.Fatalf("%s: scoring %s allocates %v times", m.name, describeInsertion(m.g, "csc0", p.r, p.f), a)
+			}
+		}
+	}
 }

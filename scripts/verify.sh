@@ -42,9 +42,11 @@ go test -fuzz=FuzzPropParse -fuzztime=5s -run '^$' ./internal/prop/
 # Parallel synthesis determinism under the race detector: identical
 # solutions, functions and netlists at every worker count, the CSC
 # candidate product agreeing with the rebuild on every insertion pair at
-# one and two workers, and the pooled concurrency-reduction search
-# matching its golden at one and two workers.
-go test -timeout 60s -race -run 'Deterministic|MatchesSequential|TieBreak|CSCError|ProductMatchesRebuild|ReductionGolden' ./internal/encoding/ ./internal/logic/
+# one and two workers, twin first-round survivors ranking and continuing
+# alike (the premise of skipping a twin's exhausted continuation, and
+# cscring-4's counters with the skip), and the pooled
+# concurrency-reduction search matching its golden at one and two workers.
+go test -timeout 60s -race -run 'Deterministic|MatchesSequential|TieBreak|CSCError|ProductMatchesRebuild|Twin|ReductionGolden' ./internal/encoding/ ./internal/logic/
 # One state graph per flow under the race detector: Verify handed the
 # flow's state graph returns exactly what it returns when it builds its own,
 # and a spec that already has CSC runs no encoding search. Concurrency
