@@ -15,6 +15,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -530,6 +531,46 @@ func BenchmarkVerify(b *testing.B) {
 					b.Fatalf("verification failed: %v %v", err, res)
 				}
 				b.ReportMetric(float64(res.States), "states")
+			}
+		})
+	}
+}
+
+// E-PARSE — reading spec and netlist text, which every daemon request does
+// before its cache lookup and every batch op does first: vme-read's .g, the
+// .g text of muller-8 (the largest workload spec), and the flow's vme-read
+// netlist as .eqn.
+func BenchmarkParse(b *testing.B) {
+	vmeG, err := os.ReadFile("testdata/vme-read.g")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var mullerG, vmeEqn strings.Builder
+	if err := gen.MullerPipeline(8).WriteG(&mullerG); err != nil {
+		b.Fatal(err)
+	}
+	rep, err := core.Synthesize(vme.ReadSTG(), core.Options{SkipVerify: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := rep.Netlist.WriteEquations(&vmeEqn); err != nil {
+		b.Fatal(err)
+	}
+	parseG := func(r io.Reader) error { _, err := stg.ParseG(r); return err }
+	parseEqn := func(r io.Reader) error { _, err := logic.ParseEquations(r); return err }
+	for _, tc := range []struct {
+		name, text string
+		parse      func(io.Reader) error
+	}{
+		{"g/vme-read", string(vmeG), parseG},
+		{"g/muller-8", mullerG.String(), parseG},
+		{"eqn/vme-read", vmeEqn.String(), parseEqn},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := tc.parse(strings.NewReader(tc.text)); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

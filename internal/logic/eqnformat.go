@@ -56,7 +56,8 @@ func (nl *Netlist) WriteEquations(w io.Writer) error {
 func ParseEquations(r io.Reader) (*Netlist, error) {
 	nl := &Netlist{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	// Lines may run to 1 MB, as in stg.ParseG; the buffer grows on demand.
+	sc.Buffer(nil, 1<<20)
 	type rawGate struct {
 		output string
 		rhs    string
@@ -71,19 +72,14 @@ func ParseEquations(r io.Reader) (*Netlist, error) {
 			continue
 		}
 		fields := strings.Fields(line)
+		var kind stg.Kind
 		switch fields[0] {
 		case ".inputs":
-			for _, n := range fields[1:] {
-				nl.AddSignal(n, stg.Input)
-			}
+			kind = stg.Input
 		case ".outputs":
-			for _, n := range fields[1:] {
-				nl.AddSignal(n, stg.Output)
-			}
+			kind = stg.Output
 		case ".internal":
-			for _, n := range fields[1:] {
-				nl.AddSignal(n, stg.Internal)
-			}
+			kind = stg.Internal
 		default:
 			eq := strings.SplitN(line, "=", 2)
 			if len(eq) != 2 {
@@ -94,10 +90,25 @@ func ParseEquations(r io.Reader) (*Netlist, error) {
 				rhs:    strings.TrimSpace(eq[1]),
 				line:   lineNo,
 			})
+			continue
+		}
+		for _, n := range fields[1:] {
+			switch {
+			case nl.SignalIndex(n) >= 0: // AddSignal would panic
+				return nil, fmt.Errorf("logic: line %d: signal %q declared twice", lineNo, n)
+			case n[0] == '.' || strings.ContainsAny(n, "(),"):
+				// WriteEquations could not render such a name so that it
+				// reads back the same: a gate line would read as a
+				// directive, or a sum of products as a latch.
+				return nil, fmt.Errorf("logic: line %d: signal name %q starts with '.' or holds '(', ')' or ','", lineNo, n)
+			case len(nl.Signals) == 64: // the width of a cube
+				return nil, fmt.Errorf("logic: line %d: more than 64 signals", lineNo)
+			}
+			nl.AddSignal(n, kind)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("logic: line %d: %w", lineNo+1, err)
 	}
 	n := len(nl.Signals)
 	for _, rg := range gates {

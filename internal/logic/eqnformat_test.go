@@ -1,6 +1,10 @@
 package logic_test
 
 import (
+	"bufio"
+	"errors"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -96,6 +100,12 @@ func TestParseEquationsErrors(t *testing.T) {
 		".outputs x\nx = C(bogus: x, reset: x)\n", // bad label
 		".outputs x\n",                            // undriven output
 		".outputs x\nx = + \n",                    // empty term
+		// Names WriteEquations could not render so that they read back:
+		// a comb gate printed as "C(q b)" reads as a latch, and a gate
+		// line ".inputs = a" as a declaration.
+		".inputs C(q b)\n.outputs x\nx = b) C(q\n",
+		".inputs a\n.outputs .inputs\n.inputs=a\n",
+		".inputs" + manySignals(65) + "\n", // wider than a cube
 	}
 	for i, src := range cases {
 		if _, err := logic.ParseEquations(strings.NewReader(src)); err == nil {
@@ -123,5 +133,72 @@ q = RS(set: a, reset: a')
 	}
 	if nl.Kinds[0] != stg.Input {
 		t.Fatal("input kind lost")
+	}
+}
+
+// manySignals returns n distinct names separated by spaces, with a
+// leading space.
+func manySignals(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		b.WriteString(" s")
+		b.WriteString(strconv.Itoa(i))
+	}
+	return b.String()
+}
+
+// A repeated declaration is an input error naming its line, within one
+// directive and across two.
+func TestParseEquationsDuplicateSignal(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{".inputs K K\n", `logic: line 1: signal "K" declared twice`},
+		{".inputs a\n.outputs q a\nq = a\n", `logic: line 2: signal "a" declared twice`},
+	} {
+		_, err := logic.ParseEquations(strings.NewReader(tc.src))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%q: err = %v, want %s", tc.src, err, tc.want)
+		}
+	}
+}
+
+// The scanner holds lines past bufio.MaxScanTokenSize up to the 1 MB cap,
+// and a longer line fails with bufio.ErrTooLong.
+func TestParseEquationsLongLines(t *testing.T) {
+	long := ".inputs a\n.outputs q\nq = " + strings.Repeat("a ", 450_000) + "\n"
+	nl, err := logic.ParseEquations(strings.NewReader(long))
+	if err != nil {
+		t.Fatalf("%d-byte line: %v", len(long), err)
+	}
+	if got := nl.Equations(); got != "q = a" {
+		t.Fatalf("long line parsed to %q", got)
+	}
+	tooLong := ".inputs a\n# " + strings.Repeat("x", 1<<20) + "\n"
+	if _, err := logic.ParseEquations(strings.NewReader(tooLong)); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line past 1 MB: err = %v, want bufio.ErrTooLong", err)
+	}
+}
+
+// A small parse allocates in proportion to its text, not a 1 MB buffer.
+func TestParseEquationsAllocation(t *testing.T) {
+	nl, err := logic.Synthesize(cscSG(t), logic.ComplexGate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	if err := nl.WriteEquations(&text); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := logic.ParseEquations(strings.NewReader(text.String())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Fatalf("ParseEquations allocates %d bytes per parse of a %d-byte netlist, want under 64 KB",
+			per, text.Len())
 	}
 }

@@ -425,6 +425,11 @@ func TestParseAnalyzeVerify(t *testing.T) {
 	if code, _ := postJSON(t, ts.URL+"/v1/verify", map[string]any{"spec": spec}); code != http.StatusBadRequest {
 		t.Fatalf("verify without impl = %d, want 400", code)
 	}
+	// A repeated declaration in the impl is an input error, not a panic.
+	code, dup := postJSON(t, ts.URL+"/v1/verify", map[string]any{"spec": spec, "impl": ".inputs K K\n"})
+	if code != http.StatusBadRequest || !strings.HasPrefix(dup.Error, "bad impl: ") {
+		t.Fatalf("impl declaring K twice = %d %q, want 400 bad impl", code, dup.Error)
+	}
 	if code, _ := postJSON(t, ts.URL+"/v1/synthesize",
 		map[string]any{"spec": spec, "options": map[string]any{"style": "bogus"}}); code != http.StatusBadRequest {
 		t.Fatalf("bad style = %d, want 400", code)

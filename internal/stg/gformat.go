@@ -30,7 +30,9 @@ import (
 // ParseG parses an STG in .g format.
 func ParseG(r io.Reader) (*STG, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	// Lines may run to 1 MB. The scanner starts small and grows to the
+	// longest line, so a parse allocates in proportion to its input.
+	sc.Buffer(nil, 1<<20)
 
 	var g *STG
 	model := "stg"
@@ -83,7 +85,7 @@ func ParseG(r io.Reader) (*STG, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("stg: line %d: %w", lineNo+1, err)
 	}
 
 	g = New(model)

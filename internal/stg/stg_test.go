@@ -1,7 +1,11 @@
 package stg
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -184,6 +188,43 @@ func TestParseGErrors(t *testing.T) {
 		if _, err := ParseG(strings.NewReader(src)); err == nil {
 			t.Errorf("case %d: expected parse error", i)
 		}
+	}
+}
+
+// The scanner holds lines past bufio.MaxScanTokenSize up to the 1 MB cap,
+// and a longer line fails with bufio.ErrTooLong.
+func TestParseGLongLines(t *testing.T) {
+	name := strings.Repeat("m", 900_000)
+	g, err := ParseG(strings.NewReader(".model " + name + "\n.inputs a\n.graph\na+ a-\na- a+\n.marking { <a-,a+> }\n.end\n"))
+	if err != nil {
+		t.Fatalf("900 KB line: %v", err)
+	}
+	if g.Name() != name {
+		t.Fatalf("model name of %d bytes, want %d", len(g.Name()), len(name))
+	}
+	tooLong := ".model m\n# " + strings.Repeat("x", 1<<20) + "\n"
+	if _, err := ParseG(strings.NewReader(tooLong)); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line past 1 MB: err = %v, want bufio.ErrTooLong", err)
+	}
+}
+
+// A small parse allocates in proportion to its text, not a 1 MB buffer.
+func TestParseGAllocation(t *testing.T) {
+	data, err := os.ReadFile("../../testdata/vme-read.g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ParseG(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Fatalf("ParseG allocates %d bytes per parse of vme-read.g, want under 64 KB", per)
 	}
 }
 

@@ -18,7 +18,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHES='^(BenchmarkSolveCSC|BenchmarkEquationDerivation|BenchmarkFullFlow|BenchmarkBuildSG|BenchmarkVerify|BenchmarkMinimize|BenchmarkSymbolicVsExplicit|BenchmarkServeSynthesize|BenchmarkPropCheck|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledCounter)$'
+BENCHES='^(BenchmarkSolveCSC|BenchmarkEquationDerivation|BenchmarkFullFlow|BenchmarkBuildSG|BenchmarkVerify|BenchmarkMinimize|BenchmarkSymbolicVsExplicit|BenchmarkParse|BenchmarkServeSynthesize|BenchmarkPropCheck|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledCounter)$'
 # The obs overhead guards live in their own package; the root package holds
 # everything else.
 BENCH_PKGS='. ./internal/obs'
@@ -53,6 +53,7 @@ for want in ("SolveCSC/cscring-3/w1", "SolveCSC/cscring-3/w4",
              "ServeSynthesize/cold", "ServeSynthesize/cached",
              "ServeSynthesize/cold-durable", "ServeSynthesize/cached-durable",
              "ServeSynthesize/disk-hit",
+             "Parse/g/vme-read", "Parse/g/muller-8", "Parse/eqn/vme-read",
              "SymbolicVsExplicit/symbolic/muller-7",
              "Minimize/sg-vme-read-write", "Minimize/dense-12",
              "PropCheck/vme-read/explicit", "PropCheck/vme-read/symbolic"):

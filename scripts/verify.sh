@@ -32,6 +32,9 @@ go test -fuzz=FuzzBDDOps -fuzztime=5s -run '^$' ./internal/bdd/
 go test -fuzz=FuzzMinimizeOnOff -fuzztime=5s -run '^$' ./internal/boolmin/
 # .g parser fuzz smoke: no panics, canonical form is a fixed point.
 go test -fuzz=FuzzSTGParse -fuzztime=5s -run '^$' ./internal/stg/
+# .eqn parser fuzz smoke: no panics, and every accepted netlist's
+# WriteEquations text reparses and renders byte-identical.
+go test -fuzz=FuzzEqnParse -fuzztime=5s -run '^$' ./internal/logic/
 # Property layer gate: unit + golden/CLI tests under the race detector,
 # fault injection into its budget sites, and a parser fuzz smoke whose
 # accepted inputs double as an explicit-vs-symbolic oracle. The
