@@ -149,6 +149,12 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) (err erro
 		go ps.Serve(pln)
 	}
 
+	// Registered before the daemon announces itself, so a signal sent as
+	// soon as it is listening drains it instead of killing it.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -161,10 +167,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) (err erro
 	hs := &http.Server{Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 
 	select {
 	case err := <-errc:

@@ -25,6 +25,8 @@ import (
 // Expressions are sums of products; a trailing apostrophe negates a literal.
 // Latches are written C(set: ..., reset: ...) or RS(set: ..., reset: ...);
 // mutex grant halves as MUTEX(...). Constant functions are "0" and "1".
+// A signal is declared once; its name does not start with '.' and holds no
+// '(', ')' or ','. A netlist has at most 64 signals.
 
 // WriteEquations emits the netlist in the textual format.
 func (nl *Netlist) WriteEquations(w io.Writer) error {
