@@ -123,6 +123,30 @@ func CSCRing(k int) *stg.STG {
 	return g
 }
 
+// JohnsonRing builds an n-signal Johnson counter as one marked cycle: the
+// input x0 and the outputs x1..x(n-1) fire x0+ x1+ ... x(n-1)+ and then
+// x0- x1- ... x(n-1)-. Its 2n states all have distinct codes. The net has
+// 2n places, so past n = 32 a marking takes more than one 64-bit word.
+func JohnsonRing(n int) *stg.STG {
+	g := stg.New(fmt.Sprintf("johnson-%d", n))
+	for i := 0; i < n; i++ {
+		kind := stg.Output
+		if i == 0 {
+			kind = stg.Input
+		}
+		g.AddSignal(fmt.Sprintf("x%d", i), kind)
+	}
+	trans := make([]int, 0, 2*n)
+	for _, dir := range []stg.Dir{stg.Rise, stg.Fall} {
+		for i := 0; i < n; i++ {
+			trans = append(trans, g.AddTransition(i, dir))
+		}
+	}
+	g.Net.Chain(trans...)
+	g.Net.Implicit(trans[2*n-1], trans[0], 1)
+	return g
+}
+
 // MarkedGraphRing builds a k-stage ring with the given number of tokens —
 // a linear-size net with a polynomial state space, used for calibration.
 func MarkedGraphRing(k, tokens int) *petri.Net {

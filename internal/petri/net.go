@@ -222,26 +222,6 @@ func (n *Net) Fire(m Marking, t int) Marking {
 	return next
 }
 
-// FireInPlace fires t from m, modifying m. It does not check enabledness.
-func (n *Net) FireInPlace(m Marking, t int) {
-	for _, p := range n.Transitions[t].Pre {
-		m[p]--
-	}
-	for _, p := range n.Transitions[t].Post {
-		m[p]++
-	}
-}
-
-// UnfireInPlace reverses FireInPlace.
-func (n *Net) UnfireInPlace(m Marking, t int) {
-	for _, p := range n.Transitions[t].Post {
-		m[p]--
-	}
-	for _, p := range n.Transitions[t].Pre {
-		m[p]++
-	}
-}
-
 // Clone returns a deep copy of the net.
 func (n *Net) Clone() *Net {
 	c := New(n.Name)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/obs"
+	"repro/internal/petri"
 	"repro/internal/reach"
 	"repro/internal/stg"
 	"repro/internal/ts"
@@ -181,7 +182,7 @@ func (c *expChecker) eval(f *Formula) ([]bool, error) {
 			if err := c.check(i); err != nil {
 				return nil, err
 			}
-			out[i] = p < len(st.Key) && st.Key[p] > 0
+			out[i] = petri.KeyMarked(st.Key, p)
 		}
 	case OpExcited:
 		sig := c.g.SignalIndex(f.Name)
@@ -364,8 +365,8 @@ func (c *expChecker) trace(target []bool) (*Trace, error) {
 	for i := len(rev) - 1; i >= 0; i-- {
 		s := rev[i]
 		step := Step{Code: c.sg.States[s].Code, Marking: make([]bool, numP)}
-		for p := 0; p < numP && p < len(c.sg.States[s].Key); p++ {
-			step.Marking[p] = c.sg.States[s].Key[p] > 0
+		for p := range step.Marking {
+			step.Marking[p] = petri.KeyMarked(c.sg.States[s].Key, p)
 		}
 		if s != init {
 			step.Event = prevArc[s].Event.Name

@@ -5,29 +5,36 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/petri"
+	"repro/internal/stateindex"
 	"repro/internal/ts"
 )
 
 // Arena is a reusable scratch workspace for repeated explorations of nets of
 // similar size — the state-encoding candidate search rebuilds thousands of
 // state graphs, and without reuse every rebuild pays for a fresh visited
-// table, marking storage and adjacency slices. An Arena amortizes all of
-// that: marking bytes are bump-allocated from recycled blocks, the visited
-// index map and the per-state slices are cleared and reused in place.
+// index and step arrays. An Arena keeps them: the index and the flat step
+// arrays are cleared and reused in place.
 //
 // A Graph produced by an arena-backed exploration aliases the arena's
 // memory: it is valid only until the next Explore/BuildSG call using the
-// same Arena. Callers that keep the Graph must not reuse the Arena; callers
-// that only distill the Graph (as BuildSG does) reuse it freely. An Arena is
-// not safe for concurrent use — give each worker its own.
+// same Arena. Callers that keep the Graph must not reuse the Arena; an SG
+// from BuildSG owns its storage, so BuildSG callers reuse it freely. An
+// Arena is not safe for concurrent use — give each worker its own.
 type Arena struct {
-	index    map[string]int
+	// index numbers the packed markings (the toggle path: marking and
+	// code) in discovery order.
+	index stateindex.Index
+	// State s's steps, in ascending transition order, are
+	// steps[first[s]:first[s+1]] for every state s < len(first)-1; the
+	// states past that were left unexpanded by an abort.
+	first []int32
+	steps []Step
+	next  []uint64 // successor key scratch
+
+	// Explore's graph: unpacked markings and adjacency rows.
+	marks    []byte
 	markings []petri.Marking
 	out      [][]Step
-	fire     petri.Marking
-
-	blocks [][]byte
-	cur    int // block being filled
 
 	// BuildSG scratch (code labeling passes).
 	delta []ts.Code
@@ -36,142 +43,94 @@ type Arena struct {
 }
 
 // NewArena returns an empty arena.
-func NewArena() *Arena {
-	return &Arena{index: make(map[string]int)}
+func NewArena() *Arena { return &Arena{} }
+
+// reset rewinds the arena for keys of width words, at most limit of them.
+func (a *Arena) reset(width, limit int) {
+	a.index.Reset(width, limit)
+	a.first = a.first[:0]
+	a.steps = a.steps[:0]
+	if cap(a.next) < width {
+		a.next = make([]uint64, width)
+	}
+	a.next = a.next[:width]
 }
 
-// Marking blocks double from arenaMinBlock up to arenaMaxBlock, so a small
-// net's one-off exploration stays small while a reused arena settles on
-// large blocks.
-const (
-	arenaMinBlock = 1 << 9
-	arenaMaxBlock = 1 << 16
-)
-
-// reset rewinds the arena for a fresh exploration of a net with np places.
-func (a *Arena) reset(np int) {
-	clear(a.index)
-	a.markings = a.markings[:0]
-	a.cur = 0
-	for i := range a.blocks {
-		a.blocks[i] = a.blocks[i][:0]
-	}
-	if cap(a.fire) < np {
-		a.fire = make(petri.Marking, np)
-	}
-	a.fire = a.fire[:np]
-}
-
-// alloc copies m into arena-owned storage and returns the stable copy.
-func (a *Arena) alloc(m petri.Marking) petri.Marking {
-	for {
-		if a.cur == len(a.blocks) {
-			size := max(min(arenaMinBlock<<len(a.blocks), arenaMaxBlock), len(m))
-			a.blocks = append(a.blocks, make([]byte, 0, size))
-		}
-		b := a.blocks[a.cur]
-		if len(b)+len(m) <= cap(b) {
-			off := len(b)
-			a.blocks[a.cur] = b[: off+len(m) : cap(b)]
-			v := b[off : off+len(m) : off+len(m)]
-			copy(v, m)
-			return petri.Marking(v)
-		}
-		a.cur++
-	}
-}
-
-// outSlot returns a cleared reusable Step slice for state idx.
-func (a *Arena) outSlot(idx int) []Step {
-	if idx < len(a.out) {
-		return a.out[idx][:0]
-	}
-	a.out = append(a.out, nil)
-	return nil
-}
-
-// explore is the explorer behind Explore, running entirely on arena
-// scratch with near-zero allocation churn: markings are bump-allocated, the
-// visited map is reused, and enabledness candidates are fired into a single
-// scratch buffer. Deadlock states and states left unexpanded by an abort
-// get nil adjacency.
-func (a *Arena) explore(n *petri.Net, opts Options) (*Graph, error) {
-	a.reset(len(n.Places))
-	g := &Graph{Net: n, Index: a.index}
+// explore is the breadth-first token game behind Explore and BuildSG. It
+// numbers n's markings, packed by c, in discovery order and records each
+// state's steps in ascending transition order. c is a bit codec under
+// RequireSafe and a byte codec otherwise; the loop is the same. It reports
+// whether the arena holds a graph: a complete one, or the partial one of a
+// state-limit trip or cancellation (the error says which). A model error —
+// an unsafe or overfull marking — leaves none.
+func (a *Arena) explore(n *petri.Net, c *petri.Codec, opts Options) (bool, error) {
+	maxStates := opts.maxStates()
+	a.reset(c.Words(), maxStates)
 	init := n.InitialMarking()
 	if opts.RequireSafe && !init.Safe() {
-		return nil, fmt.Errorf("%w: initial marking %s", ErrUnsafe, init.Format(n))
+		return false, fmt.Errorf("%w: initial marking %s", ErrUnsafe, init.Format(n))
 	}
-	a.markings = append(a.markings, a.alloc(init))
-	a.index[init.Key()] = 0
-	maxStates := opts.maxStates()
+	c.Pack(a.next, init)
+	a.index.Visit(a.next) // the limit is at least 1
 	hooked := opts.Budget.Hooked()
 	checks := opts.Obs.Registry().Counter("reach.budget_checks")
-	for head := 0; head < len(a.markings); head++ {
+	for head := 0; head < a.index.Len(); head++ {
 		if hooked || head%budget.CheckEvery == 0 {
 			checks.Inc()
 			if err := opts.Budget.Check("reach.explore"); err != nil {
-				return a.finish(g, head-1), err
+				a.first = append(a.first, int32(len(a.steps)))
+				return true, err
 			}
 		}
-		m := a.markings[head]
-		steps := a.outSlot(head)
+		a.first = append(a.first, int32(len(a.steps)))
+		m := a.index.Key(int32(head))
 		for t := range n.Transitions {
-			if !n.Enabled(m, t) {
+			if !c.Enabled(m, t) {
 				continue
 			}
-			next := a.fire
-			copy(next, m)
-			n.FireInPlace(next, t)
-			if opts.RequireSafe && !postSafe(next, n.Transitions[t].Post) {
-				return nil, fmt.Errorf("%w: firing %s from %s", ErrUnsafe,
-					n.Transitions[t].Name, m.Format(n))
-			}
-			idx, ok := a.index[string(next)]
-			if !ok {
-				if len(a.markings) >= maxStates {
-					a.out[head] = steps
-					return a.finish(g, head), budget.LimitStates(maxStates, len(a.markings))
+			if p := c.Fire(a.next, m, t); p >= 0 {
+				if opts.RequireSafe {
+					return false, fmt.Errorf("%w: firing %s from %s", ErrUnsafe,
+						n.Transitions[t].Name, c.Format(m))
 				}
-				idx = len(a.markings)
-				stable := a.alloc(next)
-				a.markings = append(a.markings, stable)
-				a.index[stable.Key()] = idx
+				return false, c.OverflowError(t, p)
 			}
-			steps = append(steps, Step{Transition: t, To: idx})
+			id, _ := a.index.Visit(a.next)
+			if id < 0 {
+				a.first = append(a.first, int32(len(a.steps)))
+				return true, budget.LimitStates(maxStates, a.index.Len())
+			}
+			a.steps = append(a.steps, Step{Transition: t, To: int(id)})
 		}
-		if len(steps) == 0 {
-			steps = nil // as on a fresh arena: reuse leaves no trace in the graph
-		}
-		a.out[head] = steps
 	}
-	return a.finish(g, len(a.markings)-1), nil
+	a.first = append(a.first, int32(len(a.steps)))
+	return true, nil
 }
 
-// postSafe reports whether the places of post hold at most one token in m:
-// firing from a safe marking can put a second token only into the postset.
-func postSafe(m petri.Marking, post []int) bool {
-	for _, p := range post {
-		if m[p] > 1 {
-			return false
-		}
+// graph returns the arena's exploration as a Graph with unpacked markings.
+// Deadlock states and states left unexpanded by an abort get nil adjacency.
+func (a *Arena) graph(n *petri.Net, c *petri.Codec) *Graph {
+	states, np := a.index.Len(), len(n.Places)
+	if cap(a.marks) < states*np {
+		a.marks = make([]byte, states*np)
 	}
-	return true
+	a.markings = a.markings[:0]
+	a.out = a.out[:0]
+	for s := range states {
+		m := a.marks[s*np : (s+1)*np : (s+1)*np]
+		a.markings = append(a.markings, c.Unpack(m, a.index.Key(int32(s))))
+		a.out = append(a.out, a.stepsOf(s))
+	}
+	return &Graph{Net: n, Markings: a.markings, Out: a.out}
 }
 
-// finish attaches the arena's state to g. States past lastExpanded (present
-// only on partial graphs) get nil adjacency.
-func (a *Arena) finish(g *Graph, lastExpanded int) *Graph {
-	n := len(a.markings)
-	for len(a.out) < n {
-		a.out = append(a.out, nil)
+// stepsOf returns state s's steps, nil for a deadlock or unexpanded state.
+func (a *Arena) stepsOf(s int) []Step {
+	if s+1 >= len(a.first) || a.first[s] == a.first[s+1] {
+		return nil
 	}
-	for i := lastExpanded + 1; i < n; i++ {
-		a.out[i] = nil
-	}
-	g.Markings = a.markings
-	g.Out = a.out[:n]
-	return g
+	lo, hi := a.first[s], a.first[s+1]
+	return a.steps[lo:hi:hi]
 }
 
 // sgScratch returns reusable delta/seen buffers for n states plus an empty
@@ -184,10 +143,8 @@ func (a *Arena) sgScratch(n int) (delta []ts.Code, seen []bool, queue []int) {
 	}
 	delta = a.delta[:n]
 	seen = a.seen[:n]
-	for i := range delta {
-		delta[i] = 0
-		seen[i] = false
-	}
+	clear(delta)
+	clear(seen)
 	return delta, seen, a.queue[:0]
 }
 

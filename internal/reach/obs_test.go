@@ -1,6 +1,7 @@
 package reach
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/gen"
@@ -32,6 +33,29 @@ func TestObsCountersSequential(t *testing.T) {
 	}
 	if !hasSpan(snap, "engine:explicit") {
 		t.Fatalf("no engine:explicit span in %+v", snap.Spans)
+	}
+}
+
+// TestObsBuildSGStateLimit checks that a BuildSG cut by its state cap
+// still reports the states and arcs it explored, as Explore does.
+func TestObsBuildSGStateLimit(t *testing.T) {
+	g := gen.MullerPipeline(3)
+	partial, err := Explore(g.Net, Options{RequireSafe: true, MaxStates: 17})
+	if !errors.Is(err, ErrStateLimit) {
+		t.Fatalf("Explore: want ErrStateLimit, got %v", err)
+	}
+	reg := obs.NewRegistry()
+	root := reg.Root("flow:test")
+	if _, err := BuildSG(g, Options{MaxStates: 17, Obs: root}); !errors.Is(err, ErrStateLimit) {
+		t.Fatalf("BuildSG: want ErrStateLimit, got %v", err)
+	}
+	root.End()
+	snap := reg.Snapshot()
+	if got := snap.Counters["reach.states"]; got != 17 {
+		t.Fatalf("reach.states = %d, want 17", got)
+	}
+	if got := snap.Counters["reach.arcs"]; got != int64(partial.NumArcs()) {
+		t.Fatalf("reach.arcs = %d, want %d", got, partial.NumArcs())
 	}
 }
 

@@ -27,8 +27,10 @@ type Options struct {
 	// budget errors (ErrStateLimit remains errors.Is-compatible).
 	Budget *budget.Budget
 	// RequireSafe makes the exploration fail on the first marking with more
-	// than one token in a place. When false, markings up to 255 tokens per
-	// place are explored (boundedness violations beyond that still fail).
+	// than one token in a place; markings are then explored as bits. When
+	// false, markings up to 255 tokens per place are explored as bytes, and
+	// the first firing that would put a 256th token in a place fails with
+	// petri.ErrTokenOverflow.
 	RequireSafe bool
 	// Arena, when non-nil, runs the exploration on reusable scratch memory:
 	// the returned Graph aliases the arena and stays valid only until the
@@ -82,8 +84,6 @@ type Graph struct {
 	Markings []petri.Marking
 	// Out[i] lists (transition, successor-state) pairs.
 	Out [][]Step
-	// Index maps marking keys to state indexes.
-	Index map[string]int
 }
 
 // Step is one firing in the reachability graph.
@@ -100,38 +100,44 @@ type Step struct {
 // explored so far — exactly MaxStates states — is returned alongside the
 // typed budget.ErrLimit error; on cancellation the partial graph explored
 // so far is returned too.
+//
+// A net whose transition lists a place twice fails with
+// petri.ErrRepeatedArc.
 func Explore(n *petri.Net, opts Options) (*Graph, error) {
+	newCodec := petri.NewByteCodec
+	if opts.RequireSafe {
+		newCodec = petri.NewBitCodec
+	}
+	c, err := newCodec(n)
+	if err != nil {
+		return nil, err
+	}
 	a := opts.Arena
 	if a == nil {
 		a = NewArena()
 	}
-	sp, start := openEngineSpan(opts.Obs)
-	g, err := a.explore(n, opts)
-	closeEngineSpan(sp, start, g, err)
-	return g, err
+	kept, err := a.run(n, c, opts)
+	if !kept {
+		return nil, err
+	}
+	return a.graph(n, c), err
 }
 
-// openEngineSpan opens the explorer's engine span under the parent phase
-// span. The wall-clock start is sampled only when observability is on, so
-// the disabled path stays a nil check.
-func openEngineSpan(parent *obs.Span) (*obs.Span, time.Time) {
-	sp := parent.Child("engine:explicit")
+// run is explore inside the explorer's engine span: it records the
+// exploration totals (reach.states, reach.arcs, reach.states_per_sec) into
+// the span's registry. Partial graphs from budget trips still report their
+// explored totals. The wall-clock start is sampled only when observability
+// is on, so the disabled path stays a nil check.
+func (a *Arena) run(n *petri.Net, c *petri.Codec, opts Options) (bool, error) {
+	sp := opts.Obs.Child("engine:explicit")
 	if sp == nil {
-		return nil, time.Time{}
+		return a.explore(n, c, opts)
 	}
-	return sp, time.Now()
-}
-
-// closeEngineSpan records the exploration totals (reach.states, reach.arcs,
-// reach.states_per_sec) into the span's registry and ends the span. Partial
-// graphs from budget trips still report their explored totals.
-func closeEngineSpan(sp *obs.Span, start time.Time, g *Graph, err error) {
-	if sp == nil {
-		return
-	}
+	start := time.Now()
+	kept, err := a.explore(n, c, opts)
 	states, arcs := 0, 0
-	if g != nil {
-		states, arcs = g.NumStates(), g.NumArcs()
+	if kept {
+		states, arcs = a.index.Len(), len(a.steps)
 	}
 	reg := sp.Registry()
 	reg.Counter("reach.states").Add(int64(states))
@@ -145,6 +151,7 @@ func closeEngineSpan(sp *obs.Span, start time.Time, g *Graph, err error) {
 		reg.Gauge("reach.states_per_sec").Set(int64(float64(states) / sec))
 	}
 	sp.End()
+	return kept, err
 }
 
 // NumStates returns the number of reachable markings.

@@ -1,7 +1,6 @@
 package reach
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/budget"
@@ -21,8 +20,9 @@ import (
 // Toggle transitions are rejected (normalize the spec first).
 //
 // Options.Arena runs the exploration and the labeling scratch on reusable
-// memory — the returned SG owns its own storage either way. The toggle path
-// ignores it. Consistency failures match ErrInconsistent under errors.Is.
+// memory — the returned SG owns its own storage either way. Consistency
+// failures match ErrInconsistent under errors.Is; a net whose transition
+// lists a place twice fails with petri.ErrRepeatedArc.
 func BuildSG(g *stg.STG, opts Options) (*ts.SG, error) {
 	sg, _, err := buildSG(g, opts, false)
 	return sg, err
@@ -51,32 +51,31 @@ func buildSG(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, error) 
 	if len(g.Signals) > 64 {
 		return nil, nil, fmt.Errorf("reach: %d signals exceed the 64-signal code limit", len(g.Signals))
 	}
+	c, err := petri.NewBitCodec(g.Net)
+	if err != nil {
+		return nil, nil, err
+	}
+	a := opts.Arena
+	if a == nil {
+		a = NewArena()
+	}
 	if HasToggle(g) {
 		// Toggle transitions make the code path-dependent: states are
 		// (marking, code) pairs and every toggle arc is normalized to a
 		// concrete rising or falling edge per state.
-		return buildSGToggle(g, opts, withTrans)
+		return buildSGToggle(g, c, a, opts, withTrans)
 	}
-	rg, err := Explore(g.Net, firstSafe(opts))
-	if err != nil {
+	opts.RequireSafe = true
+	if _, err := a.run(g.Net, c, opts); err != nil {
 		return nil, nil, err
 	}
+	states := a.index.Len()
 
 	// Phase 1: relative codes. delta[s] is the XOR distance of state s's
 	// code from the (unknown) initial code; fixed/value constrain initial
 	// bits: firing a+ from s requires code(s).a == 0, i.e.
 	// initial.a == delta[s].a; firing a- requires initial.a != delta[s].a.
-	var (
-		delta []ts.Code
-		seen  []bool
-		queue []int
-	)
-	if a := opts.Arena; a != nil {
-		delta, seen, queue = a.sgScratch(rg.NumStates())
-	} else {
-		delta = make([]ts.Code, rg.NumStates())
-		seen = make([]bool, rg.NumStates())
-	}
+	delta, seen, queue := a.sgScratch(states)
 	seen[0] = true
 	var initKnown, initVal ts.Code
 	queue = append(queue, 0)
@@ -88,7 +87,7 @@ func buildSG(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, error) 
 			}
 		}
 		s := queue[head]
-		for _, step := range rg.Out[s] {
+		for _, step := range a.stepsOf(s) {
 			l := g.Labels[step.Transition]
 			next := delta[s]
 			if l.Sig >= 0 {
@@ -105,7 +104,7 @@ func buildSG(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, error) 
 							"reach: STG %s is not consistent: signal %s needs contradictory initial values (witness transition %s at %s)",
 							g.Name(), g.Signals[l.Sig].Name,
 							g.Net.Transitions[step.Transition].Name,
-							rg.Markings[s].Format(g.Net))
+							c.Format(a.index.Key(int32(s))))
 					}
 				} else {
 					initKnown |= 1 << bit
@@ -116,7 +115,7 @@ func buildSG(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, error) 
 				if delta[step.To] != next {
 					return nil, nil, inconsistent(
 						"reach: STG %s is not consistent: marking %s reachable with different signal codes",
-						g.Name(), rg.Markings[step.To].Format(g.Net))
+						g.Name(), c.Format(a.index.Key(int32(step.To))))
 				}
 				continue
 			}
@@ -125,124 +124,114 @@ func buildSG(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, error) 
 			queue = append(queue, step.To)
 		}
 	}
-	if a := opts.Arena; a != nil {
-		a.putQueue(queue)
-	}
+	a.putQueue(queue)
 
 	// Phase 2: assemble the SG. Signals that never switch keep initial 0.
-	sg := &ts.SG{
-		Name:    g.Name(),
-		Signals: append([]stg.Signal(nil), g.Signals...),
-		Initial: 0,
-		FormatKey: func(key string) string {
-			return petri.Marking(key).Format(g.Net)
-		},
-	}
-	// Every state's arcs (and transitions) are a capped sub-slice of one
-	// array sized from the exploration's arc count.
-	sg.States = make([]ts.State, rg.NumStates())
-	sg.Out = make([][]ts.Arc, rg.NumStates())
-	arcs := make([]ts.Arc, 0, rg.NumArcs())
-	var trans [][]int
+	events := transitionEvents(g)
+	arcs := make([]ts.Arc, len(a.steps))
 	var fired []int
 	if withTrans {
-		trans = make([][]int, rg.NumStates())
-		fired = make([]int, 0, rg.NumArcs())
+		fired = make([]int, len(a.steps))
 	}
-	for s := range rg.Markings {
-		sg.States[s] = ts.State{Code: initVal ^ delta[s], Key: rg.Markings[s].Key()}
-		if len(rg.Out[s]) == 0 {
-			continue
-		}
-		first := len(arcs)
-		for _, step := range rg.Out[s] {
-			l := g.Labels[step.Transition]
-			ev := ts.Event{Sig: l.Sig, Dir: l.Dir, Name: g.Net.Transitions[step.Transition].Name}
-			arcs = append(arcs, ts.Arc{Event: ev, To: step.To})
-			if withTrans {
-				fired = append(fired, step.Transition)
-			}
-		}
-		sg.Out[s] = arcs[first:len(arcs):len(arcs)]
+	for i, step := range a.steps {
+		arcs[i] = ts.Arc{Event: events[step.Transition], To: step.To}
 		if withTrans {
-			trans[s] = fired[first:len(fired):len(fired)]
+			fired[i] = step.Transition
 		}
 	}
+	sg, trans := a.assemble(g, func(s int) ts.Code { return initVal ^ delta[s] }, arcs, fired, withTrans)
 	return sg, trans, nil
 }
 
-func firstSafe(o Options) Options {
-	o.RequireSafe = true
-	return o
-}
-
-// buildSGToggle explores (marking, code) pairs directly: toggle transitions
-// flip their signal's bit, rising/falling transitions additionally assert
-// the expected previous value (consistency). All signals start at 0; arcs
-// are labeled with the concrete edge taken.
-func buildSGToggle(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, error) {
-	type node struct {
-		m    petri.Marking
-		code ts.Code
-	}
-
+// assemble returns the state graph of g over the arena's states. State s
+// has code(s), its index key as its Key, and the arcs
+// arcs[first[s]:first[s+1]], fired by the transitions at the same places
+// of fired when withTrans. Every state's key is a slice of one string of
+// all the keys, and its arcs and transitions capped sub-slices of arcs and
+// fired.
+func (a *Arena) assemble(g *stg.STG, code func(s int) ts.Code, arcs []ts.Arc, fired []int, withTrans bool) (*ts.SG, [][]int) {
+	states := a.index.Len()
 	sg := &ts.SG{
 		Name:    g.Name(),
 		Signals: append([]stg.Signal(nil), g.Signals...),
-		// The key is the marking followed by the 8-byte code.
+		States:  make([]ts.State, states),
+		Out:     make([][]ts.Arc, states),
 		FormatKey: func(key string) string {
-			return petri.Marking(key[:len(key)-8]).Format(g.Net)
+			return petri.FormatKey(key, g.Net)
 		},
 	}
-	index := map[string]int{}
-	var nodes []node
 	var trans [][]int
-	maxStates := opts.maxStates()
-	// add returns (index, false) when inserting would exceed MaxStates, so
-	// the abort is exact: the limit fires with exactly maxStates states
-	// explored.
-	add := func(n node) (int, bool) {
-		k := toggleKey(n.m, n.code)
-		if i, ok := index[k]; ok {
-			return i, true
-		}
-		if len(nodes) >= maxStates {
-			return 0, false
-		}
-		i := len(nodes)
-		index[k] = i
-		nodes = append(nodes, n)
-		sg.States = append(sg.States, ts.State{Code: n.code, Key: k})
-		sg.Out = append(sg.Out, nil)
-		if withTrans {
-			trans = append(trans, nil)
-		}
-		return i, true
+	if withTrans {
+		trans = make([][]int, states)
 	}
-	init := node{m: g.Net.InitialMarking(), code: 0}
-	if !init.m.Safe() {
+	keys, w := petri.KeyString(a.index.Keys()), 8*a.index.Width()
+	for s := range states {
+		sg.States[s] = ts.State{Code: code(s), Key: keys[s*w : (s+1)*w]}
+		lo, hi := a.first[s], a.first[s+1]
+		if lo == hi {
+			continue
+		}
+		sg.Out[s] = arcs[lo:hi:hi]
+		if withTrans {
+			trans[s] = fired[lo:hi:hi]
+		}
+	}
+	return sg, trans
+}
+
+// transitionEvents returns the arc event of every transition of g.
+func transitionEvents(g *stg.STG) []ts.Event {
+	events := make([]ts.Event, len(g.Labels))
+	for t, l := range g.Labels {
+		events[t] = ts.Event{Sig: l.Sig, Dir: l.Dir, Name: g.Net.Transitions[t].Name}
+	}
+	return events
+}
+
+// buildSGToggle explores (marking, code) pairs directly, keyed in the
+// arena's index as the packed marking followed by one code word: toggle
+// transitions flip their signal's bit, rising/falling transitions
+// additionally assert the expected previous value (consistency). All
+// signals start at 0; arcs are labeled with the concrete edge taken.
+func buildSGToggle(g *stg.STG, c *petri.Codec, a *Arena, opts Options, withTrans bool) (*ts.SG, [][]int, error) {
+	w := c.Words()
+	maxStates := opts.maxStates()
+	a.reset(w+1, maxStates)
+	init := g.Net.InitialMarking()
+	if !init.Safe() {
 		return nil, nil, fmt.Errorf("%w: initial marking", ErrUnsafe)
 	}
-	if _, ok := add(init); !ok {
-		return nil, nil, budget.LimitStates(maxStates, len(nodes))
+	c.Pack(a.next, init)
+	a.next[w] = 0
+	a.index.Visit(a.next) // the limit is at least 1
+	events := transitionEvents(g)
+	// edges[2*sig+dir] names the concrete edge a toggle of sig takes.
+	edges := make([]string, 2*len(g.Signals))
+	for i, sig := range g.Signals {
+		edges[2*i+int(stg.Rise)] = sig.Name + stg.Rise.String()
+		edges[2*i+int(stg.Fall)] = sig.Name + stg.Fall.String()
 	}
+	var arcs []ts.Arc
+	var fired []int
 	hooked := opts.Budget.Hooked()
-	for head := 0; head < len(nodes); head++ {
+	for head := 0; head < a.index.Len(); head++ {
 		if hooked || head%budget.CheckEvery == 0 {
 			if err := opts.Budget.Check("reach.toggle"); err != nil {
 				return nil, nil, err
 			}
 		}
-		cur := nodes[head]
+		a.first = append(a.first, int32(len(arcs)))
+		cur := a.index.Key(int32(head))
+		m, code := cur[:w], ts.Code(cur[w])
 		for t := range g.Net.Transitions {
-			if !g.Net.Enabled(cur.m, t) {
+			if !c.Enabled(m, t) {
 				continue
 			}
 			l := g.Labels[t]
-			nextCode := cur.code
-			ev := ts.Event{Sig: l.Sig, Dir: l.Dir, Name: g.Net.Transitions[t].Name}
+			nextCode := code
+			ev := events[t]
 			if l.Sig >= 0 {
-				bit := cur.code.Bit(l.Sig)
+				bit := code.Bit(l.Sig)
 				switch l.Dir {
 				case stg.Rise:
 					if bit {
@@ -260,33 +249,26 @@ func buildSGToggle(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, e
 					if bit {
 						ev.Dir = stg.Fall
 					}
-					ev.Name = g.Signals[l.Sig].Name + ev.Dir.String()
+					ev.Name = edges[2*l.Sig+int(ev.Dir)]
 				}
-				nextCode = cur.code.Flip(l.Sig)
+				nextCode = code.Flip(l.Sig)
 			}
-			nm := g.Net.Fire(cur.m, t)
-			if !nm.Safe() {
+			if c.Fire(a.next, m, t) >= 0 {
 				return nil, nil, fmt.Errorf("%w: firing %s", ErrUnsafe, g.Net.Transitions[t].Name)
 			}
-			to, ok := add(node{m: nm, code: nextCode})
-			if !ok {
-				return nil, nil, budget.LimitStates(maxStates, len(nodes))
+			a.next[w] = uint64(nextCode)
+			to, _ := a.index.Visit(a.next)
+			if to < 0 {
+				return nil, nil, budget.LimitStates(maxStates, a.index.Len())
 			}
-			sg.Out[head] = append(sg.Out[head], ts.Arc{Event: ev, To: to})
+			arcs = append(arcs, ts.Arc{Event: ev, To: int(to)})
 			if withTrans {
-				trans[head] = append(trans[head], t)
+				fired = append(fired, t)
 			}
 		}
 	}
-	return sg, trans, nil
-}
+	a.first = append(a.first, int32(len(arcs)))
 
-// toggleKey composes the visited key of a (marking, code) node in a single
-// buffer — one short-lived buffer plus the string, instead of the
-// string-concatenation + fmt.Sprint chain it replaces on this hot path.
-func toggleKey(m petri.Marking, code ts.Code) string {
-	b := make([]byte, len(m)+8)
-	copy(b, m)
-	binary.BigEndian.PutUint64(b[len(m):], uint64(code))
-	return string(b)
+	sg, trans := a.assemble(g, func(s int) ts.Code { return ts.Code(a.index.Key(int32(s))[w]) }, arcs, fired, withTrans)
+	return sg, trans, nil
 }

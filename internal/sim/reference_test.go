@@ -456,8 +456,8 @@ type refCase struct {
 }
 
 // referenceCases collects the comparison's netlists, once per test binary:
-// the flow's netlists for the testdata corpus, muller-1..5 and
-// cscring-2..3 in the three architectures, their polarity and dropped-cube
+// the flow's netlists for the testdata corpus, muller-1..5, cscring-2..3
+// and the 35-signal Johnson ring in the three architectures, their polarity and dropped-cube
 // mutants, the flow's fan-in-2 mapped netlists (which carry
 // implementation-only wires) with their mutants, the vme-read circuit
 // under every single relative timing constraint over its edges, the mutex
@@ -507,6 +507,9 @@ func collectReferenceCases(t *testing.T) []refCase {
 		names = append(names, name)
 		specs[name] = gen.CSCRing(k)
 	}
+	// 70 places: the spec's markings take two words.
+	names = append(names, "johnson-35")
+	specs["johnson-35"] = gen.JohnsonRing(35)
 
 	var cases []refCase
 	withMutants := func(c refCase) {

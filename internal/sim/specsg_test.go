@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stg"
 	"repro/internal/ts"
+	"repro/internal/vme"
 )
 
 // TestVerifySpecSGMatchesRebuild runs Verify with and without the caller's
@@ -108,4 +110,27 @@ func reversed(sg *ts.SG) *ts.SG {
 		}
 	}
 	return out
+}
+
+// TestVerifyForeignSGUnsafeSpec hands Verify and StateGraph the state graph
+// of vme-read with a spec that is not safe: a copy of vme-read whose LDS+
+// also feeds a marked place nothing consumes. The spec's token game puts a
+// second token there, which must fail as an unsafe spec instead of
+// merging the tokens.
+func TestVerifyForeignSGUnsafeSpec(t *testing.T) {
+	rep, err := core.Synthesize(vme.ReadSTG(), core.Options{SkipVerify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := rep.Spec.Clone()
+	sink := spec.Net.AddPlace("sink", 1)
+	spec.Net.ArcTP(spec.Net.TransitionIndex("LDS+"), sink)
+	_, err = sim.Verify(rep.Netlist, spec, sim.Options{SG: rep.SG})
+	if !errors.Is(err, reach.ErrUnsafe) || !strings.Contains(err.Error(), "firing LDS+ from") {
+		t.Fatalf("Verify: got %v, want an unsafe firing of LDS+", err)
+	}
+	_, err = sim.StateGraph(rep.Netlist, spec, sim.Options{SG: rep.SG})
+	if !errors.Is(err, reach.ErrUnsafe) {
+		t.Fatalf("StateGraph: got %v, want reach.ErrUnsafe", err)
+	}
 }

@@ -38,38 +38,44 @@ func StateGraph(nl *logic.Netlist, spec *stg.STG, opts Options) (*ts.SG, error) 
 		out.Signals = append(out.Signals, stg.Signal{Name: name, Kind: kind})
 	}
 
-	type node struct {
-		v uint64
-		m petri.Marking
-		s int
+	sp, err := ver.newSpace()
+	if err != nil {
+		return nil, err
 	}
-	sp := newSpace(spec.Net)
-	// add appends the state sp just added as number len(out.States).
-	add := func(v uint64, m petri.Marking) node {
-		out.States = append(out.States, ts.State{Code: ts.Code(v), Key: fmt.Sprintf("%b|%s", v, m.Key())})
+	// add appends the state sp just added: its id is its number in out,
+	// and the DFS stack holds ids.
+	bytes := make(petri.Marking, len(spec.Net.Places))
+	add := func(id int32) {
+		m, v, _ := sp.state(id)
+		out.States = append(out.States, ts.State{Code: ts.Code(v),
+			Key: fmt.Sprintf("%b|%s", v, ver.codec.Unpack(bytes, m).Key())})
 		out.Out = append(out.Out, nil)
-		return node{v, m, len(out.States) - 1}
 	}
-	_, m0, _ := sp.visit(v0, spec.Net.InitialMarking(), 0, 0)
-	stack := []node{add(v0, m0)}
+	sp.visit(v0, 0)
+	add(0)
+	stack := []int32{0}
 	maxStates := ver.opts.maxStates()
 	hooked := ver.opts.Budget.Hooked()
 	for popped := 1; len(stack) > 0; popped++ {
-		nd := stack[len(stack)-1]
+		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if hooked || popped%budget.CheckEvery == 0 {
 			if err := ver.opts.Budget.Check("sim.explore"); err != nil {
 				return nil, err
 			}
 		}
-		moves := ver.movesAt(nd.v, nd.m, 0, nl.ExcitedMask(nd.v))
+		m, v, _ := sp.state(id)
+		moves := ver.movesAt(v, m, 0, nl.ExcitedMask(v))
+		if ver.err != nil {
+			return nil, ver.err
+		}
 		if len(ver.res.Violations) > 0 {
 			return nil, fmt.Errorf("sim: cannot extract SG from violating circuit: %v",
 				ver.res.Violations[0])
 		}
 		for i := range moves {
 			mv := &moves[i]
-			nv := nd.v
+			nv := v
 			ev := ts.Event{Sig: mv.netSig, Dir: mv.dir}
 			if mv.netSig >= 0 {
 				nv ^= 1 << uint(mv.netSig)
@@ -77,14 +83,18 @@ func StateGraph(nl *logic.Netlist, spec *stg.STG, opts Options) (*ts.SG, error) 
 			} else {
 				ev.Name = spec.Net.Transitions[mv.trans].Name
 			}
-			to, nm, added := sp.visit(nv, sp.fire(nd.m, mv), 0, int32(len(out.States)))
+			if err := sp.fire(m, mv); err != nil {
+				return nil, err
+			}
+			to, added := sp.visit(nv, 0)
 			if added {
 				if len(out.States) >= maxStates {
 					return nil, budget.LimitStates(maxStates, len(out.States))
 				}
-				stack = append(stack, add(nv, nm))
+				add(to)
+				stack = append(stack, to)
 			}
-			out.Out[nd.s] = append(out.Out[nd.s], ts.Arc{Event: ev, To: int(to)})
+			out.Out[id] = append(out.Out[id], ts.Arc{Event: ev, To: int(to)})
 		}
 	}
 	return out, nil

@@ -18,7 +18,6 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -26,6 +25,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/petri"
 	"repro/internal/reach"
+	"repro/internal/stateindex"
 	"repro/internal/stg"
 	"repro/internal/ts"
 )
@@ -155,8 +155,18 @@ type verifier struct {
 	// i's Earlier and Later events.
 	earlier, later []uint64
 
+	codec *petri.Codec // the spec's bit markings
 	res   *Result
 	moves []move // movesAt's result, reused from state to state
+	// closure is closureMatches' visited set of dummy-reachable markings,
+	// made on first use and reused from call to call, paths its dummy path
+	// per marking and next its firing scratch.
+	closure *stateindex.Index
+	paths   [][]int
+	next    []uint64
+	// err is the first spec firing found to overfill a place; explore
+	// returns it.
+	err error
 }
 
 // Verify explores the closed circuit×environment system. The netlist must
@@ -243,6 +253,11 @@ func newVerifier(nl *logic.Netlist, spec *stg.STG, opts Options) (*verifier, uin
 		ver.earlier = append(ver.earlier, named(c.Earlier.Signal))
 		ver.later = append(ver.later, named(c.Later.Signal))
 	}
+	codec, err := petri.NewBitCodec(spec.Net)
+	if err != nil {
+		return nil, 0, fmt.Errorf("sim: spec rejected: %w", err)
+	}
+	ver.codec = codec
 	specSG := opts.SG
 	if specSG == nil {
 		sg, err := reach.BuildSG(spec, reach.Options{Budget: opts.Budget})
@@ -257,7 +272,7 @@ func newVerifier(nl *logic.Netlist, spec *stg.STG, opts Options) (*verifier, uin
 			v0 |= 1 << uint(ver.specToNet[i])
 		}
 	}
-	v0, err := ver.settleExtras(v0)
+	v0, err = ver.settleExtras(v0)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -318,21 +333,21 @@ func (ver *verifier) violate(kind ViolationKind, signal, msg string) {
 	ver.res.Violations = append(ver.res.Violations, Violation{Kind: kind, Signal: signal, Msg: msg})
 }
 
-// state is a composed state: the circuit's vector with its excited gates,
-// the spec's marking and the timing permits.
-type state struct {
-	v, exc  uint64
-	m       petri.Marking
-	permits uint32
-}
-
 // explore runs the composed search. A state-limit trip or cancellation
 // returns the typed budget error with the partial Result still populated;
 // violations found before the abort are preserved.
 func (ver *verifier) explore(v0 uint64, permits0 uint32) error {
-	sp := newSpace(ver.spec.Net)
-	_, m0, _ := sp.visit(v0, ver.spec.Net.InitialMarking(), permits0, 0)
-	stack := []state{{v: v0, exc: ver.nl.ExcitedMask(v0), m: m0, permits: permits0}}
+	sp, err := ver.newSpace()
+	if err != nil {
+		return err
+	}
+	sp.visit(v0, permits0)
+	// The DFS stack holds state ids, each with its excited gates.
+	type entry struct {
+		id  int32
+		exc uint64
+	}
+	stack := []entry{{0, ver.nl.ExcitedMask(v0)}}
 	maxStates, maxViol := ver.opts.maxStates(), ver.opts.maxViol()
 	hooked := ver.opts.Budget.Hooked()
 	for len(stack) > 0 && len(ver.res.Violations) < maxViol {
@@ -349,25 +364,29 @@ func (ver *verifier) explore(v0 uint64, permits0 uint32) error {
 			}
 		}
 
+		m, v, permits := sp.state(nd.id)
 		for _, gi := range ver.cElems {
 			g := &ver.nl.Gates[gi]
-			if g.Set.Eval(nd.v) && g.Reset.Eval(nd.v) {
+			if g.Set.Eval(v) && g.Reset.Eval(v) {
 				ver.violate(DriveFight, ver.nl.Signals[g.Output],
-					fmt.Sprintf("set and reset both active at %b", nd.v))
+					fmt.Sprintf("set and reset both active at %b", v))
 			}
 		}
-		moves := ver.movesAt(nd.v, nd.m, nd.permits, nd.exc)
+		moves := ver.movesAt(v, m, permits, nd.exc)
+		if ver.err != nil {
+			return ver.err
+		}
 		if len(moves) == 0 {
-			if !ver.specDead(nd.m) {
+			if !ver.specDead(m) {
 				ver.violate(Deadlock, "-",
-					fmt.Sprintf("no moves at vector %b, spec marking %s", nd.v, nd.m.Format(ver.spec.Net)))
+					fmt.Sprintf("no moves at vector %b, spec marking %s", v, ver.codec.Format(m)))
 			}
 			continue
 		}
 
 		for i := range moves {
 			mv := &moves[i]
-			nv, nexc, fired := nd.v, nd.exc, uint64(0)
+			nv, nexc, fired := v, nd.exc, uint64(0)
 			if mv.netSig >= 0 {
 				fired = 1 << uint(mv.netSig)
 				nv ^= fired
@@ -380,14 +399,16 @@ func (ver *verifier) explore(v0 uint64, permits0 uint32) error {
 			for lost := nd.exc &^ nexc &^ ver.mutex &^ fired; lost != 0; lost &= lost - 1 {
 				idx := bits.TrailingZeros64(lost)
 				ver.violate(Hazard, ver.nl.Signals[idx], fmt.Sprintf("excited %s disabled by %s at vector %b",
-					ver.nl.Signals[idx], ver.moveName(mv), nd.v))
+					ver.nl.Signals[idx], ver.moveName(mv), v))
 				if len(ver.res.Violations) >= maxViol {
 					return nil
 				}
 			}
-			np := ver.updatePermits(nd.permits, mv)
-			if _, nm, added := sp.visit(nv, sp.fire(nd.m, mv), np, 0); added {
-				stack = append(stack, state{v: nv, exc: nexc, m: nm, permits: np})
+			if err := sp.fire(m, mv); err != nil {
+				return err
+			}
+			if id, added := sp.visit(nv, ver.updatePermits(permits, mv)); added {
+				stack = append(stack, entry{id, nexc})
 			}
 		}
 	}
@@ -401,12 +422,12 @@ func (ver *verifier) explore(v0 uint64, permits0 uint32) error {
 // without a permit are skipped entirely: physical design guarantees they
 // cannot fire yet, so they are neither moves nor violations. The result is
 // valid until the next call.
-func (ver *verifier) movesAt(v uint64, m petri.Marking, permits uint32, exc uint64) []move {
+func (ver *verifier) movesAt(v uint64, m []uint64, permits uint32, exc uint64) []move {
 	net := ver.spec.Net
 	out := ver.moves[:0]
 	// Environment moves: enabled dummy and input transitions of the spec.
 	for _, t := range ver.env {
-		if !net.Enabled(m, t) {
+		if !ver.codec.Enabled(m, t) {
 			continue
 		}
 		l := ver.spec.Labels[t]
@@ -449,7 +470,7 @@ func (ver *verifier) movesAt(v uint64, m petri.Marking, permits uint32, exc uint
 		n := len(out)
 		if out = ver.closureMatches(out, m, idx, specSig, dir); len(out) == n {
 			ver.violate(Conformance, ver.nl.Signals[idx], fmt.Sprintf("circuit produces %s%s not expected at %s",
-				ver.nl.Signals[idx], dir.String(), m.Format(net)))
+				ver.nl.Signals[idx], dir.String(), ver.codec.Format(m)))
 		}
 	}
 	ver.moves = out
@@ -458,42 +479,47 @@ func (ver *verifier) movesAt(v uint64, m petri.Marking, permits uint32, exc uint
 
 // closureMatches appends a move of netlist signal idx for every transition
 // labelled (sig, dir) enabled at m or at a marking reachable from m by
-// dummy transitions, with the dummy path that reaches it.
-func (ver *verifier) closureMatches(out []move, m petri.Marking, idx, sig int, dir stg.Dir) []move {
-	net := ver.spec.Net
+// dummy transitions, with the dummy path that reaches it. A dummy firing
+// that overfills a place sets ver.err.
+func (ver *verifier) closureMatches(out []move, m []uint64, idx, sig int, dir stg.Dir) []move {
 	edge := ver.edges[2*sig+int(dir)]
 	if len(ver.dummies) == 0 {
 		for _, t := range edge {
-			if net.Enabled(m, t) {
+			if ver.codec.Enabled(m, t) {
 				out = append(out, move{netSig: idx, dir: dir, trans: t})
 			}
 		}
 		return out
 	}
-	type node struct {
-		m    petri.Marking
-		path []int
+	if ver.closure == nil {
+		ver.closure = stateindex.New(ver.codec.Words())
+		ver.next = make([]uint64, ver.codec.Words())
 	}
-	seen := map[string]bool{m.Key(): true}
-	queue := []node{{m: m}}
-	for head := 0; head < len(queue); head++ {
-		nd := queue[head]
+	cl, next := ver.closure, ver.next
+	cl.Reset(ver.codec.Words(), 0)
+	cl.Visit(m)
+	paths := append(ver.paths[:0], nil)
+	for head := int32(0); int(head) < cl.Len(); head++ {
+		cur := cl.Key(head)
 		for _, t := range edge {
-			if net.Enabled(nd.m, t) {
-				out = append(out, move{netSig: idx, dir: dir, trans: t, dummies: nd.path})
+			if ver.codec.Enabled(cur, t) {
+				out = append(out, move{netSig: idx, dir: dir, trans: t, dummies: paths[head]})
 			}
 		}
 		for _, t := range ver.dummies {
-			if !net.Enabled(nd.m, t) {
+			if !ver.codec.Enabled(cur, t) {
 				continue
 			}
-			next := net.Fire(nd.m, t)
-			if !seen[next.Key()] {
-				seen[next.Key()] = true
-				queue = append(queue, node{m: next, path: append(append([]int(nil), nd.path...), t)})
+			if p := ver.codec.Fire(next, cur, t); p >= 0 {
+				ver.err = ver.unsafeFiring(t, cur)
+				return out
+			}
+			if _, added := cl.Visit(next); added {
+				paths = append(paths, append(append([]int(nil), paths[head]...), t))
 			}
 		}
 	}
+	ver.paths = paths
 	return out
 }
 
@@ -527,61 +553,79 @@ func (ver *verifier) updatePermits(permits uint32, mv *move) uint32 {
 	return permits
 }
 
-func (ver *verifier) specDead(m petri.Marking) bool {
+func (ver *verifier) specDead(m []uint64) bool {
 	for t := range ver.spec.Net.Transitions {
-		if ver.spec.Net.Enabled(m, t) {
+		if ver.codec.Enabled(m, t) {
 			return false
 		}
 	}
 	return true
 }
 
-// space is the visited set of a composed exploration. A state's key is its
-// marking bytes, vector and permits, written into one reused buffer, so a
-// lookup allocates nothing. A new state's marking is copied once into
-// bump-allocated blocks, and successors fire in place into one scratch
-// marking.
+// unsafeFiring is the error of spec transition t overfilling a place when fired
+// from m. BuildSG rejects such a spec, so only a caller's Options.SG from
+// another spec lets the verifier meet one.
+func (ver *verifier) unsafeFiring(t int, m []uint64) error {
+	return fmt.Errorf("sim: spec rejected: %w: firing %s from %s", reach.ErrUnsafe,
+		ver.spec.Net.Transitions[t].Name, ver.codec.Format(m))
+}
+
+// space is the visited set of a composed exploration: one index whose keys
+// are the spec's packed marking, the circuit's vector and the timing
+// permits, numbered in discovery order. Successor markings fire into the
+// key scratch.
 type space struct {
-	net     *petri.Net
-	index   map[string]int32
-	key     []byte
-	scratch petri.Marking
-	block   []byte
+	ver   *verifier
+	w     int // marking words
+	index *stateindex.Index
+	key   []uint64 // w marking words, the vector, the permits
+	tmp   [2][]uint64
 }
 
-func newSpace(net *petri.Net) *space {
-	return &space{net: net, index: map[string]int32{}, scratch: make(petri.Marking, len(net.Places))}
+// newSpace returns the composed system's space with the spec's initial
+// marking in its key scratch.
+func (ver *verifier) newSpace() (*space, error) {
+	w := ver.codec.Words()
+	sp := &space{ver: ver, w: w, index: stateindex.New(w + 2), key: make([]uint64, w+2),
+		tmp: [2][]uint64{make([]uint64, w), make([]uint64, w)}}
+	init := ver.spec.Net.InitialMarking()
+	if !init.Safe() {
+		return nil, fmt.Errorf("sim: spec rejected: %w: initial marking %s", reach.ErrUnsafe,
+			init.Format(ver.spec.Net))
+	}
+	ver.codec.Pack(sp.key, init)
+	return sp, nil
 }
 
-// fire returns the marking mv reaches from m. It is the scratch marking,
-// valid until the next call, unless mv fires no spec transition.
-func (sp *space) fire(m petri.Marking, mv *move) petri.Marking {
+// state returns state id's marking, vector and permits.
+func (sp *space) state(id int32) ([]uint64, uint64, uint32) {
+	k := sp.index.Key(id)
+	return k[:sp.w], k[sp.w], uint32(k[sp.w+1])
+}
+
+// fire writes the marking mv reaches from m into the key scratch.
+func (sp *space) fire(m []uint64, mv *move) error {
 	if mv.trans < 0 {
-		return m
+		copy(sp.key, m)
+		return nil
 	}
-	next := sp.scratch
-	copy(next, m)
-	for _, t := range mv.dummies {
-		sp.net.FireInPlace(next, t)
+	c, cur := sp.ver.codec, m
+	for i, t := range mv.dummies {
+		if c.Fire(sp.tmp[i%2], cur, t) >= 0 {
+			return sp.ver.unsafeFiring(t, cur)
+		}
+		cur = sp.tmp[i%2]
 	}
-	sp.net.FireInPlace(next, mv.trans)
-	return next
+	if c.Fire(sp.key[:sp.w], cur, mv.trans) >= 0 {
+		return sp.ver.unsafeFiring(mv.trans, cur)
+	}
+	return nil
 }
 
-// visit looks state (v, m, permits) up. An unseen state is added as number
-// next, with m copied into the blocks. It returns the state's number, the
-// stored marking of an added state, and whether it was added.
-func (sp *space) visit(v uint64, m petri.Marking, permits uint32, next int32) (int32, petri.Marking, bool) {
-	sp.key = binary.LittleEndian.AppendUint64(append(sp.key[:0], m...), v)
-	sp.key = binary.LittleEndian.AppendUint32(sp.key, permits)
-	if i, ok := sp.index[string(sp.key)]; ok {
-		return i, nil, false
-	}
-	sp.index[string(sp.key)] = next
-	if len(sp.block)+len(m) > cap(sp.block) {
-		sp.block = make([]byte, 0, max(min(2*cap(sp.block), 1<<16), 1<<9, len(m)))
-	}
-	off := len(sp.block)
-	sp.block = append(sp.block, m...)
-	return next, petri.Marking(sp.block[off:len(sp.block):len(sp.block)]), true
+// visit looks up the state of the scratch marking with vector v and
+// permits, adding it as the next id when unseen. It returns the state's id
+// and whether it was added.
+func (sp *space) visit(v uint64, permits uint32) (int32, bool) {
+	sp.key[sp.w], sp.key[sp.w+1] = v, uint64(permits)
+	return sp.index.Visit(sp.key)
 }

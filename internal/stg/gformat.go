@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,7 +43,11 @@ func ParseG(r io.Reader) (*STG, error) {
 	}
 	var decls []decl
 	dummies := map[string]bool{}
-	var graphLines [][]string
+	type graphLine struct {
+		no     int
+		fields []string
+	}
+	var graphLines []graphLine
 	var markingLine string
 	inGraph := false
 
@@ -79,7 +84,7 @@ func ParseG(r io.Reader) (*STG, error) {
 		case strings.HasPrefix(fields[0], "."):
 			// Ignore unknown dot-directives (.capacity, .slowenv, ...).
 		case inGraph:
-			graphLines = append(graphLines, fields)
+			graphLines = append(graphLines, graphLine{lineNo, fields})
 		default:
 			return nil, fmt.Errorf("stg: line %d: unexpected %q outside .graph", lineNo, line)
 		}
@@ -118,8 +123,8 @@ func ParseG(r io.Reader) (*STG, error) {
 		}
 		return false, 0, nil
 	}
-	for _, fields := range graphLines {
-		for _, tok := range fields {
+	for _, gl := range graphLines {
+		for _, tok := range gl.fields {
 			if _, _, err := ensureNode(tok); err != nil {
 				return nil, err
 			}
@@ -135,27 +140,43 @@ func ParseG(r io.Reader) (*STG, error) {
 		placeIdx[name] = i
 		return i
 	}
-	for _, fields := range graphLines {
-		src := fields[0]
+	// Every arc has weight one, so an arc listed twice — on one line, on two
+	// lines, or once as a transition pair and once through its implicit
+	// place — is an error rather than a weight-2 arc.
+	for _, gl := range graphLines {
+		src := gl.fields[0]
 		srcIsT, srcT, _ := ensureNode(src)
 		var srcP int
 		if !srcIsT {
 			srcP = ensurePlace(src)
 		}
-		for _, dst := range fields[1:] {
+		for _, dst := range gl.fields[1:] {
 			dstIsT, dstT, _ := ensureNode(dst)
+			dup := false
 			switch {
 			case srcIsT && dstIsT:
 				name := "<" + src + "," + dst + ">"
 				p := ensurePlace(name)
-				g.Net.ArcTP(srcT, p)
-				g.Net.ArcPT(p, dstT)
+				dup = slices.Contains(g.Net.Transitions[srcT].Post, p) ||
+					slices.Contains(g.Net.Transitions[dstT].Pre, p)
+				if !dup {
+					g.Net.ArcTP(srcT, p)
+					g.Net.ArcPT(p, dstT)
+				}
 			case srcIsT && !dstIsT:
-				g.Net.ArcTP(srcT, ensurePlace(dst))
+				p := ensurePlace(dst)
+				if dup = slices.Contains(g.Net.Transitions[srcT].Post, p); !dup {
+					g.Net.ArcTP(srcT, p)
+				}
 			case !srcIsT && dstIsT:
-				g.Net.ArcPT(srcP, dstT)
+				if dup = slices.Contains(g.Net.Transitions[dstT].Pre, srcP); !dup {
+					g.Net.ArcPT(srcP, dstT)
+				}
 			default:
 				return nil, fmt.Errorf("stg: arc between two places %q -> %q", src, dst)
+			}
+			if dup {
+				return nil, fmt.Errorf("stg: line %d: arc %s -> %s declared twice", gl.no, src, dst)
 			}
 		}
 	}

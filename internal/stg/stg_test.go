@@ -191,6 +191,30 @@ func TestParseGErrors(t *testing.T) {
 	}
 }
 
+// TestParseGRepeatedArc pins that an arc listed twice is an error, not a
+// weight-2 arc the token game would fire as two weight-1 arcs: place to
+// transition, transition to place, transition to transition on one line,
+// and one transition pair on two lines (which reuses the implicit place).
+func TestParseGRepeatedArc(t *testing.T) {
+	const head = ".model r\n.inputs a b\n.graph\n"
+	cases := []struct{ graph, want string }{
+		{"p0 a+ a+\na+ b+\nb+ a-\na- b-\nb- p0\n.marking { p0 }\n",
+			"stg: line 4: arc p0 -> a+ declared twice"},
+		{"p0 a+\na+ q q\nq b+\nb+ a-\na- b-\nb- p0\n.marking { p0 }\n",
+			"stg: line 5: arc a+ -> q declared twice"},
+		{"a+ b+ b+\nb+ a-\na- b-\nb- a+\n.marking { <b-,a+> }\n",
+			"stg: line 4: arc a+ -> b+ declared twice"},
+		{"a+ b+\nb+ a-\na- b-\nb- a+\na+ b+\n.marking { <b-,a+> }\n",
+			"stg: line 8: arc a+ -> b+ declared twice"},
+	}
+	for _, tc := range cases {
+		_, err := ParseG(strings.NewReader(head + tc.graph + ".end\n"))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%q: got %v, want %s", tc.graph, err, tc.want)
+		}
+	}
+}
+
 // The scanner holds lines past bufio.MaxScanTokenSize up to the 1 MB cap,
 // and a longer line fails with bufio.ErrTooLong.
 func TestParseGLongLines(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/obs"
 	"repro/internal/petri"
+	"repro/internal/stateindex"
 )
 
 // Result summarizes a reduced exploration.
@@ -75,15 +76,23 @@ func Explore(n *petri.Net, opts Options) (*Result, error) {
 }
 
 func explore(n *petri.Net, opts Options, sp *obs.Span) (*Result, error) {
+	c, err := petri.NewByteCodec(n)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{}
-	init := n.InitialMarking()
-	seen := map[string]struct{}{init.Key(): {}}
-	stack := []petri.Marking{init}
 	maxStates := opts.maxStates()
+	// seen numbers the byte-packed markings; the DFS stack holds their ids.
+	seen := stateindex.New(c.Words())
+	next := make([]uint64, c.Words())
+	m := n.InitialMarking()
+	c.Pack(next, m)
+	seen.Visit(next)
+	stack := []int32{0}
 	hooked := opts.Budget.Hooked()
 	checks := sp.Registry().Counter("stubborn.budget_checks")
 	for len(stack) > 0 {
-		m := stack[len(stack)-1]
+		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		res.States++
 		if res.States > maxStates {
@@ -96,18 +105,20 @@ func explore(n *petri.Net, opts Options, sp *obs.Span) (*Result, error) {
 				return res, err
 			}
 		}
+		cur := seen.Key(id)
+		c.Unpack(m, cur)
 		fire := stubbornEnabled(n, m)
 		if len(fire) == 0 {
-			res.Deadlocks = append(res.Deadlocks, m)
+			res.Deadlocks = append(res.Deadlocks, m.Clone())
 			continue
 		}
 		for _, t := range fire {
-			next := n.Fire(m, t)
+			if p := c.Fire(next, cur, t); p >= 0 {
+				return res, c.OverflowError(t, p)
+			}
 			res.Arcs++
-			k := next.Key()
-			if _, dup := seen[k]; !dup {
-				seen[k] = struct{}{}
-				stack = append(stack, next)
+			if to, added := seen.Visit(next); added {
+				stack = append(stack, to)
 			}
 		}
 	}

@@ -155,3 +155,29 @@ func TestExploreDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestTokenOverflow pins that the byte markings fail on the first firing
+// that would put a 256th token in a place instead of wrapping it to zero.
+// In the net, a+ returns p's token and adds one to q, and a- returns it
+// and adds one to r.
+func TestTokenOverflow(t *testing.T) {
+	n := petri.New("wrap")
+	p := n.AddPlace("p", 1)
+	q := n.AddPlace("q", 0)
+	r := n.AddPlace("r", 0)
+	up := n.AddTransition("a+")
+	dn := n.AddTransition("a-")
+	n.ArcPT(p, up)
+	n.ArcTP(up, p)
+	n.ArcTP(up, q)
+	n.ArcPT(p, dn)
+	n.ArcTP(dn, p)
+	n.ArcTP(dn, r)
+	_, err := Explore(n, Options{})
+	if !errors.Is(err, petri.ErrTokenOverflow) {
+		t.Fatalf("got %v, want petri.ErrTokenOverflow", err)
+	}
+	if want := "petri: token count exceeds 255: firing a- puts a 256th token in r"; err.Error() != want {
+		t.Fatalf("got %q, want %q", err, want)
+	}
+}
