@@ -81,7 +81,7 @@ func pulseChain() *stg.STG {
 func productRounds(t *testing.T) []productRound {
 	t.Helper()
 	var rounds []productRound
-	for _, m := range rankedModels(t) {
+	for _, m := range rankedModels(t, 2, 3, 4) {
 		rounds = append(rounds, productRound{name: m.name, g: m.g, signal: "csc0"})
 		all, err := scoreInsertions(m.g, "csc0", newEvalCtx(Options{Workers: 2}))
 		if err != nil {
