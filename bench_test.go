@@ -41,6 +41,7 @@ import (
 	"repro/internal/symbolic"
 	"repro/internal/techmap"
 	"repro/internal/timing"
+	"repro/internal/ts"
 	"repro/internal/unfold"
 	"repro/internal/vme"
 )
@@ -531,6 +532,34 @@ func BenchmarkVerify(b *testing.B) {
 					b.Fatalf("verification failed: %v %v", err, res)
 				}
 				b.ReportMetric(float64(res.States), "states")
+			}
+		})
+	}
+}
+
+// E-MASK — the flow's Section 2.1 property check: CheckImplementability on
+// the contracted base state graph of phase:sg, built outside the timer.
+func BenchmarkImplementability(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		g    *stg.STG
+	}{
+		{"vme-read-write", vme.ReadWriteSTG()},
+		{"muller-8", gen.MullerPipeline(8)},
+	} {
+		raw, err := reach.BuildSG(tc.g, reach.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sg, err := ts.ContractDummies(raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if imp := sg.CheckImplementability(); !imp.Persistent || !imp.DeadlockFree {
+					b.Fatalf("%s: %v", tc.name, imp)
+				}
 			}
 		})
 	}

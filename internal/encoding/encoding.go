@@ -172,12 +172,9 @@ func describeInsertion(g *stg.STG, name string, r, f Point) string {
 // The survivors of the ranked cut are built with InsertSignalAt and
 // re-explored with reach.BuildSG, which every returned Solution comes from.
 func rankedInsertions(g *stg.STG, name string, limit int, ctx *evalCtx) ([]*Solution, error) {
-	all, err := scoreInsertions(g, name, ctx)
+	all, err := scoreInsertions(g, name, limit, ctx)
 	if err != nil {
 		return nil, err
-	}
-	if limit > 0 && len(all) > limit {
-		all = all[:limit]
 	}
 	out := make([]*Solution, len(all))
 	for i, s := range all {
@@ -201,8 +198,11 @@ func rankedInsertions(g *stg.STG, name string, limit int, ctx *evalCtx) ([]*Solu
 
 // scoreInsertions scores every insertion pair of g's ranking round and
 // returns the property-preserving candidates that reduce the conflict
-// count, sorted by their (conflicts, literals, order) key.
-func scoreInsertions(g *stg.STG, name string, ctx *evalCtx) ([]scored, error) {
+// count, sorted by their (conflicts, literals, order) key: the first limit
+// of them, or all when limit is 0. A continuation round keeps one, the
+// least key, which it takes in one pass: order is unique, so no two keys
+// tie.
+func scoreInsertions(g *stg.STG, name string, limit int, ctx *evalCtx) ([]scored, error) {
 	pr, pairs, err := newRound(g, name, ctx)
 	if err != nil {
 		return nil, err
@@ -214,7 +214,19 @@ func scoreInsertions(g *stg.STG, name string, ctx *evalCtx) ([]scored, error) {
 	if len(all) == 0 {
 		return nil, fmt.Errorf("%w for %s", errNoInsertion, name)
 	}
+	if limit == 1 {
+		best := 0
+		for i := range all {
+			if less(all[i].key, all[best].key) {
+				best = i
+			}
+		}
+		return all[best : best+1], nil
+	}
 	sort.Slice(all, func(i, j int) bool { return less(all[i].key, all[j].key) })
+	if limit > 0 && len(all) > limit {
+		all = all[:limit]
+	}
 	return all, nil
 }
 

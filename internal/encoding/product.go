@@ -43,14 +43,15 @@ type verdict struct {
 	conflicts int
 }
 
-// scoreSG checks a candidate's state graph: persistency, deadlock freedom
-// and conflict-count progress over the base. conflicts returns the graph's
-// CSC conflict count; it runs only once the first two checks pass.
-func scoreSG(sg *ts.SG, conflicts func() int, baseConflicts int) verdict {
-	if !sg.IsPersistent() {
+// judge gives a candidate graph's verdict from its checks, in scoring
+// order: persistency, deadlock freedom, then conflict-count progress over
+// the base. conflicts returns the graph's CSC conflict count; it runs only
+// once the first two checks pass.
+func judge(persistent, deadlockFree bool, conflicts func() int, baseConflicts int) verdict {
+	if !persistent {
 		return verdict{reason: rejectNotPersistent}
 	}
-	if len(sg.Deadlocks()) > 0 {
+	if !deadlockFree {
 		return verdict{reason: rejectDeadlock}
 	}
 	c := conflicts()
@@ -58,6 +59,13 @@ func scoreSG(sg *ts.SG, conflicts func() int, baseConflicts int) verdict {
 		return verdict{reason: rejectNoProgress, conflicts: c}
 	}
 	return verdict{conflicts: c}
+}
+
+// scoreSG judges a candidate's state graph, counting its conflicts on the
+// pair list.
+func scoreSG(sg *ts.SG, baseConflicts int) verdict {
+	return judge(sg.IsPersistent(), len(sg.Deadlocks()) == 0,
+		func() int { return len(sg.CSCConflicts()) }, baseConflicts)
 }
 
 // evaluateCandidate scores one candidate STG by building its state graph:
@@ -73,7 +81,7 @@ func evaluateCandidate(cand *stg.STG, baseConflicts int, opts reach.Options) (*t
 	if sg, err = ts.ContractDummies(sg); err != nil {
 		return nil, verdict{reason: rejectInvalid}
 	}
-	return sg, scoreSG(sg, func() int { return len(sg.CSCConflicts()) }, baseConflicts)
+	return sg, scoreSG(sg, baseConflicts)
 }
 
 // buildReason classifies a reach.BuildSG failure. With no budget the only
@@ -109,11 +117,22 @@ func buildReason(err error) reason {
 // reach.BuildSG on the candidate: the same discovery order, codes, arcs,
 // state cap and failures (unsafety before inconsistency off the toggle
 // path, the first failure in firing order on it).
+//
+// The exploration records the candidate's graph in compact arrays — each
+// state's arcs as (target, signal) pairs and E(s), the mask of the signals
+// labelling them — and scoring runs its checks as passes over those
+// arrays. No ts.SG is built for a scored candidate, except to contract
+// dummies.
 type product struct {
-	base    *ts.SG  // raw base state graph, before dummy contraction
-	trans   [][]int // trans[s][k] is the transition firing on base.Out[s][k]
-	toggle  bool    // base.States are (marking, code) pairs, codes start at 0
-	dummies bool    // the candidate state graphs need dummy contraction
+	base *ts.SG // raw base state graph, before dummy contraction
+	// arcs[first[s]:first[s+1]] are base state s's arcs in base.Out's
+	// order, each with the net transition it fires, and
+	// fires[s*words:][:words] is the bitset of those transitions.
+	first   []int32
+	arcs    []baseArc
+	fires   []uint64
+	toggle  bool // base.States are (marking, code) pairs, codes start at 0
+	dummies bool // the candidate state graphs need dummy contraction
 	// invalid: every candidate fails Validate. Insertion keeps every
 	// preset non-empty unless the target's already is, and isolates no
 	// place, so a candidate is well formed exactly when the base is.
@@ -126,13 +145,27 @@ type product struct {
 	group     []int32
 	codeGroup map[ts.Code]int32
 	signals   []stg.Signal
-	rise      ts.Event
-	fall      ts.Event
+	xSig      int8   // the inserted signal, the candidate's last
+	inputs    uint64 // the candidate's input signals
 	// blocked holds, per insertion point (2*t for before t, 2*t+1 for
 	// after t), the bitset of base transitions whose preset meets the
 	// point's held places.
 	words   int
 	blocked []uint64
+}
+
+// arc is an arc of a compact state graph: its target state and the signal
+// it fires, -1 for a dummy.
+type arc struct {
+	to  int32
+	sig int8
+}
+
+// baseArc is an arc of the base state graph with the net transition it
+// fires.
+type baseArc struct {
+	arc
+	trans int32
 }
 
 // newProduct prepares the product of round base g, whose raw state graph
@@ -144,22 +177,37 @@ func newProduct(g *stg.STG, base *ts.SG, trans [][]int, name string, conflicts i
 	sig := len(g.Signals)
 	pr := &product{
 		base:      base,
-		trans:     trans,
 		toggle:    reach.HasToggle(g),
 		invalid:   g.Validate() != nil,
 		wide:      sig+1 > 64,
 		maxStates: reach.DefaultMaxStates,
 		conflicts: conflicts,
 		signals:   append(append([]stg.Signal(nil), g.Signals...), stg.Signal{Name: name, Kind: stg.Internal}),
-		rise:      ts.Event{Sig: sig, Dir: stg.Rise, Name: name + stg.Rise.String()},
-		fall:      ts.Event{Sig: sig, Dir: stg.Fall, Name: name + stg.Fall.String()},
+		xSig:      int8(sig),
 		words:     (nT + 63) / 64,
+	}
+	for i, s := range g.Signals {
+		if s.Kind == stg.Input {
+			pr.inputs |= 1 << uint(i)
+		}
 	}
 	for _, l := range g.Labels {
 		if l.Sig < 0 {
 			pr.dummies = true
 		}
 	}
+	pr.first = make([]int32, len(base.States)+1)
+	pr.arcs = make([]baseArc, 0, base.NumArcs())
+	pr.fires = make([]uint64, len(base.States)*pr.words)
+	for s, out := range base.Out {
+		pr.first[s] = int32(len(pr.arcs))
+		for k, a := range out {
+			t := trans[s][k]
+			pr.arcs = append(pr.arcs, baseArc{arc: arc{to: int32(a.To), sig: int8(a.Event.Sig)}, trans: int32(t)})
+			pr.fires[s*pr.words+t/64] |= 1 << uint(t%64)
+		}
+	}
+	pr.first[len(base.States)] = int32(len(pr.arcs))
 	pr.group = make([]int32, len(base.States))
 	pr.codeGroup = make(map[ts.Code]int32)
 	for s, st := range base.States {
@@ -196,41 +244,40 @@ func (pr *product) heldBy(p Point) []uint64 {
 
 func has(set []uint64, t int) bool { return set[t/64]&(1<<uint(t%64)) != 0 }
 
-// enabled reports whether base transition t fires in base state s.
-func (pr *product) enabled(s, t int) bool {
-	for _, u := range pr.trans[s] {
-		if u == t {
-			return true
-		}
-	}
-	return false
-}
-
 // xEnabled reports whether the inserted transition at p fires in base
 // state s, given whether it and the other insertion are pending.
 func (pr *product) xEnabled(s int, p Point, pending, otherPending bool, otherHeld []uint64) bool {
 	if !p.Before {
 		return pending
 	}
-	return !pending && pr.enabled(s, p.Trans) && !(otherPending && has(otherHeld, p.Trans))
+	return !pending && has(pr.fires[s*pr.words:], p.Trans) && !(otherPending && has(otherHeld, p.Trans))
 }
 
 // pnode is one state of the product: base state s, the pending flags of
 // the rise and fall insertions, and x — the inserted signal's value on the
 // toggle path, its flip parity since the initial state off it.
 type pnode struct {
-	s    int
+	s    int32
 	a, b bool
 	x    bool
 }
 
-// productScratch is one worker's reusable exploration memory. The state
-// graph stateGraph returns lives here until the next call.
+// productScratch is one worker's reusable exploration memory. It holds the
+// candidate graph that graph explored last: state i's arcs are
+// arcs[first[i]:first[i+1]] and mask[i] is E(i), the signals labelling
+// them. The raw graph's states are nodes, coded by their base state and
+// x's flip parity against x's initial value xInit. After dummy contraction
+// (contracted) the arrays hold the contracted graph, whose states carry
+// codes.
 type productScratch struct {
-	idx   []int32 // product state index by key, -1 when unvisited
-	nodes []pnode
-	out   [][]ts.Arc
-	sg    ts.SG
+	idx        []int32 // product state index by key, -1 when unvisited
+	nodes      []pnode
+	first      []int32
+	arcs       []arc
+	mask       []uint64
+	xInit      bool
+	contracted bool
+	codes      []ts.Code
 	// head[b] is the last mask entry of code bucket b, -1 when empty; see
 	// countConflicts.
 	head  []int32
@@ -240,13 +287,12 @@ type productScratch struct {
 // maskCount counts the states of one code bucket that carry one
 // excitation mask; next links the bucket's earlier entry.
 type maskCount struct {
-	mask         uint64
-	n            int
-	next, bucket int32
+	mask            uint64
+	n, next, bucket int32
 }
 
 func (pr *product) key(n pnode) int {
-	k := 4*n.s + boolInt(n.a)*2 + boolInt(n.b)
+	k := 4*int(n.s) + boolInt(n.a)*2 + boolInt(n.b)
 	if pr.toggle {
 		k = 2*k + boolInt(n.x)
 	}
@@ -262,46 +308,80 @@ func boolInt(b bool) int {
 
 // score scores one insertion pair on the product.
 func (pr *product) score(sc *productScratch, r, f Point) verdict {
-	sg, why := pr.stateGraph(sc, r, f)
-	if why != none {
+	if why := pr.graph(sc, r, f); why != none {
 		return verdict{reason: why}
 	}
-	return scoreSG(sg, func() int { return pr.countConflicts(sc, sg) }, pr.conflicts)
+	persistent, deadlockFree := pr.properties(sc)
+	return judge(persistent, deadlockFree, func() int { return pr.countConflicts(sc) }, pr.conflicts)
 }
 
-// countConflicts returns len(sg.CSCConflicts()) for the candidate graph sg
-// that stateGraph just returned, without listing or sorting pairs: the
-// pairs of states sharing a code whose excitation masks differ. A
-// candidate's code is a base code plus x's bit, so the states sharing one
-// fall into one bucket (base code group, x's bit). On the raw product graph
-// a state's group is its base state's; a contracted graph keeps no base
-// states, so there it is the group of its code with x's bit cleared. Each
-// state adds the earlier states of its bucket whose masks differ from its
-// own.
-func (pr *product) countConflicts(sc *productScratch, sg *ts.SG) int {
+// properties reports whether the candidate graph in sc is persistent — no
+// arc disables an event, by ts.Disabled on the masks of its two ends — and
+// deadlock free. Its arcs are all signal edges: a spec's dummies are
+// contracted before scoring.
+func (pr *product) properties(sc *productScratch) (persistent, deadlockFree bool) {
+	persistent, deadlockFree = true, true
+	for s, from := range sc.mask {
+		arcs := sc.arcs[sc.first[s]:sc.first[s+1]]
+		if len(arcs) == 0 {
+			deadlockFree = false
+		}
+		for _, a := range arcs {
+			if ts.Disabled(from, sc.mask[a.to], int(a.sig), pr.inputs) != 0 {
+				persistent = false
+			}
+		}
+	}
+	return persistent, deadlockFree
+}
+
+// code returns the code of state i of the candidate graph in sc.
+func (pr *product) code(sc *productScratch, i int) ts.Code {
+	if sc.contracted {
+		return sc.codes[i]
+	}
+	n := sc.nodes[i]
+	c := pr.base.States[n.s].Code
+	if n.x != sc.xInit {
+		c |= 1 << uint(pr.xSig)
+	}
+	return c
+}
+
+// countConflicts returns len(CSCConflicts()) of the candidate graph in sc,
+// without listing or sorting pairs: the pairs of states sharing a code
+// whose excitation masks — E(s) restricted to outputs and internals —
+// differ. A candidate's code is a base code plus x's bit, so the states
+// sharing one fall into one bucket (base code group, x's bit). On the raw
+// graph a state's group is its base state's; a contracted graph keeps no
+// base states, so there it is the group of its code with x's bit cleared.
+// Each state adds the earlier states of its bucket whose masks differ from
+// its own.
+func (pr *product) countConflicts(sc *productScratch) int {
 	if need := 2 * len(pr.codeGroup); len(sc.head) < need {
 		sc.head = make([]int32, need)
 		for i := range sc.head {
 			sc.head[i] = -1
 		}
 	}
-	raw := sg == &sc.sg
-	xSig := uint(len(pr.signals) - 1)
+	xBit := ts.Code(1) << uint(pr.xSig)
+	excitable := ^pr.inputs
 	total := 0
 	sc.masks = sc.masks[:0]
-	for i, st := range sg.States {
-		var gr int32
-		if raw {
-			gr = pr.group[sc.nodes[i].s]
+	for i, m := range sc.mask {
+		var b int32
+		if sc.contracted {
+			c := sc.codes[i]
+			b = 2*pr.codeGroup[c&^xBit] + int32(c>>uint(pr.xSig)&1)
 		} else {
-			gr = pr.codeGroup[st.Code&^(1<<xSig)]
+			n := sc.nodes[i]
+			b = 2*pr.group[n.s] + int32(boolInt(n.x != sc.xInit))
 		}
-		b := 2*gr + int32(st.Code>>xSig&1)
-		m := sg.ExcitedMask(i)
+		m &= excitable
 		seen := false
 		for e := sc.head[b]; e >= 0; e = sc.masks[e].next {
 			if mc := &sc.masks[e]; mc.mask != m {
-				total += mc.n
+				total += int(mc.n)
 			} else {
 				mc.n++
 				seen = true
@@ -318,16 +398,17 @@ func (pr *product) countConflicts(sc *productScratch, sg *ts.SG) int {
 	return total
 }
 
-// stateGraph returns the state graph of the candidate inserting the new
-// signal's rising transition at r and its falling transition at f —
-// exactly what reach.BuildSG and ts.ContractDummies make of InsertSignalAt's
-// STG up to state keys and labels — or the reason that construction fails.
-func (pr *product) stateGraph(sc *productScratch, r, f Point) (*ts.SG, reason) {
+// graph explores into sc the state graph of the candidate inserting the
+// new signal's rising transition at r and its falling transition at f —
+// exactly what reach.BuildSG and ts.ContractDummies make of
+// InsertSignalAt's STG, up to state keys and arc names — or returns the
+// reason that construction fails.
+func (pr *product) graph(sc *productScratch, r, f Point) reason {
 	if pr.invalid {
-		return nil, rejectInvalid
+		return rejectInvalid
 	}
 	if pr.wide {
-		return nil, rejectLimit
+		return rejectLimit
 	}
 	need := 4 * len(pr.base.States)
 	if pr.toggle {
@@ -339,58 +420,50 @@ func (pr *product) stateGraph(sc *productScratch, r, f Point) (*ts.SG, reason) {
 			sc.idx[i] = -1
 		}
 	}
-	sg, why := pr.explore(sc, r, f)
+	why := pr.explore(sc, r, f)
 	for _, n := range sc.nodes {
 		sc.idx[pr.key(n)] = -1
 	}
-	if why != none {
-		return nil, why
+	if why == none && pr.dummies && !pr.contract(sc) {
+		why = rejectInvalid
 	}
-	if pr.dummies {
-		c, err := ts.ContractDummies(sg)
-		if err != nil {
-			return nil, rejectInvalid
-		}
-		sg = c
-	}
-	return sg, none
+	return why
 }
 
 // explore runs the breadth-first token game of the candidate on the
 // product, firing in the candidate's transition order: the base
 // transitions, then x+, then x-.
-func (pr *product) explore(sc *productScratch, r, f Point) (*ts.SG, reason) {
+func (pr *product) explore(sc *productScratch, r, f Point) reason {
 	rHeld, fHeld := pr.heldBy(r), pr.heldBy(f)
-	sc.nodes = append(sc.nodes[:0], pnode{s: pr.base.Initial})
+	sc.first, sc.arcs, sc.mask, sc.contracted = sc.first[:0], sc.arcs[:0], sc.mask[:0], false
+	sc.nodes = append(sc.nodes[:0], pnode{s: int32(pr.base.Initial)})
 	sc.idx[pr.key(sc.nodes[0])] = 0
 	// Off the toggle path x's initial value and the consistency verdict
 	// come from labeling the finished graph, after any unsafety or state
 	// cap failure of the exploration.
 	var xKnown, xInit, inconsistentX bool
-	visit := func(n pnode) (int, bool) {
-		if i := sc.idx[pr.key(n)]; i >= 0 {
+	visit := func(n pnode) (int32, bool) {
+		k := pr.key(n)
+		if i := sc.idx[k]; i >= 0 {
 			if !pr.toggle && sc.nodes[i].x != n.x {
 				inconsistentX = true
 			}
-			return int(i), true
+			return i, true
 		}
 		if len(sc.nodes) >= pr.maxStates {
 			return 0, false
 		}
-		sc.idx[pr.key(n)] = int32(len(sc.nodes))
+		i := int32(len(sc.nodes))
+		sc.idx[k] = i
 		sc.nodes = append(sc.nodes, n)
-		return len(sc.nodes) - 1, true
+		return i, true
 	}
 	// fireX fires x+ (rise) or x- from n into next: on the toggle path the
 	// edge must match x's value; off it, the edge fixes x's initial value.
-	fireX := func(out []ts.Arc, n, next pnode, rise bool) ([]ts.Arc, reason) {
-		ev := pr.fall
-		if rise {
-			ev = pr.rise
-		}
+	fireX := func(n, next pnode, rise bool) reason {
 		if pr.toggle {
 			if n.x == rise {
-				return out, rejectInconsistent
+				return rejectInconsistent
 			}
 		} else {
 			want := n.x != !rise // initial value for which the edge fires at n
@@ -402,20 +475,19 @@ func (pr *product) explore(sc *productScratch, r, f Point) (*ts.SG, reason) {
 		next.x = !n.x
 		to, ok := visit(next)
 		if !ok {
-			return out, rejectLimit
+			return rejectLimit
 		}
-		return append(out, ts.Arc{Event: ev, To: to}), none
+		sc.arcs = append(sc.arcs, arc{to: to, sig: pr.xSig})
+		return none
 	}
+	xBit := uint64(1) << uint(pr.xSig)
 	for head := 0; head < len(sc.nodes); head++ {
 		n := sc.nodes[head]
-		if head == len(sc.out) {
-			sc.out = append(sc.out, nil)
-		}
-		out := sc.out[head][:0]
-		arcs, trans := pr.base.Out[n.s], pr.trans[n.s]
-		for k := range arcs {
-			t, arc := trans[k], &arcs[k]
-			next := pnode{s: arc.To, a: n.a, b: n.b, x: n.x}
+		sc.first = append(sc.first, int32(len(sc.arcs)))
+		var mask uint64
+		for _, a := range pr.arcs[pr.first[n.s]:pr.first[n.s+1]] {
+			t := int(a.trans)
+			next := pnode{s: a.to, a: n.a, b: n.b, x: n.x}
 			switch {
 			case r.Before && t == r.Trans: // its preset is x+'s splice place
 				if !n.a {
@@ -432,56 +504,89 @@ func (pr *product) explore(sc *productScratch, r, f Point) (*ts.SG, reason) {
 			}
 			if !r.Before && t == r.Trans {
 				if n.a {
-					return nil, rejectUnsafe // a second token behind t
+					return rejectUnsafe // a second token behind t
 				}
 				next.a = true
 			}
 			if !f.Before && t == f.Trans {
 				if n.b {
-					return nil, rejectUnsafe
+					return rejectUnsafe
 				}
 				next.b = true
 			}
 			to, ok := visit(next)
 			if !ok {
-				return nil, rejectLimit
+				return rejectLimit
 			}
-			out = append(out, ts.Arc{Event: arc.Event, To: to})
+			sc.arcs = append(sc.arcs, arc{to: to, sig: a.sig})
+			if a.sig >= 0 {
+				mask |= 1 << uint(a.sig)
+			}
 		}
 		// x+ then x-. Inserted after t, x± fires from its splice place;
 		// inserted before t, it takes over t's preset, so it fires where t
 		// is enabled in the base, it is not already pending and the other
 		// insertion holds none of that preset.
-		why := none
-		if pr.xEnabled(n.s, r, n.a, n.b, fHeld) {
-			out, why = fireX(out, n, pnode{s: n.s, a: r.Before, b: n.b}, true)
+		if pr.xEnabled(int(n.s), r, n.a, n.b, fHeld) {
+			if why := fireX(n, pnode{s: n.s, a: r.Before, b: n.b}, true); why != none {
+				return why
+			}
+			mask |= xBit
 		}
-		if why == none && pr.xEnabled(n.s, f, n.b, n.a, rHeld) {
-			out, why = fireX(out, n, pnode{s: n.s, a: n.a, b: f.Before}, false)
+		if pr.xEnabled(int(n.s), f, n.b, n.a, rHeld) {
+			if why := fireX(n, pnode{s: n.s, a: n.a, b: f.Before}, false); why != none {
+				return why
+			}
+			mask |= xBit
 		}
-		if why != none {
-			return nil, why
-		}
-		sc.out[head] = out
+		sc.mask = append(sc.mask, mask)
 	}
+	sc.first = append(sc.first, int32(len(sc.arcs)))
 	if inconsistentX {
-		return nil, rejectInconsistent
+		return rejectInconsistent
 	}
+	sc.xInit = xInit
+	return none
+}
 
-	sg := &sc.sg
-	*sg = ts.SG{
-		Name:    pr.base.Name,
+// contract replaces the raw candidate graph in sc by its dummy
+// contraction, ts.ContractDummies' on the graph assembled as a ts.SG; false
+// when contraction fails. Only specs with dummies pay for the assembly.
+// ContractDummies reads signal arcs by signal and direction and dummy arcs
+// only as dummies, so the assembled events carry no names.
+func (pr *product) contract(sc *productScratch) bool {
+	raw := &ts.SG{
 		Signals: pr.signals,
-		States:  sg.States[:0],
-		Out:     sc.out[:len(sc.nodes)],
+		States:  make([]ts.State, len(sc.mask)),
+		Out:     make([][]ts.Arc, len(sc.mask)),
 	}
-	xBit := ts.Code(1) << uint(len(pr.signals)-1)
-	for _, n := range sc.nodes {
-		c := pr.base.States[n.s].Code
-		if n.x != xInit {
-			c |= xBit
+	for i := range raw.States {
+		code := pr.code(sc, i)
+		raw.States[i].Code = code
+		for _, a := range sc.arcs[sc.first[i]:sc.first[i+1]] {
+			ev := ts.Event{Sig: int(a.sig), Dir: stg.Rise}
+			if a.sig >= 0 && code.Bit(int(a.sig)) {
+				ev.Dir = stg.Fall
+			}
+			raw.Out[i] = append(raw.Out[i], ts.Arc{Event: ev, To: int(a.to)})
 		}
-		sg.States = append(sg.States, ts.State{Code: c})
 	}
-	return sg, none
+	c, err := ts.ContractDummies(raw)
+	if err != nil {
+		return false
+	}
+	sc.first, sc.arcs, sc.mask, sc.codes = sc.first[:0], sc.arcs[:0], sc.mask[:0], sc.codes[:0]
+	for i, out := range c.Out {
+		sc.first = append(sc.first, int32(len(sc.arcs)))
+		var mask uint64
+		for _, a := range out { // signal arcs only
+			sc.arcs = append(sc.arcs, arc{to: int32(a.To), sig: int8(a.Event.Sig)})
+			mask |= 1 << uint(a.Event.Sig)
+		}
+		sc.mask = append(sc.mask, mask)
+		sc.codes = append(sc.codes, c.States[i].Code)
+	}
+	sc.first = append(sc.first, int32(len(sc.arcs)))
+	sc.contracted = true
+	return true
 }

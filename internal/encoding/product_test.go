@@ -83,14 +83,11 @@ func productRounds(t *testing.T) []productRound {
 	var rounds []productRound
 	for _, m := range rankedModels(t, 2, 3, 4) {
 		rounds = append(rounds, productRound{name: m.name, g: m.g, signal: "csc0"})
-		all, err := scoreInsertions(m.g, "csc0", newEvalCtx(Options{Workers: 2}))
+		all, err := scoreInsertions(m.g, "csc0", rankedFirstRound, newEvalCtx(Options{Workers: 2}))
 		if err != nil {
 			continue
 		}
-		for i, s := range all {
-			if i == rankedFirstRound {
-				break
-			}
+		for _, s := range all {
 			if s.key[0] == 0 {
 				continue
 			}
@@ -138,6 +135,17 @@ func shapeOf(sg *ts.SG) *sgShape {
 	return s
 }
 
+// productShape is the shape of the candidate graph the product explored
+// into sc last.
+func productShape(pr *product, sc *productScratch) *sgShape {
+	s := &sgShape{states: len(sc.mask), arcs: len(sc.arcs)}
+	for i := range sc.mask {
+		s.codes = append(s.codes, pr.code(sc, i))
+	}
+	slices.Sort(s.codes)
+	return s
+}
+
 func (s *sgShape) equal(o *sgShape) bool {
 	if s == nil || o == nil {
 		return s == o
@@ -151,7 +159,9 @@ func (s *sgShape) equal(o *sgShape) bool {
 // and, wherever both build one, its state graph's state count, arc count
 // and code multiset equal evaluateCandidate's on InsertSignalAt's STG,
 // whose count comes from the pair list. The product runs at one and two
-// workers.
+// workers. Both sides decide persistency by the mask rule of
+// ts.IsPersistent, so every rebuilt graph's verdict is also checked against
+// the pair scan of PersistencyViolations, which shares no code with it.
 //
 // Every rejection reason occurs except rejectUnsafe, which a safe base
 // cannot produce. Its only source in the product is a second token in a
@@ -188,6 +198,10 @@ func TestProductMatchesRebuild(t *testing.T) {
 				return nil
 			}
 			sg, v := evaluateCandidate(cand, base, reach.Options{Arena: ws.arena, MaxStates: rd.maxStates})
+			if sg != nil && sg.IsPersistent() != (len(sg.PersistencyViolations()) == 0) {
+				return fmt.Errorf("%s: IsPersistent = %v, but %d persistency violations",
+					describeInsertion(rd.g, rd.signal, p.r, p.f), sg.IsPersistent(), len(sg.PersistencyViolations()))
+			}
 			want[i] = outcome{v: v, shape: shapeOf(sg)}
 			return nil
 		}); err != nil {
@@ -199,10 +213,12 @@ func TestProductMatchesRebuild(t *testing.T) {
 			wctx := newEvalCtx(Options{Workers: w})
 			if err := wctx.runPool(len(prs), func(ws *workerScratch, i int) error {
 				p := prs[i]
-				// score explores again in the scratch sg lives in, so
-				// take the shape first.
-				sg, _ := pr.stateGraph(&ws.prod, p.r, p.f)
-				got := outcome{shape: shapeOf(sg)}
+				// score explores again into the same scratch, so take
+				// the shape first.
+				var got outcome
+				if pr.graph(&ws.prod, p.r, p.f) == none {
+					got.shape = productShape(pr, &ws.prod)
+				}
 				got.v = pr.score(&ws.prod, p.r, p.f)
 				if got.v != want[i].v || !got.shape.equal(want[i].shape) {
 					mu.Lock()

@@ -59,7 +59,7 @@ func TestTwinSurvivorsContinueAlike(t *testing.T) {
 // nextRound renders survivor s's csc1 round: every candidate's description
 // and key in rank order, or the round's error.
 func nextRound(s *Solution, ctx *evalCtx) []string {
-	all, err := scoreInsertions(s.STG, "csc1", ctx)
+	all, err := scoreInsertions(s.STG, "csc1", 0, ctx)
 	if err != nil {
 		return []string{"error: " + err.Error()}
 	}

@@ -66,10 +66,15 @@ func (g *SG) CSCConflicts() []CodeConflict {
 // states sharing a code all excite the same non-input signals. It compares
 // each state's excitation mask with the first of its code and stops at the
 // first code whose states carry two masks; it lists no pairs.
-func (g *SG) HasCSC() bool {
+func (g *SG) HasCSC() bool { return g.hasCSC(g.eventMasks()) }
+
+// hasCSC is HasCSC on the states' event masks, restricted here to the
+// non-input signals: each state's ExcitedMask.
+func (g *SG) hasCSC(masks []uint64) bool {
+	excitable := ^g.inputMask()
 	first := make(map[Code]uint64, len(g.States))
 	for s, st := range g.States {
-		mask := g.ExcitedMask(s)
+		mask := masks[s] & excitable
 		if prev, dup := first[st.Code]; !dup {
 			first[st.Code] = mask
 		} else if prev != mask {
@@ -113,6 +118,31 @@ func (g *SG) ExcitedMask(s int) uint64 {
 		}
 		if k := g.Signals[a.Event.Sig].Kind; k == stg.Output || k == stg.Internal {
 			mask |= 1 << uint(a.Event.Sig)
+		}
+	}
+	return mask
+}
+
+// eventMasks returns E(s) for every state s: the signals of any kind that
+// label an arc leaving s, one bit per signal. Dummy arcs add no bit.
+func (g *SG) eventMasks() []uint64 {
+	masks := make([]uint64, len(g.Out))
+	for s, arcs := range g.Out {
+		for _, a := range arcs {
+			if a.Event.Sig >= 0 {
+				masks[s] |= 1 << uint(a.Event.Sig)
+			}
+		}
+	}
+	return masks
+}
+
+// inputMask returns g's input signals, one bit per signal.
+func (g *SG) inputMask() uint64 {
+	var mask uint64
+	for i, sig := range g.Signals {
+		if sig.Kind == stg.Input {
+			mask |= 1 << uint(i)
 		}
 	}
 	return mask
@@ -209,8 +239,76 @@ func (g *SG) PersistencyViolations() []PersistencyViolation {
 	return out
 }
 
-// IsPersistent reports whether the SG satisfies both persistency conditions.
-func (g *SG) IsPersistent() bool { return len(g.PersistencyViolations()) == 0 }
+// IsPersistent reports whether the SG satisfies both persistency
+// conditions, without listing violations: it reads every arc once against
+// the event masks E(s) of its two ends (Disabled), plus a name check in the
+// states that a dummy arc leaves. On a consistent state graph — every graph
+// reach.BuildSG, sim.StateGraph and ContractDummies return — it reports
+// exactly what PersistencyViolations does, which keeps the list for
+// witnesses and as this rule's oracle.
+func (g *SG) IsPersistent() bool { return g.persistent(g.eventMasks()) }
+
+func (g *SG) persistent(masks []uint64) bool {
+	inputs := g.inputMask()
+	for s, arcs := range g.Out {
+		dummy := false
+		for _, u := range arcs {
+			if Disabled(masks[s], masks[u.To], u.Event.Sig, inputs) != 0 {
+				return false
+			}
+			dummy = dummy || u.Event.Sig < 0
+		}
+		if dummy && !g.dummiesPersist(arcs) {
+			return false
+		}
+	}
+	return true
+}
+
+// Disabled returns the signal events that an arc s → s' firing signal u
+// disables, one bit per signal: from is E(s) and to is E(s'), the signals
+// labelling the arcs that leave s and s'. u < 0 is a dummy, which counts as
+// a non-input disabler. The arc breaks persistency exactly when the result
+// is not 0.
+//
+// The rule is exact on a consistent state graph, where a state's code fixes
+// the direction in which each signal can be excited there: an arc firing a+
+// leaves only states whose a bit is 0. Firing u leaves every other signal's
+// code bit unchanged, so an event e of another signal enabled at s is still
+// enabled at s' exactly when e's signal is in E(s'). Every signal of E(s)
+// but u's own is such an e (u's own signal is excited in u's direction only),
+// and when u is an input the other inputs are exempt: choices between inputs
+// belong to the environment. Dummy events compare by name, not by signal;
+// IsPersistent checks them apart.
+func Disabled(from, to uint64, u int, inputs uint64) uint64 {
+	if u < 0 {
+		return from &^ to
+	}
+	bit := uint64(1) << uint(u)
+	if inputs&bit != 0 {
+		from &^= inputs
+	}
+	return from &^ to &^ bit
+}
+
+// dummiesPersist checks the dummy events of one state's arcs: a dummy e
+// enabled there must be followed by an event of e's name wherever another
+// arc u leads, unless u is e itself. Dummies are named after their
+// transitions, which no signal event shares, so a dummy disabler of a
+// signal event needs no name check: Disabled covers it.
+func (g *SG) dummiesPersist(arcs []Arc) bool {
+	for _, e := range arcs {
+		if e.Event.Sig >= 0 {
+			continue
+		}
+		for _, u := range arcs {
+			if u.Event.Name != e.Event.Name && !g.stillEnabled(u.To, e.Event) {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 func (g *SG) isInputEvent(e Event) bool {
 	return e.Sig >= 0 && g.Signals[e.Sig].Kind == stg.Input
@@ -261,13 +359,15 @@ func (r Implementability) String() string {
 }
 
 // CheckImplementability runs the full Section 2.1 property suite on a
-// consistently-built SG.
+// consistently-built SG. It computes each state's event mask once, for
+// persistency and, restricted to the non-input signals, for CSC.
 func (g *SG) CheckImplementability() Implementability {
+	masks := g.eventMasks()
 	return Implementability{
 		Consistent:   true, // reach.BuildSG fails otherwise
 		USC:          g.HasUSC(),
-		CSC:          g.HasCSC(),
-		Persistent:   g.IsPersistent(),
+		CSC:          g.hasCSC(masks),
+		Persistent:   g.persistent(masks),
 		DeadlockFree: len(g.Deadlocks()) == 0,
 	}
 }

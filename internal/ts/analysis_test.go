@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -80,35 +81,43 @@ func TestReadCyclePersistent(t *testing.T) {
 	}
 }
 
+// choiceSTG is a free choice between a+ and b+ out of one marked place,
+// each pulse returning the token; a and b have the given kinds.
+func choiceSTG(kindA, kindB stg.Kind) *stg.STG {
+	g := stg.New("choice")
+	g.AddSignal("a", kindA)
+	g.AddSignal("b", kindB)
+	ap := g.Rise("a")
+	bp := g.Rise("b")
+	am := g.Fall("a")
+	bm := g.Fall("b")
+	n := g.Net
+	p0 := n.AddPlace("p0", 1)
+	n.ArcPT(p0, ap)
+	n.ArcPT(p0, bp)
+	n.Implicit(ap, am, 0)
+	n.Implicit(bp, bm, 0)
+	n.ArcTP(am, p0)
+	n.ArcTP(bm, p0)
+	return g
+}
+
+func buildSG(t *testing.T, g *stg.STG) *ts.SG {
+	t.Helper()
+	sg, err := reach.BuildSG(g, reach.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sg
+}
+
 // Choice between two outputs is a persistency violation (needs an arbiter,
 // Section 2.1); choice between two inputs is fine.
 func TestPersistencyRules(t *testing.T) {
-	build := func(kind stg.Kind) *ts.SG {
-		g := stg.New("arb")
-		g.AddSignal("a", kind)
-		g.AddSignal("b", kind)
-		ap := g.Rise("a")
-		bp := g.Rise("b")
-		am := g.Fall("a")
-		bm := g.Fall("b")
-		n := g.Net
-		p0 := n.AddPlace("p0", 1)
-		n.ArcPT(p0, ap)
-		n.ArcPT(p0, bp)
-		n.Implicit(ap, am, 0)
-		n.Implicit(bp, bm, 0)
-		n.ArcTP(am, p0)
-		n.ArcTP(bm, p0)
-		sg, err := reach.BuildSG(g, reach.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sg
-	}
-	if in := build(stg.Input); !in.IsPersistent() {
+	if in := buildSG(t, choiceSTG(stg.Input, stg.Input)); !in.IsPersistent() {
 		t.Fatal("input-input conflict is allowed (environment choice)")
 	}
-	out := build(stg.Output)
+	out := buildSG(t, choiceSTG(stg.Output, stg.Output))
 	v := out.PersistencyViolations()
 	if len(v) == 0 {
 		t.Fatal("output-output conflict must violate persistency")
@@ -120,28 +129,10 @@ func TestPersistencyRules(t *testing.T) {
 
 // A non-input disabling an input violates condition (b).
 func TestPersistencyInputDisabledByOutput(t *testing.T) {
-	g := stg.New("mix")
-	g.AddSignal("i", stg.Input)
-	g.AddSignal("o", stg.Output)
-	ip := g.Rise("i")
-	op := g.Rise("o")
-	im := g.Fall("i")
-	om := g.Fall("o")
-	n := g.Net
-	p0 := n.AddPlace("p0", 1)
-	n.ArcPT(p0, ip)
-	n.ArcPT(p0, op)
-	n.Implicit(ip, im, 0)
-	n.Implicit(op, om, 0)
-	n.ArcTP(im, p0)
-	n.ArcTP(om, p0)
-	sg, err := reach.BuildSG(g, reach.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sg := buildSG(t, choiceSTG(stg.Input, stg.Output))
 	found := false
 	for _, v := range sg.PersistencyViolations() {
-		if v.Disabled.Name == "i+" && v.Disabler.Name == "o+" {
+		if v.Disabled.Name == "a+" && v.Disabler.Name == "b+" {
 			found = true
 		}
 	}
@@ -195,28 +186,7 @@ func TestSGHelpers(t *testing.T) {
 // witness must be the one the per-signal scan cscWitnessScan finds, and
 // every USC pair the scan finds a witness for must be a CSC pair.
 func TestHasUSCMatchesPairList(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.g"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no testdata specifications: %v", err)
-	}
-	specs := map[string]*stg.STG{}
-	for _, path := range files {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := stg.ParseG(strings.NewReader(string(data)))
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		specs[filepath.Base(path)] = g
-	}
-	for n := 1; n <= 5; n++ {
-		specs[fmt.Sprintf("muller-%d", n)] = gen.MullerPipeline(n)
-	}
-	for k := 2; k <= 4; k++ {
-		specs[fmt.Sprintf("cscring-%d", k)] = gen.CSCRing(k)
-	}
+	specs := corpusSpecs(t)
 	verdicts := map[bool]int{}
 	cscVerdicts := map[bool]int{}
 	for name, g := range specs {
@@ -278,4 +248,121 @@ func cscWitnessScan(g *ts.SG, a, b int) (int, bool) {
 		}
 	}
 	return -1, false
+}
+
+// corpusSpecs returns the testdata specifications and the gen families
+// MullerPipeline(1..5) and CSCRing(2..4), by name.
+func corpusSpecs(t *testing.T) map[string]*stg.STG {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.g"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata specifications: %v", err)
+	}
+	specs := map[string]*stg.STG{}
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := stg.ParseG(strings.NewReader(string(data)))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		specs[filepath.Base(path)] = g
+	}
+	for n := 1; n <= 5; n++ {
+		specs[fmt.Sprintf("muller-%d", n)] = gen.MullerPipeline(n)
+	}
+	for k := 2; k <= 4; k++ {
+		specs[fmt.Sprintf("cscring-%d", k)] = gen.CSCRing(k)
+	}
+	return specs
+}
+
+// dummySTG runs output a's pulse a+ a- as a cycle next to dummies. With
+// choice false, dummies d1 and d2 cycle concurrently with it, so no event
+// disables another. With choice true, a+ and dummy d share a marked place:
+// a+ disables d, which only the dummy name rule sees, and d, which hands
+// the token on to dummy e, disables a+.
+func dummySTG(choice bool) *stg.STG {
+	g := stg.New("dummies")
+	g.AddSignal("a", stg.Output)
+	ap, am := g.Rise("a"), g.Fall("a")
+	n := g.Net
+	if !choice {
+		d1, d2 := g.AddDummy("d1"), g.AddDummy("d2")
+		n.Implicit(ap, am, 0)
+		n.Implicit(am, ap, 1)
+		n.Implicit(d1, d2, 0)
+		n.Implicit(d2, d1, 1)
+		return g
+	}
+	d, e := g.AddDummy("d"), g.AddDummy("e")
+	p0 := n.AddPlace("p0", 1)
+	n.ArcPT(p0, ap)
+	n.ArcPT(p0, d)
+	n.Implicit(ap, am, 0)
+	n.ArcTP(am, p0)
+	n.Implicit(d, e, 0)
+	n.ArcTP(e, p0)
+	return g
+}
+
+// TestIsPersistentMatchesPairScan checks IsPersistent's mask rule against
+// the pair scan of PersistencyViolations, which shares no code with it: on
+// the raw and dummy-contracted state graphs of the corpus, of the choices
+// between outputs, inputs and an input and an output, and of dummies
+// running concurrently with a signal or in choice with it; and on every one
+// of those graphs with one arc deleted, which stays consistent and breaks
+// persistency wherever the deleted arc was an event's only continuation.
+func TestIsPersistentMatchesPairScan(t *testing.T) {
+	specs := corpusSpecs(t)
+	specs["choice-outputs"] = choiceSTG(stg.Output, stg.Output)
+	specs["choice-inputs"] = choiceSTG(stg.Input, stg.Input)
+	specs["choice-input-output"] = choiceSTG(stg.Input, stg.Output)
+	specs["dummies-concurrent"] = dummySTG(false)
+	specs["dummies-choice"] = dummySTG(true)
+	check := func(name string, sg *ts.SG) bool {
+		t.Helper()
+		want := len(sg.PersistencyViolations()) == 0
+		if got := sg.IsPersistent(); got != want {
+			t.Fatalf("%s: IsPersistent = %v, but %d persistency violations: %v",
+				name, got, len(sg.PersistencyViolations()), sg.PersistencyViolations())
+		}
+		return want
+	}
+	verdicts := map[bool]int{}
+	dummyVerdicts := map[bool]int{}
+	for name, g := range specs {
+		raw, err := reach.BuildSG(g, reach.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		contracted, err := ts.ContractDummies(raw)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		graphs := []*ts.SG{raw}
+		if contracted != raw {
+			graphs = append(graphs, contracted)
+		}
+		for _, sg := range graphs {
+			verdicts[check(name, sg)]++
+			for s, out := range sg.Out {
+				for k, a := range out {
+					sg.Out[s] = slices.Delete(slices.Clone(out), k, k+1)
+					v := check(fmt.Sprintf("%s without %s from state %d", name, a.Event, s), sg)
+					verdicts[v]++
+					if sg.HasDummy() {
+						dummyVerdicts[v]++
+					}
+					sg.Out[s] = out
+				}
+			}
+		}
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 || dummyVerdicts[true] == 0 || dummyVerdicts[false] == 0 {
+		t.Fatalf("one persistency verdict only: %v, with dummy arcs %v", verdicts, dummyVerdicts)
+	}
+	t.Logf("verdicts %v, with dummy arcs %v", verdicts, dummyVerdicts)
 }

@@ -18,7 +18,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHES='^(BenchmarkSolveCSC|BenchmarkEquationDerivation|BenchmarkFullFlow|BenchmarkBuildSG|BenchmarkVerify|BenchmarkMinimize|BenchmarkSymbolicVsExplicit|BenchmarkParse|BenchmarkServeSynthesize|BenchmarkPropCheck|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledCounter)$'
+BENCHES='^(BenchmarkSolveCSC|BenchmarkEquationDerivation|BenchmarkFullFlow|BenchmarkBuildSG|BenchmarkVerify|BenchmarkImplementability|BenchmarkMinimize|BenchmarkSymbolicVsExplicit|BenchmarkParse|BenchmarkServeSynthesize|BenchmarkPropCheck|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledCounter)$'
 # The obs overhead guards live in their own package; the root package holds
 # everything else.
 BENCH_PKGS='. ./internal/obs'
@@ -50,6 +50,7 @@ for want in ("SolveCSC/cscring-3/w1", "SolveCSC/cscring-3/w4",
              "SolveCSC/cscring-4/flow",
              "EquationDerivation/cscring-2/w1", "EquationDerivation/cscring-2/w4",
              "FullFlow/muller-8/w1", "Verify/muller-8", "BuildSG/muller-8",
+             "Implementability/vme-read-write", "Implementability/muller-8",
              "ServeSynthesize/cold", "ServeSynthesize/cached",
              "ServeSynthesize/cold-durable", "ServeSynthesize/cached-durable",
              "ServeSynthesize/disk-hit",

@@ -48,7 +48,9 @@ go test -fuzz=FuzzPropParse -fuzztime=5s -run '^$' ./internal/prop/
 # Parallel synthesis determinism under the race detector: identical
 # solutions, functions and netlists at every worker count, the CSC
 # candidate product agreeing with the rebuild on every insertion pair at
-# one and two workers, twin first-round survivors ranking and continuing
+# one and two workers (the corpus and the CSC rings 2-4, 61,244 pairs, each
+# rebuilt graph's persistency also checked against the pair scan), twin
+# first-round survivors ranking and continuing
 # alike (the premise of skipping a twin's exhausted continuation, and
 # cscring-4's counters with the skip), and the pooled
 # concurrency-reduction search matching its golden at one and two workers.
@@ -59,9 +61,10 @@ go test -timeout 60s -race -run 'Deterministic|MatchesSequential|TieBreak|CSCErr
 # reduction runs inside the same flow: its counters and span in core, and
 # cmd/synth -method reduce matching -method insert where no encoding runs.
 # Verify and StateGraph return exactly what the reference explorer returns,
-# StateGraph honours its budget, and HasUSC/HasCSC agree with the pair
-# lists.
-go test -timeout 60s -race -run 'TestVerifySpecSGMatchesRebuild|TestVerifyMatchesReference|TestStateGraphMatchesReference|TestStateGraphBudget|TestHasUSCMatchesPairList|TestCSCSpecSkipsEncoding|TestReduceInFlow' ./internal/sim/ ./internal/ts/ ./internal/core/
+# StateGraph honours its budget, HasUSC/HasCSC agree with the pair lists,
+# and IsPersistent's mask rule agrees with the PersistencyViolations pair
+# scan on the corpus and on every graph with one arc deleted.
+go test -timeout 60s -race -run 'TestVerifySpecSGMatchesRebuild|TestVerifyMatchesReference|TestStateGraphMatchesReference|TestStateGraphBudget|TestHasUSCMatchesPairList|TestIsPersistentMatchesPairScan|TestCSCSpecSkipsEncoding|TestReduceInFlow' ./internal/sim/ ./internal/ts/ ./internal/core/
 go test -timeout 60s -race -run 'TestSynthReduce|TestSynthUnknownMethod' ./cmd/synth/
 # Observability gate: instrumented runs of cmd/synth and cmd/reach on the
 # VME example must export a metrics snapshot with non-zero counters for the
