@@ -199,7 +199,7 @@ func TestProductMatchesRebuild(t *testing.T) {
 			}
 			sg, v := evaluateCandidate(cand, base, reach.Options{Arena: ws.arena, MaxStates: rd.maxStates})
 			if sg != nil && sg.IsPersistent() != (len(sg.PersistencyViolations()) == 0) {
-				return fmt.Errorf("%s: IsPersistent = %v, but %d persistency violations",
+				return fmt.Errorf("%s, %s: IsPersistent = %v, but %d persistency violations", rd.name,
 					describeInsertion(rd.g, rd.signal, p.r, p.f), sg.IsPersistent(), len(sg.PersistencyViolations()))
 			}
 			want[i] = outcome{v: v, shape: shapeOf(sg)}
