@@ -1,0 +1,118 @@
+package encoding
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro/internal/stg"
+)
+
+// choiceMerge is a+ → p1 → {b+ | c+}, b+ → b− and c+ → c−, b− and c− both
+// feeding p4, p4 feeding a−, and a− → a+ through a marked place. Its choice
+// place p1 has two consumers and its merge place p4 two producers: links
+// the class rule must not join, which the corpus's marked graphs lack.
+func choiceMerge() *stg.STG {
+	g := stg.New("choice-merge")
+	for _, s := range []string{"a", "b", "c"} {
+		g.AddSignal(s, stg.Output)
+	}
+	ap, bp, bm, cp, cm, am := g.Rise("a"), g.Rise("b"), g.Fall("b"), g.Rise("c"), g.Fall("c"), g.Fall("a")
+	net := g.Net
+	p1 := net.AddPlace("p1", 0)
+	net.ArcTP(ap, p1)
+	net.ArcPT(p1, bp)
+	net.ArcPT(p1, cp)
+	net.Implicit(bp, bm, 0)
+	net.Implicit(cp, cm, 0)
+	p4 := net.AddPlace("p4", 0)
+	net.ArcTP(bm, p4)
+	net.ArcTP(cm, p4)
+	net.ArcPT(p4, am)
+	net.Implicit(am, ap, 1)
+	return g
+}
+
+// TestInsertionClassesMatchPairs checks the classes of insertion pairs
+// that evalPairs explores one representative of. Over every round of the
+// product differential and choice-merge, every pair scored on its own gets
+// its representative's verdict, and InsertSignalAt of the pair and of its
+// representative both fail or give equal canonical signatures, which share
+// no code with pointClasses. Representatives come first in enumeration
+// order. The class counts are pinned.
+func TestInsertionClassesMatchPairs(t *testing.T) {
+	rounds := append(productRounds(t), productRound{name: "choice-merge", g: choiceMerge(), signal: "csc0"})
+	// Base rounds: pairs and classes.
+	want := map[string][2]int{
+		"gen/cscring-4":    {2256, 646},
+		"gen/cscring-3":    {1260, 376},
+		"gen/cscring-2":    {552, 178},
+		"vme-read-write.g": {380, 310},
+		"vme-read.g":       {132, 112},
+		"choice-merge":     {132, 94},
+	}
+	var pairs, classes, badVerdicts, badSigs int
+	var bad []string
+	for _, rd := range rounds {
+		ctx := newEvalCtx(Options{Workers: 2})
+		pr, prs, err := newRound(rd.g, rd.signal, ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", rd.name, err)
+		}
+		if rd.maxStates > 0 {
+			pr.maxStates = rd.maxStates
+		}
+		n := 0
+		for i, p := range prs {
+			if p.rep == i {
+				n++
+			} else if p.rep > i || prs[p.rep].rep != p.rep {
+				t.Fatalf("%s: pair %d has representative %d, itself represented by %d", rd.name, i, p.rep, prs[p.rep].rep)
+			}
+		}
+		if w, ok := want[rd.name]; ok && (len(prs) != w[0] || n != w[1]) {
+			t.Errorf("%s: %d pairs in %d classes, want %d in %d", rd.name, len(prs), n, w[0], w[1])
+		}
+		pairs += len(prs)
+		classes += n
+		var mu sync.Mutex
+		if err := ctx.runPool(len(prs), func(ws *workerScratch, i int) error {
+			p := prs[i]
+			if p.rep == i {
+				return nil
+			}
+			q := prs[p.rep]
+			vp, vq := pr.score(&ws.prod, p.r, p.f), pr.score(&ws.prod, q.r, q.f)
+			a, errA := InsertSignalAt(rd.g, rd.signal, p.r, p.f)
+			b, errB := InsertSignalAt(rd.g, rd.signal, q.r, q.f)
+			sameNet := (errA == nil) == (errB == nil) && (errA != nil || canonicalSignature(a) == canonicalSignature(b))
+			if vp == vq && sameNet {
+				return nil
+			}
+			desc := fmt.Sprintf("%s: %s (representative %s)", rd.name, describeInsertion(rd.g, rd.signal, p.r, p.f),
+				describeInsertion(rd.g, rd.signal, q.r, q.f))
+			mu.Lock()
+			defer mu.Unlock()
+			if vp != vq {
+				badVerdicts++
+				bad = append(bad, fmt.Sprintf("%s: verdict %+v, representative's %+v", desc, vp, vq))
+			}
+			if !sameNet {
+				badSigs++
+				bad = append(bad, desc+": canonical signatures differ")
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(bad) > 0 {
+		slices.Sort(bad)
+		t.Errorf("%d verdict and %d signature mismatches, first: %s", badVerdicts, badSigs, bad[0])
+	}
+	if pairs != 61376 || classes != 21266 {
+		t.Errorf("%d pairs in %d classes, want 61376 in 21266", pairs, classes)
+	}
+	t.Logf("%d pairs in %d classes", pairs, classes)
+}

@@ -232,7 +232,8 @@ func scoreInsertions(g *stg.STG, name string, limit int, ctx *evalCtx) ([]scored
 
 // newRound prepares the ranking round inserting signal name into g: the
 // product of g's state graph and every ordered pair of distinct (rise,
-// fall) insertion points around non-input transitions.
+// fall) insertion points around non-input transitions, each pair with the
+// first pair of its class of isomorphic insertions (pointClasses).
 func newRound(g *stg.STG, name string, ctx *evalCtx) (*product, []insPair, error) {
 	if g.SignalIndex(name) >= 0 {
 		return nil, nil, fmt.Errorf("encoding: %s already names a signal of %s", name, g.Name())
@@ -245,21 +246,32 @@ func newRound(g *stg.STG, name string, ctx *evalCtx) (*product, []insPair, error
 	if err != nil {
 		return nil, nil, err
 	}
-	var points []Point
+	points := make([]Point, 0, 2*len(g.Net.Transitions))
 	for t := range g.Net.Transitions {
 		if !g.IsInput(t) && g.Labels[t].Sig >= 0 {
 			points = append(points, Point{Before: true, Trans: t}, Point{Before: false, Trans: t})
 		}
 	}
-	var pairs []insPair
-	order := 0
-	for _, r := range points {
-		for _, f := range points {
-			if r == f {
+	// Pairs (r, f) and (r', f') share a class when r ≡ r' and f ≡ f'; a
+	// pair whose two points share one class is a class of its own.
+	cls := pointClasses(g, points)
+	n := len(points)
+	first := make([]int, n*n) // 1 + the first pair of each (rise, fall) class
+	pairs := make([]insPair, 0, n*(n-1))
+	for ri, r := range points {
+		for fi, f := range points {
+			if ri == fi {
 				continue
 			}
-			order++
-			pairs = append(pairs, insPair{r: r, f: f, order: order})
+			i := len(pairs)
+			rep := i
+			if cr, cf := cls[ri], cls[fi]; cr != cf {
+				if first[cr*n+cf] == 0 {
+					first[cr*n+cf] = i + 1
+				}
+				rep = first[cr*n+cf] - 1
+			}
+			pairs = append(pairs, insPair{r: r, f: f, order: i + 1, rep: rep})
 		}
 	}
 	return newProduct(g, raw, trans, name, len(baseSG.CSCConflicts())), pairs, nil
@@ -344,6 +356,7 @@ func firstRound(g *stg.STG, maxSignals, limit int, ctx *evalCtx) ([]*Solution, e
 		// Greedy continuation for multi-signal cases.
 		sig := canonicalSignature(cand.STG)
 		if exhausted[sig] {
+			ctx.twinSkips.Inc()
 			continue
 		}
 		sol, err := continueGreedy(cand, maxSignals-1, ctx)

@@ -254,10 +254,11 @@ func TestConflictSummary(t *testing.T) {
 // complex-gate logic for, to cost them in literals: on vme-read-write, with
 // the five-solution limit the flow uses, 68 isomorphism classes of
 // candidates reach zero conflicts. It also pins the account of the whole
-// search: every one of the 3,140 insertion pairs is scored on the product,
-// each rejection is counted under exactly one reason, and at most the 68
-// costed candidates plus the ranked survivors of the search's rounds are
-// rebuilt as STGs. The engine span carries the same totals.
+// search: every one of the 3,140 insertion pairs is judged, 2,250 of them
+// explored on the product (one per class of isomorphic pairs), each
+// rejection is counted under exactly one reason, and at most the 68 costed
+// candidates plus the ranked survivors of the search's rounds are rebuilt
+// as STGs. The engine span carries the same totals.
 func TestCostedCounter(t *testing.T) {
 	reg := obs.NewRegistry()
 	root := reg.Root("flow:test")
@@ -267,9 +268,9 @@ func TestCostedCounter(t *testing.T) {
 	root.End()
 	snap := reg.Snapshot()
 	c := snap.Counters
-	if c["encoding.candidates"] != 3140 || c["encoding.costed"] != 68 {
-		t.Fatalf("encoding.candidates = %d, encoding.costed = %d; want 3140 and 68",
-			c["encoding.candidates"], c["encoding.costed"])
+	if c["encoding.candidates"] != 3140 || c["encoding.explored"] != 2250 || c["encoding.costed"] != 68 {
+		t.Fatalf("encoding.candidates = %d, explored = %d, costed = %d; want 3140, 2250 and 68",
+			c["encoding.candidates"], c["encoding.explored"], c["encoding.costed"])
 	}
 	if c["encoding.rebuilt"] < 68 || c["encoding.rebuilt"] > 83 {
 		t.Fatalf("encoding.rebuilt = %d, want 68..83", c["encoding.rebuilt"])
@@ -295,8 +296,8 @@ func TestCostedCounter(t *testing.T) {
 		for _, kv := range sp.Attrs {
 			attrs[kv.Key] = kv.Value
 		}
-		for _, name := range []string{"candidates", "rebuilt", "costed", "memo_hits", "memo_misses",
-			"rejected_inconsistent", "rejected_no_progress", "budget_checks"} {
+		for _, name := range []string{"candidates", "explored", "rebuilt", "costed", "memo_hits", "memo_misses",
+			"rejected_inconsistent", "rejected_no_progress", "twin_skips", "budget_checks"} {
 			if want := strconv.FormatInt(c["encoding."+name], 10); attrs[name] != want {
 				t.Fatalf("engine:encoding %s = %q, want %s", name, attrs[name], want)
 			}

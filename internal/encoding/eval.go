@@ -23,20 +23,24 @@ type Options struct {
 	// solutions are identical at any worker count.
 	Workers int
 	// Budget adds cancellation between candidate evaluations; nil is
-	// unlimited. The check runs once per scored insertion pair or ordering
-	// and once per costed insertion; scoring one explores a candidate state
-	// graph, which no single check interrupts.
+	// unlimited. The check runs once per explored insertion pair — one per
+	// class of isomorphic pairs, see pointClasses — or ordering and once
+	// per costed insertion; exploring one builds a candidate state graph,
+	// which no single check interrupts.
 	Budget *budget.Budget
 	// Obs is the parent observability span: the solve records an
 	// "engine:encoding" child span carrying the totals below as
 	// attributes, per-worker spans, and the encoding.* counters into its
-	// registry: candidates (insertion pairs scored on the state-graph
-	// product, and orderings), rebuilt (candidates built as STGs and
-	// explored, every ordering among them), one rejected_<reason> per
-	// rejection reason, memo_hits and memo_misses (the solved insertions'
-	// canonical-signature dedup), costed and budget_checks. The
-	// per-candidate explorations stay uninstrumented — a solve scores
-	// thousands of them. nil disables observability.
+	// registry: candidates (insertion pairs judged, and orderings),
+	// explored (insertion pairs explored on the state-graph product, one
+	// per class; the other pairs take their class's verdict), rebuilt
+	// (candidates built as STGs and explored, every ordering among them),
+	// one rejected_<reason> per rejection reason, memo_hits and
+	// memo_misses (the solved insertions' canonical-signature dedup),
+	// costed, twin_skips (first-round survivors skipped as twins of
+	// exhausted ones) and budget_checks. The per-candidate explorations
+	// stay uninstrumented — a solve scores thousands of them. nil disables
+	// observability.
 	Obs *obs.Span
 }
 
@@ -60,6 +64,7 @@ type evalCtx struct {
 
 	sp         *obs.Span
 	candidates *obs.Counter
+	explored   *obs.Counter
 	rebuilt    *obs.Counter
 	rejected   [numReasons]*obs.Counter
 	memoHits   *obs.Counter
@@ -67,8 +72,9 @@ type evalCtx struct {
 	// costed counts the solved candidates whose complex-gate logic was
 	// derived to cost them in literals: one per isomorphism class of
 	// insertions, one per ordering.
-	costed *obs.Counter
-	checks *obs.Counter
+	costed    *obs.Counter
+	twinSkips *obs.Counter
+	checks    *obs.Counter
 }
 
 // workerScratch is one pool worker's reusable memory.
@@ -86,10 +92,12 @@ func newEvalCtx(opts Options) *evalCtx {
 		bgt:        opts.Budget,
 		sp:         sp,
 		candidates: reg.Counter("encoding.candidates"),
+		explored:   reg.Counter("encoding.explored"),
 		rebuilt:    reg.Counter("encoding.rebuilt"),
 		memoHits:   reg.Counter("encoding.memo_hits"),
 		memoMisses: reg.Counter("encoding.memo_misses"),
 		costed:     reg.Counter("encoding.costed"),
+		twinSkips:  reg.Counter("encoding.twin_skips"),
 		checks:     reg.Counter("encoding.budget_checks"),
 	}
 	for r := rejectInvalid; r < numReasons; r++ {
@@ -110,6 +118,7 @@ func (c *evalCtx) finish(err error) {
 		c.sp.Attr(key, strconv.FormatInt(ctr.Value(), 10))
 	}
 	attr("candidates", c.candidates)
+	attr("explored", c.explored)
 	attr("rebuilt", c.rebuilt)
 	for r := rejectInvalid; r < numReasons; r++ {
 		attr("rejected_"+reasonNames[r], c.rejected[r])
@@ -117,6 +126,7 @@ func (c *evalCtx) finish(err error) {
 	attr("memo_hits", c.memoHits)
 	attr("memo_misses", c.memoMisses)
 	attr("costed", c.costed)
+	attr("twin_skips", c.twinSkips)
 	attr("budget_checks", c.checks)
 	if err != nil {
 		c.sp.Attr("error", err.Error())
@@ -162,15 +172,19 @@ func (c *evalCtx) runPool(n int, task func(ws *workerScratch, i int) error) erro
 
 // insPair is one enumerated (rise, fall) candidate with its deterministic
 // enumeration index — the ranking tie-breaker that makes the chosen solution
-// independent of evaluation order.
+// independent of evaluation order — and rep, the index of the first pair of
+// its class of isomorphic insertions (pointClasses), itself for the pair
+// that represents its class.
 type insPair struct {
 	r, f  Point
 	order int
+	rep   int
 }
 
 // scored is one accepted candidate with its ranking key. Solved candidates
-// carry the STG built for their canonical signature, and the costed
-// representative of each isomorphism class its state graph.
+// that represent their class of pairs carry the STG built for their
+// canonical signature, and the costed representative of each isomorphism
+// class its state graph.
 type scored struct {
 	pair insPair
 	key  [3]int
@@ -178,20 +192,35 @@ type scored struct {
 	sg   *ts.SG
 }
 
-// evalPairs scores every pair on the round's product across the worker
-// pool, then costs the solved candidates: grouped by canonical signature
-// (isomorphic candidates have the same literal cost), one per class is
-// rebuilt and costed, again across the pool. Results land in a slot per
-// pair, so the assembled order — and with it the ranking — is the
+// evalPairs judges every pair of the round. Only each class's
+// representative is explored on the round's product, across the worker
+// pool; every other pair takes its representative's verdict and canonical
+// signature. Then it costs the solved candidates: grouped by canonical
+// signature (isomorphic candidates have the same literal cost), one per
+// class is rebuilt and costed, again across the pool. Results land in a
+// slot per pair, so the assembled order — and with it the ranking — is the
 // enumeration order at any worker count.
 func evalPairs(g *stg.STG, name string, pr *product, pairs []insPair, ctx *evalCtx) ([]scored, error) {
 	type result struct {
 		v    verdict
-		cand *stg.STG // solved candidates only
-		sig  string
+		cand *stg.STG // solved representatives only
+		sig  string   // solved pairs only
 	}
 	results := make([]result, len(pairs))
-	err := ctx.runPool(len(pairs), func(ws *workerScratch, i int) error {
+	n := 0
+	for i, p := range pairs {
+		if p.rep == i {
+			n++
+		}
+	}
+	explore := make([]int, 0, n)
+	for i, p := range pairs {
+		if p.rep == i {
+			explore = append(explore, i)
+		}
+	}
+	err := ctx.runPool(len(explore), func(ws *workerScratch, k int) error {
+		i := explore[k]
 		p := pairs[i]
 		v := pr.score(&ws.prod, p.r, p.f)
 		results[i].v = v
@@ -209,17 +238,28 @@ func evalPairs(g *stg.STG, name string, pr *product, pairs []insPair, ctx *evalC
 	}
 
 	ctx.candidates.Add(int64(len(pairs)))
+	ctx.explored.Add(int64(len(explore)))
 	classOf := make(map[string]int)
 	var reps []int // pair index of each class's first member
-	for i, res := range results {
+	accepted := 0
+	for i := range results {
+		res := &results[i]
+		if rep := pairs[i].rep; rep != i {
+			res.v, res.sig = results[rep].v, results[rep].sig
+		}
 		ctx.rejected[res.v.reason].Inc()
-		if res.cand == nil {
+		if res.v.reason == none {
+			accepted++
+		}
+		if res.sig == "" {
 			continue
 		}
 		if _, ok := classOf[res.sig]; ok {
 			ctx.memoHits.Inc()
 			continue
 		}
+		// The first pair of a signature class is the first of its pair
+		// class too, so it carries its candidate.
 		ctx.memoMisses.Inc()
 		classOf[res.sig] = len(reps)
 		reps = append(reps, i)
@@ -248,13 +288,13 @@ func evalPairs(g *stg.STG, name string, pr *product, pairs []insPair, ctx *evalC
 		return nil, err
 	}
 
-	var all []scored
+	all := make([]scored, 0, accepted)
 	for i, res := range results {
 		if res.v.reason != none {
 			continue
 		}
 		s := scored{pair: pairs[i], key: [3]int{res.v.conflicts, unsolvedLiteralCost, pairs[i].order}}
-		if res.cand != nil {
+		if res.sig != "" {
 			c := classOf[res.sig]
 			s.key[1], s.stg = classes[c].lits, res.cand
 			if reps[c] == i {
@@ -264,6 +304,57 @@ func evalPairs(g *stg.STG, name string, pr *product, pairs []insPair, ctx *evalC
 		all = append(all, s)
 	}
 	return all, nil
+}
+
+// pointClasses returns, for each insertion point, the index in points of
+// the first point of its class: points whose insertions build the same net
+// up to place names. "after t" and "before u" share a class when t's
+// postset is exactly one place p, p is unmarked, t is p's only producer, u
+// is p's only consumer and p is u's whole preset; every other point is a
+// class of its own.
+//
+// The rule is exact. Both points splice x± into the one link from t to u,
+// so both candidate nets read t → · → x± → · → u through two unmarked
+// places, and an insertion at a point of another class touches neither
+// place. InsertSignalAt appends x+ and then x−, so the two candidates have
+// the same transitions under the same indexes and differ only in place
+// names and place order. reach.BuildSG explores them in the same order
+// into the same graph, and the product mirrors BuildSG, so the verdict is
+// the same: reason, conflict count, state cap and first failure, on the
+// toggle and dummy paths too. Pairs (r, f) and (r', f') with r ≡ r' and
+// f ≡ f' are therefore scored alike, and only their enumeration order
+// differs. A pair whose two points share a class is not: x+ and x− then
+// sit on the same link in opposite orders.
+//
+// The rule covers one-place links only. If t's postset is two such places
+// {p1, p2}, "after t" gives one place t→x and two places x→u, while "before
+// u" gives two places t→x and one x→u: different nets, which
+// canonicalSignature tells apart.
+func pointClasses(g *stg.STG, points []Point) []int {
+	net := g.Net
+	before := make([]int, len(net.Transitions)) // 1 + the point "before u"
+	cls := make([]int, len(points))
+	for i, pt := range points {
+		cls[i] = i
+		if pt.Before {
+			before[pt.Trans] = i + 1
+		}
+	}
+	for i, pt := range points {
+		post := net.Transitions[pt.Trans].Post
+		if pt.Before || len(post) != 1 {
+			continue
+		}
+		p := &net.Places[post[0]]
+		if p.Initial != 0 || len(p.Pre) != 1 || len(p.Post) != 1 {
+			continue
+		}
+		u := p.Post[0]
+		if j := before[u] - 1; j >= 0 && len(net.Transitions[u].Pre) == 1 {
+			cls[i], cls[j] = min(i, j), min(i, j)
+		}
+	}
+	return cls
 }
 
 // canonicalSignature renders a name-independent structural signature of an

@@ -85,10 +85,11 @@ func continuation(s *Solution, ctx *evalCtx) string {
 
 // TestTwinSkipCounters pins the search's account on cscring-4 with the
 // flow's settings (three signals, five solutions): five of its ten
-// first-round survivors are skipped as twins of exhausted ones, so it
-// scores 30,916 insertion pairs (59,576 without the skip) and rebuilds 20
-// survivors (30). A skip keyed on anything coarser than the canonical
-// signature changes these counts.
+// first-round survivors are skipped as twins of exhausted ones
+// (encoding.twin_skips), so it judges 30,916 insertion pairs (59,576
+// without the skip), explores 8,736 of them on the product, one per class
+// of isomorphic pairs, and rebuilds 20 survivors (30). A skip keyed on
+// anything coarser than the canonical signature changes these counts.
 func TestTwinSkipCounters(t *testing.T) {
 	for _, w := range []int{1, 2} {
 		reg := obs.NewRegistry()
@@ -99,9 +100,10 @@ func TestTwinSkipCounters(t *testing.T) {
 			t.Fatalf("w=%d: got error %v, want %q", w, err, want)
 		}
 		c := reg.Snapshot().Counters
-		if c["encoding.candidates"] != 30916 || c["encoding.rebuilt"] != 20 {
-			t.Fatalf("w=%d: encoding.candidates = %d, encoding.rebuilt = %d; want 30916 and 20",
-				w, c["encoding.candidates"], c["encoding.rebuilt"])
+		if c["encoding.candidates"] != 30916 || c["encoding.explored"] != 8736 ||
+			c["encoding.rebuilt"] != 20 || c["encoding.twin_skips"] != 5 {
+			t.Fatalf("w=%d: encoding.candidates = %d, explored = %d, rebuilt = %d, twin_skips = %d; want 30916, 8736, 20 and 5",
+				w, c["encoding.candidates"], c["encoding.explored"], c["encoding.rebuilt"], c["encoding.twin_skips"])
 		}
 	}
 }

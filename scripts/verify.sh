@@ -49,12 +49,15 @@ go test -fuzz=FuzzPropParse -fuzztime=5s -run '^$' ./internal/prop/
 # solutions, functions and netlists at every worker count, the CSC
 # candidate product agreeing with the rebuild on every insertion pair at
 # one and two workers (the corpus and the CSC rings 2-4, 61,244 pairs, each
-# rebuilt graph's persistency also checked against the pair scan), twin
+# rebuilt graph's persistency also checked against the pair scan), the
+# class check (every pair of those rounds and of a choice-merge spec, scored
+# on its own, gets the verdict of the representative the search explores in
+# its place, and both build nets with one canonical signature), twin
 # first-round survivors ranking and continuing
 # alike (the premise of skipping a twin's exhausted continuation, and
 # cscring-4's counters with the skip), and the pooled
 # concurrency-reduction search matching its golden at one and two workers.
-go test -timeout 60s -race -run 'Deterministic|MatchesSequential|TieBreak|CSCError|ProductMatchesRebuild|Twin|ReductionGolden' ./internal/encoding/ ./internal/logic/
+go test -timeout 60s -race -run 'Deterministic|MatchesSequential|TieBreak|CSCError|ProductMatchesRebuild|InsertionClassesMatchPairs|Twin|ReductionGolden' ./internal/encoding/ ./internal/logic/
 # One state graph per flow under the race detector: Verify handed the
 # flow's state graph returns exactly what it returns when it builds its own,
 # and a spec that already has CSC runs no encoding search. Concurrency
@@ -77,7 +80,7 @@ go run ./cmd/synth -metrics "$obsdir/synth.metrics.json" \
 OBS_METRICS_FILE="$obsdir/synth.metrics.json" \
 OBS_TRACE_FILE="$obsdir/synth.trace.json" \
 OBS_REQUIRE_HIERARCHY=1 \
-OBS_REQUIRE_COUNTERS=reach.states,reach.arcs,encoding.candidates,encoding.costed,encoding.rebuilt,logic.signals,logic.cover_literals \
+OBS_REQUIRE_COUNTERS=reach.states,reach.arcs,encoding.candidates,encoding.explored,encoding.costed,encoding.rebuilt,logic.signals,logic.cover_literals \
     go test -timeout 30s -run TestExternalArtifacts -count=1 ./internal/obs/
 # The concurrency-reduction flow exports the same trace shape and the
 # encoding search's counters.
