@@ -46,6 +46,37 @@ func TestReachAllEngines(t *testing.T) {
 	}
 }
 
+// unboundedNet puts one more token in q or r on every firing: it is not
+// safe, and not bounded either.
+const unboundedNet = `
+.model unbounded
+.outputs a
+.graph
+p a+ a-
+a+ p q
+a- p r
+.marking { p }
+.end
+`
+
+// TestReachAllEnginesUnsafeNet: every engine finishes on a net that is not
+// safe. The unfolding stops at its first second token instead of growing
+// until the deadline, and the explicit engines at their 256th token.
+func TestReachAllEnginesUnsafeNet(t *testing.T) {
+	var out, errb bytes.Buffer
+	if err := run([]string{"-timeout", "10s"}, strings.NewReader(unboundedNet), &out, &errb); err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	for _, want := range []string{
+		"unfold: net not safe: firing a+ puts a second token in q",
+		"firing a+ puts a 256th token in q",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
 func TestReachSymbolicSiftAndStats(t *testing.T) {
 	var out, errb bytes.Buffer
 	if err := run([]string{"-engine", "symbolic", "-sift"}, strings.NewReader(muller2), &out, &errb); err != nil {

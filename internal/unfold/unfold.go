@@ -8,6 +8,7 @@ package unfold
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -185,6 +186,24 @@ func build(n *petri.Net, opts Options, sp *obs.Span) (*Prefix, error) {
 			}
 		}
 
+		// A condition is concurrent with e's post-conditions iff it is
+		// concurrent with every condition of •e (preset members self-exclude:
+		// no condition is concurrent with itself). Such a condition of a
+		// place e produces shares a reachable cut with e's: a second token,
+		// which a safe net never holds.
+		inter := u.coIntersect(ext.pre)
+		post := n.Transitions[ext.trans].Post
+		second := -1
+		inter.forEach(func(c int) {
+			if p := u.Conditions[c].Place; second < 0 && slices.Contains(post, p) {
+				second = p
+			}
+		})
+		if second >= 0 {
+			return u, fmt.Errorf("unfold: net not safe: firing %s puts a second token in %s",
+				n.Transitions[ext.trans].Name, n.Places[second].Name)
+		}
+
 		eIdx := len(u.Events)
 		ev := Event{Trans: ext.trans, Pre: append([]int(nil), ext.pre...)}
 		// History bitset.
@@ -219,11 +238,7 @@ func build(n *petri.Net, opts Options, sp *obs.Span) (*Prefix, error) {
 		for _, c := range ev.Pre {
 			u.Conditions[c].Consumers = append(u.Conditions[c].Consumers, eIdx)
 		}
-		// A condition is concurrent with e's post-conditions iff it is
-		// concurrent with every condition of •e (preset members self-exclude:
-		// no condition is concurrent with itself).
-		inter := u.coIntersect(ev.Pre)
-		for _, p := range n.Transitions[ext.trans].Post {
+		for _, p := range post {
 			cIdx := len(u.Conditions)
 			u.Conditions = append(u.Conditions, Condition{Place: p, Producer: eIdx, Frozen: ev.Cutoff})
 			u.Events[eIdx].Post = append(u.Events[eIdx].Post, cIdx)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/petri"
 	"repro/internal/reach"
 	"repro/internal/vme"
 )
@@ -138,5 +139,30 @@ func TestPrefixLimits(t *testing.T) {
 	unsafe.Places[0].Initial = 2
 	if _, err := Build(unsafe, Options{}); err == nil {
 		t.Fatal("unsafe initial marking must be rejected")
+	}
+}
+
+// TestPrefixUnsafeNet: on a net that fills a place without bound (p a+ a-,
+// a+ p q, a- p r, p marked) the construction stops at the first event whose
+// post-condition is concurrent with a condition of the same place, and
+// returns the prefix built so far with an error naming both. Without the
+// check the prefix grows, with no cutoff, until the event ceiling the test
+// sets.
+func TestPrefixUnsafeNet(t *testing.T) {
+	net := petri.New("unsafe")
+	p, q, r := net.AddPlace("p", 1), net.AddPlace("q", 0), net.AddPlace("r", 0)
+	up, down := net.AddTransition("a+"), net.AddTransition("a-")
+	for _, tr := range []int{up, down} {
+		net.ArcPT(p, tr)
+		net.ArcTP(tr, p)
+	}
+	net.ArcTP(up, q)
+	net.ArcTP(down, r)
+	u, err := Build(net, Options{MaxEvents: 1000})
+	if err == nil || err.Error() != "unfold: net not safe: firing a+ puts a second token in q" {
+		t.Fatalf("got error %v, want a second token in q", err)
+	}
+	if u == nil || len(u.Events) != 2 {
+		t.Fatalf("want the two-event partial prefix, got %+v", u)
 	}
 }
