@@ -60,14 +60,18 @@ a- p r
 `
 
 // TestReachAllEnginesUnsafeNet: every engine finishes on a net that is not
-// safe. The unfolding stops at its first second token instead of growing
-// until the deadline, and the explicit engines at their 256th token.
+// safe. The symbolic engine reports the second token its fixpoint stops
+// short of, the unfolding stops at its first second token instead of
+// growing until the deadline, and the explicit engines at their 256th
+// token.
 func TestReachAllEnginesUnsafeNet(t *testing.T) {
 	var out, errb bytes.Buffer
 	if err := run([]string{"-timeout", "10s"}, strings.NewReader(unboundedNet), &out, &errb); err != nil {
 		t.Fatalf("%v\n%s", err, out.String())
 	}
 	for _, want := range []string{
+		"partial: 4 states after 3 iterations",
+		"symbolic: net not safe: firing a+ puts a second token in q",
 		"unfold: net not safe: firing a+ puts a second token in q",
 		"firing a+ puts a 256th token in q",
 	} {

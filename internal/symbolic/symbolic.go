@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"strconv"
 
 	"repro/internal/bdd"
@@ -75,7 +76,9 @@ func (o Options) gcThreshold() int {
 // one-variable-per-place encoding: starting from the initial marking, the
 // image of the transition function is applied iteratively until the
 // characteristic function reaches a fixed point. Enabledness uses 1-safe
-// semantics: input places marked and fresh output places empty.
+// semantics: input places marked and fresh output places empty. A net that
+// is not safe gets the fixpoint's Result together with an error naming the
+// first transition, in net order, that puts a second token in a place.
 func Reach(n *petri.Net) (*Result, error) { return ReachOpts(n, Options{}) }
 
 // ReachOpts is Reach with explicit kernel options: bounded-memory garbage
@@ -188,7 +191,30 @@ func reachOpts(n *petri.Net, opts Options, sp *obs.Span) (*Result, error) {
 		}
 	}
 	m.DecRef(frontier)
-	return result(m, reached, iters), nil
+	// The Result snapshots the kernel's counters before the check runs.
+	res := result(m, reached, iters)
+	return res, checkSafe(n, m, reached)
+}
+
+// checkSafe returns an error naming the first transition t, in net order,
+// that a reached marking enables — t's preset marked — while a place t
+// produces but does not consume is marked. Enabledness includes
+// contact-freeness, so the fixpoint never fires t there: without this
+// check it would stop short on a net that is not safe.
+func checkSafe(n *petri.Net, m *bdd.Manager, reached bdd.Ref) error {
+	for _, tr := range n.Transitions {
+		from := reached
+		for _, p := range tr.Pre {
+			from = m.And(from, m.Var(p))
+		}
+		for _, p := range tr.Post {
+			if !slices.Contains(tr.Pre, p) && m.And(from, m.Var(p)) != bdd.False {
+				return fmt.Errorf("symbolic: net not safe: firing %s puts a second token in %s",
+					tr.Name, n.Places[p].Name)
+			}
+		}
+	}
+	return nil
 }
 
 // result snapshots a (possibly partial) traversal into a Result.

@@ -236,6 +236,32 @@ func TestReachRejectsUnsafeInitial(t *testing.T) {
 	}
 }
 
+// TestReachReportsUnsafeNet: a+ and a- both keep p marked and put a token
+// in q and r. Contact-freeness stops the fixpoint at the four markings over
+// {p, q, r} with p marked, where a+ would put a second token in q; the
+// traversal returns them with an error naming that firing instead of a
+// count that holds for no semantics of the net.
+func TestReachReportsUnsafeNet(t *testing.T) {
+	net := petri.New("unbounded")
+	p, q, r := net.AddPlace("p", 1), net.AddPlace("q", 0), net.AddPlace("r", 0)
+	for _, fire := range []struct {
+		name string
+		out  int
+	}{{"a+", q}, {"a-", r}} {
+		tr := net.AddTransition(fire.name)
+		net.ArcPT(p, tr)
+		net.ArcTP(tr, p)
+		net.ArcTP(tr, fire.out)
+	}
+	res, err := Reach(net)
+	if want := "symbolic: net not safe: firing a+ puts a second token in q"; err == nil || err.Error() != want {
+		t.Fatalf("got error %v, want %q", err, want)
+	}
+	if res == nil || res.Count != 4 {
+		t.Fatalf("want the fixpoint's 4 markings alongside the error, got %+v", res)
+	}
+}
+
 // TestCountExactMatchesExplicit cross-checks the big-integer count against
 // the explicit engine everywhere both run, and against the float count.
 func TestCountExactMatchesExplicit(t *testing.T) {
