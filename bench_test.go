@@ -153,7 +153,7 @@ func BenchmarkSolveCSC(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("cscring-3/w%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := encoding.SolveCSCOpts(ring, 3, encoding.Options{Workers: w}); err != nil {
+				if _, err := encoding.SolutionsOpts(ring, 3, 1, encoding.Options{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -40,7 +40,10 @@ func choiceMerge() *stg.STG {
 // its representative's verdict, and InsertSignalAt of the pair and of its
 // representative both fail or give equal canonical signatures, which share
 // no code with pointClasses. Representatives come first in enumeration
-// order. The class counts are pinned.
+// order. Within a round no two representatives that solve CSC build nets
+// with one canonical signature, so costing one candidate per class costs
+// no isomorphic candidate twice. The counts of classes and of solved
+// representatives (220, 32 of them in the capped round) are pinned.
 func TestInsertionClassesMatchPairs(t *testing.T) {
 	rounds := append(productRounds(t), productRound{name: "choice-merge", g: choiceMerge(), signal: "csc0"})
 	// Base rounds: pairs and classes.
@@ -52,11 +55,11 @@ func TestInsertionClassesMatchPairs(t *testing.T) {
 		"vme-read.g":       {132, 112},
 		"choice-merge":     {132, 94},
 	}
-	var pairs, classes, badVerdicts, badSigs int
+	var pairs, classes, solved, badVerdicts, badSigs, isomorphic int
 	var bad []string
 	for _, rd := range rounds {
 		ctx := newEvalCtx(Options{Workers: 2})
-		pr, prs, err := newRound(rd.g, rd.signal, ctx)
+		pr, prs, err := newRound(explored(t, rd.g), rd.signal)
 		if err != nil {
 			t.Fatalf("%s: %v", rd.name, err)
 		}
@@ -77,9 +80,17 @@ func TestInsertionClassesMatchPairs(t *testing.T) {
 		pairs += len(prs)
 		classes += n
 		var mu sync.Mutex
+		sigs := make([]string, len(prs)) // of the solved representatives
 		if err := ctx.runPool(len(prs), func(ws *workerScratch, i int) error {
 			p := prs[i]
 			if p.rep == i {
+				if v := pr.score(&ws.prod, p.r, p.f); v.reason == none && v.conflicts == 0 {
+					cand, err := InsertSignalAt(rd.g, rd.signal, p.r, p.f)
+					if err != nil {
+						return err
+					}
+					sigs[i] = canonicalSignature(cand)
+				}
 				return nil
 			}
 			q := prs[p.rep]
@@ -106,13 +117,28 @@ func TestInsertionClassesMatchPairs(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+		first := make(map[string]int)
+		for i, sig := range sigs {
+			if sig == "" {
+				continue
+			}
+			solved++
+			if j, ok := first[sig]; ok {
+				isomorphic++
+				bad = append(bad, fmt.Sprintf("%s: solved representatives %s and %s build isomorphic nets", rd.name,
+					describeInsertion(rd.g, rd.signal, prs[j].r, prs[j].f), describeInsertion(rd.g, rd.signal, prs[i].r, prs[i].f)))
+				continue
+			}
+			first[sig] = i
+		}
 	}
 	if len(bad) > 0 {
 		slices.Sort(bad)
-		t.Errorf("%d verdict and %d signature mismatches, first: %s", badVerdicts, badSigs, bad[0])
+		t.Errorf("%d verdict and %d signature mismatches, %d isomorphic solved representatives, first: %s",
+			badVerdicts, badSigs, isomorphic, bad[0])
 	}
-	if pairs != 61376 || classes != 21266 {
-		t.Errorf("%d pairs in %d classes, want 61376 in 21266", pairs, classes)
+	if pairs != 61376 || classes != 21266 || solved != 220 {
+		t.Errorf("%d pairs in %d classes, %d solved representatives; want 61376 in 21266, 220", pairs, classes, solved)
 	}
-	t.Logf("%d pairs in %d classes", pairs, classes)
+	t.Logf("%d pairs in %d classes, %d solved representatives", pairs, classes, solved)
 }

@@ -132,6 +132,26 @@ type Solution struct {
 	Description string
 	// Literals is the complex-gate literal cost, the selection metric.
 	Literals int
+	// raw is SG before dummy contraction and trans[s][k] the net
+	// transition of raw's arc Out[s][k]: what a ranking round on STG
+	// reads. explore sets both.
+	raw   *ts.SG
+	trans [][]int
+}
+
+// explore builds g's state graph the one way the insertion search builds
+// every graph — reach.BuildSGTrans, then dummy contraction — into a
+// Solution that can base a ranking round.
+func explore(g *stg.STG, opts reach.Options) (*Solution, error) {
+	raw, trans, err := reach.BuildSGTrans(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	sg, err := ts.ContractDummies(raw)
+	if err != nil {
+		return nil, err
+	}
+	return &Solution{STG: g, SG: sg, raw: raw, trans: trans}, nil
 }
 
 // unsolvedLiteralCost is the literal cost carried by candidates that reduce
@@ -150,12 +170,7 @@ const unsolvedLiteralCost = 1 << 29
 // and returns the valid solution with minimal complex-gate literal cost.
 // Up to maxSignals signals are inserted (each named csc0, csc1, ...).
 func SolveCSC(g *stg.STG, maxSignals int) (*Solution, error) {
-	return SolveCSCOpts(g, maxSignals, Options{})
-}
-
-// SolveCSCOpts is SolveCSC with explicit solver options.
-func SolveCSCOpts(g *stg.STG, maxSignals int, opts Options) (*Solution, error) {
-	sols, err := SolutionsOpts(g, maxSignals, 1, opts)
+	sols, err := SolutionsOpts(g, maxSignals, 1, Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -167,47 +182,42 @@ func describeInsertion(g *stg.STG, name string, r, f Point) string {
 }
 
 // rankedInsertions tries every (rise, fall) pair of insertion points around
-// non-input transitions and returns the property-preserving candidates that
-// reduce the conflict count, ranked by (conflicts, literal cost, order).
-// The survivors of the ranked cut are built with InsertSignalAt and
-// re-explored with reach.BuildSG, which every returned Solution comes from.
-func rankedInsertions(g *stg.STG, name string, limit int, ctx *evalCtx) ([]*Solution, error) {
-	all, err := scoreInsertions(g, name, limit, ctx)
+// non-input transitions of base's STG and returns the property-preserving
+// candidates that reduce the conflict count, ranked by (conflicts, literal
+// cost, order). A survivor that evalPairs has not built already — one that
+// leaves conflicts, or a solved pair its class's representative stands
+// for — is rebuilt now.
+func rankedInsertions(base *Solution, name string, limit int, ctx *evalCtx) ([]*Solution, error) {
+	all, err := scoreInsertions(base, name, limit, ctx)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*Solution, len(all))
 	for i, s := range all {
-		desc := describeInsertion(g, name, s.pair.r, s.pair.f)
-		cand, sg := s.stg, s.sg
-		if cand == nil {
-			if cand, err = InsertSignalAt(g, name, s.pair.r, s.pair.f); err != nil {
-				return nil, fmt.Errorf("encoding: %s: %w", desc, err)
-			}
-		}
-		if sg == nil {
-			sg, err = ctx.rebuildSG(cand, desc, s.key[0], reach.Options{Arena: ctx.arena, Budget: ctx.bgt})
-			if err != nil {
+		sol := s.sol
+		if sol == nil {
+			if sol, err = ctx.rebuild(base.STG, name, s.pair, s.key[0], reach.Options{Arena: ctx.arena, Budget: ctx.bgt}); err != nil {
 				return nil, err
 			}
+			sol.Literals = s.key[1]
 		}
-		out[i] = &Solution{STG: cand, SG: sg, Description: desc, Literals: s.key[1]}
+		out[i] = sol
 	}
 	return out, nil
 }
 
-// scoreInsertions scores every insertion pair of g's ranking round and
-// returns the property-preserving candidates that reduce the conflict
+// scoreInsertions scores every insertion pair of the ranking round on base
+// and returns the property-preserving candidates that reduce the conflict
 // count, sorted by their (conflicts, literals, order) key: the first limit
 // of them, or all when limit is 0. A continuation round keeps one, the
 // least key, which it takes in one pass: order is unique, so no two keys
 // tie.
-func scoreInsertions(g *stg.STG, name string, limit int, ctx *evalCtx) ([]scored, error) {
-	pr, pairs, err := newRound(g, name, ctx)
+func scoreInsertions(base *Solution, name string, limit int, ctx *evalCtx) ([]scored, error) {
+	pr, pairs, err := newRound(base, name)
 	if err != nil {
 		return nil, err
 	}
-	all, err := evalPairs(g, name, pr, pairs, ctx)
+	all, err := evalPairs(base.STG, name, pr, pairs, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -230,21 +240,15 @@ func scoreInsertions(g *stg.STG, name string, limit int, ctx *evalCtx) ([]scored
 	return all, nil
 }
 
-// newRound prepares the ranking round inserting signal name into g: the
-// product of g's state graph and every ordered pair of distinct (rise,
-// fall) insertion points around non-input transitions, each pair with the
-// first pair of its class of isomorphic insertions (pointClasses).
-func newRound(g *stg.STG, name string, ctx *evalCtx) (*product, []insPair, error) {
+// newRound prepares the ranking round inserting signal name into base's
+// STG: the product of base's state graph and every ordered pair of
+// distinct (rise, fall) insertion points around non-input transitions,
+// each pair with the first pair of its class of isomorphic insertions
+// (pointClasses). It explores nothing: base carries its graph.
+func newRound(base *Solution, name string) (*product, []insPair, error) {
+	g := base.STG
 	if g.SignalIndex(name) >= 0 {
 		return nil, nil, fmt.Errorf("encoding: %s already names a signal of %s", name, g.Name())
-	}
-	raw, trans, err := reach.BuildSGTrans(g, reach.Options{Arena: ctx.arena, Budget: ctx.bgt})
-	if err != nil {
-		return nil, nil, err
-	}
-	baseSG, err := ts.ContractDummies(raw)
-	if err != nil {
-		return nil, nil, err
 	}
 	points := make([]Point, 0, 2*len(g.Net.Transitions))
 	for t := range g.Net.Transitions {
@@ -274,7 +278,7 @@ func newRound(g *stg.STG, name string, ctx *evalCtx) (*product, []insPair, error
 			pairs = append(pairs, insPair{r: r, f: f, order: i + 1, rep: rep})
 		}
 	}
-	return newProduct(g, raw, trans, name, len(baseSG.CSCConflicts())), pairs, nil
+	return newProduct(g, base.raw, base.trans, name, len(base.SG.CSCConflicts())), pairs, nil
 }
 
 func less(a, b [3]int) bool {
@@ -315,31 +319,31 @@ var (
 	errUnsolved    = errors.New("encoding: CSC not solved")
 )
 
-// firstRound ranks the first insertions and completes up to limit of them
-// greedily. A survivor whose canonical signature matches one that already
-// ran out of insertions is skipped: both come from g by one InsertSignalAt,
-// so they have the same transitions under the same names and indexes and
-// differ only in place names and order. Every later round — product
-// exploration, blocked sets, conflict counts, literal costs and enumeration
-// order — depends only on transitions, so the twin's continuation would
-// pick the same pairs and run out the same way. Solved continuations are
-// not memoized: each Solution carries its own STG.
+// firstRound explores g once — a spec that has CSC is its own solution —
+// then ranks the first insertions on that graph and completes up to limit
+// of them greedily. A survivor whose canonical signature matches one that
+// already ran out of insertions is skipped: both come from g by one
+// InsertSignalAt, so they have the same transitions under the same names
+// and indexes and differ only in place names and order. Every later round
+// — product exploration, blocked sets, conflict counts, literal costs and
+// enumeration order — depends only on transitions, so the twin's
+// continuation would pick the same pairs and run out the same way. Solved
+// continuations are not memoized: each Solution carries its own STG.
 func firstRound(g *stg.STG, maxSignals, limit int, ctx *evalCtx) ([]*Solution, error) {
-	sg, err := ctx.buildSG(g)
+	base, err := explore(g, reach.Options{Arena: ctx.arena, Budget: ctx.bgt})
 	if err != nil {
 		return nil, err
 	}
-	if sg.HasCSC() {
-		lits, err := complexLiterals(sg)
-		if err != nil {
+	if base.SG.HasCSC() {
+		if base.Literals, err = complexLiterals(base.SG); err != nil {
 			return nil, err
 		}
-		return []*Solution{{STG: g, SG: sg, Literals: lits}}, nil
+		return []*Solution{base}, nil
 	}
 	if maxSignals <= 0 {
 		maxSignals = 3
 	}
-	ranked, err := rankedInsertions(g, "csc0", limit*2, ctx)
+	ranked, err := rankedInsertions(base, "csc0", limit*2, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -381,7 +385,7 @@ func continueGreedy(start *Solution, rounds int, ctx *evalCtx) (*Solution, error
 		if cur.SG.HasCSC() {
 			return cur, nil
 		}
-		ranked, err := rankedInsertions(cur.STG, fmt.Sprintf("csc%d", i+1), 1, ctx)
+		ranked, err := rankedInsertions(cur, fmt.Sprintf("csc%d", i+1), 1, ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -410,11 +414,9 @@ func SolveByReduction(g *stg.STG, maxOrders int, opts Options) (sol *Solution, e
 	}
 	ctx := newEvalCtx(opts)
 	defer func() { ctx.finish(err) }()
-	sg, err := ctx.buildSG(g)
-	if err != nil {
+	if sol, err = explore(g, reach.Options{Arena: ctx.arena, Budget: ctx.bgt}); err != nil {
 		return nil, err
 	}
-	sol = &Solution{STG: g, SG: sg}
 	for round := 0; !sol.SG.HasCSC(); round++ {
 		if round == maxOrders {
 			return nil, fmt.Errorf("encoding: CSC not solved within %d concurrency reductions", maxOrders)

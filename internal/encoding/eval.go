@@ -10,23 +10,22 @@ import (
 	"repro/internal/obs"
 	"repro/internal/reach"
 	"repro/internal/stg"
-	"repro/internal/ts"
 )
 
 // Options configure the CSC solvers.
 type Options struct {
 	// Workers sizes the candidate evaluator's worker pool (0 or 1 = one
-	// worker): the (rise, fall) insertion pairs of every ranking round, and
-	// then the solved candidates it costs, or the (delayed, until)
-	// orderings of every reduction round, are fanned out across it. The
-	// ranking key is (conflicts, literals, enumeration order), so the
+	// worker): the (rise, fall) insertion pairs of every ranking round —
+	// each solved one costed in the task that scored it — or the (delayed,
+	// until) orderings of every reduction round are fanned out across it.
+	// The ranking key is (conflicts, literals, enumeration order), so the
 	// solutions are identical at any worker count.
 	Workers int
 	// Budget adds cancellation between candidate evaluations; nil is
 	// unlimited. The check runs once per explored insertion pair — one per
-	// class of isomorphic pairs, see pointClasses — or ordering and once
-	// per costed insertion; exploring one builds a candidate state graph,
-	// which no single check interrupts.
+	// class of isomorphic pairs, see pointClasses, costing included — or
+	// ordering; exploring one builds a candidate state graph, which no
+	// single check interrupts.
 	Budget *budget.Budget
 	// Obs is the parent observability span: the solve records an
 	// "engine:encoding" child span carrying the totals below as
@@ -35,9 +34,10 @@ type Options struct {
 	// explored (insertion pairs explored on the state-graph product, one
 	// per class; the other pairs take their class's verdict), rebuilt
 	// (candidates built as STGs and explored, every ordering among them),
-	// one rejected_<reason> per rejection reason, memo_hits and
-	// memo_misses (the solved insertions' canonical-signature dedup),
-	// costed, twin_skips (first-round survivors skipped as twins of
+	// one rejected_<reason> per rejection reason, memo_misses and
+	// memo_hits (solved insertion pairs that represent their class and
+	// are costed, and the other solved pairs, which take their class's
+	// cost), costed, twin_skips (first-round survivors skipped as twins of
 	// exhausted ones) and budget_checks. The per-candidate explorations
 	// stay uninstrumented — a solve scores thousands of them. nil disables
 	// observability.
@@ -70,8 +70,8 @@ type evalCtx struct {
 	memoHits   *obs.Counter
 	memoMisses *obs.Counter
 	// costed counts the solved candidates whose complex-gate logic was
-	// derived to cost them in literals: one per isomorphism class of
-	// insertions, one per ordering.
+	// derived to cost them in literals: one per class of isomorphic
+	// insertion pairs, one per ordering.
 	costed    *obs.Counter
 	twinSkips *obs.Counter
 	checks    *obs.Counter
@@ -134,31 +134,26 @@ func (c *evalCtx) finish(err error) {
 	c.sp.End()
 }
 
-func (c *evalCtx) buildSG(g *stg.STG) (*ts.SG, error) {
-	sg, err := reach.BuildSG(g, reach.Options{Arena: c.arena, Budget: c.bgt})
+// rebuild builds the candidate inserting signal name into g at pair p
+// with InsertSignalAt, explores it, counts it in rebuilt, and checks its
+// state graph against the conflict count the product scored.
+func (c *evalCtx) rebuild(g *stg.STG, name string, p insPair, conflicts int, opts reach.Options) (*Solution, error) {
+	desc := describeInsertion(g, name, p.r, p.f)
+	cand, err := InsertSignalAt(g, name, p.r, p.f)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("encoding: product accepted %s: %w", desc, err)
 	}
-	return ts.ContractDummies(sg)
-}
-
-// rebuildSG builds a candidate's state graph the one way every returned
-// Solution's is built — reach.BuildSG and dummy contraction — counts it in
-// rebuilt, and checks it against the conflict count the product scored.
-func (c *evalCtx) rebuildSG(cand *stg.STG, desc string, conflicts int, opts reach.Options) (*ts.SG, error) {
 	c.rebuilt.Inc()
-	sg, err := reach.BuildSG(cand, opts)
-	if err == nil {
-		sg, err = ts.ContractDummies(sg)
-	}
+	sol, err := explore(cand, opts)
 	if err != nil {
 		return nil, fmt.Errorf("encoding: rebuilding %s: %w", desc, err)
 	}
-	if got := len(sg.CSCConflicts()); got != conflicts {
+	if got := len(sol.SG.CSCConflicts()); got != conflicts {
 		return nil, fmt.Errorf("encoding: %s: rebuilt state graph has %d CSC conflicts, the product scored %d",
 			desc, got, conflicts)
 	}
-	return sg, nil
+	sol.Description = desc
+	return sol, nil
 }
 
 // runPool runs task(ws, i) for every i < n across the worker pool, each
@@ -181,30 +176,27 @@ type insPair struct {
 	rep   int
 }
 
-// scored is one accepted candidate with its ranking key. Solved candidates
-// that represent their class of pairs carry the STG built for their
-// canonical signature, and the costed representative of each isomorphism
-// class its state graph.
+// scored is one accepted candidate with its ranking key. A solved
+// candidate that represents its class of pairs carries the Solution it was
+// costed on.
 type scored struct {
 	pair insPair
 	key  [3]int
-	stg  *stg.STG
-	sg   *ts.SG
+	sol  *Solution
 }
 
 // evalPairs judges every pair of the round. Only each class's
 // representative is explored on the round's product, across the worker
-// pool; every other pair takes its representative's verdict and canonical
-// signature. Then it costs the solved candidates: grouped by canonical
-// signature (isomorphic candidates have the same literal cost), one per
-// class is rebuilt and costed, again across the pool. Results land in a
-// slot per pair, so the assembled order — and with it the ranking — is the
+// pool; every other pair takes its representative's verdict. A
+// representative that solves CSC is rebuilt and costed in the task that
+// scored it: isomorphic candidates have the same literal cost, so the
+// other pairs of its class take that cost too. Results land in a slot per
+// pair, so the assembled order — and with it the ranking — is the
 // enumeration order at any worker count.
 func evalPairs(g *stg.STG, name string, pr *product, pairs []insPair, ctx *evalCtx) ([]scored, error) {
 	type result struct {
-		v    verdict
-		cand *stg.STG // solved representatives only
-		sig  string   // solved pairs only
+		v   verdict
+		sol *Solution // solved representatives only
 	}
 	results := make([]result, len(pairs))
 	n := 0
@@ -213,24 +205,30 @@ func evalPairs(g *stg.STG, name string, pr *product, pairs []insPair, ctx *evalC
 			n++
 		}
 	}
-	explore := make([]int, 0, n)
+	reps := make([]int, 0, n)
 	for i, p := range pairs {
 		if p.rep == i {
-			explore = append(explore, i)
+			reps = append(reps, i)
 		}
 	}
-	err := ctx.runPool(len(explore), func(ws *workerScratch, k int) error {
-		i := explore[k]
+	err := ctx.runPool(len(reps), func(ws *workerScratch, k int) error {
+		i := reps[k]
 		p := pairs[i]
 		v := pr.score(&ws.prod, p.r, p.f)
 		results[i].v = v
-		if v.reason == none && v.conflicts == 0 {
-			cand, err := InsertSignalAt(g, name, p.r, p.f)
-			if err != nil {
-				return fmt.Errorf("encoding: product accepted %s: %w", describeInsertion(g, name, p.r, p.f), err)
-			}
-			results[i].cand, results[i].sig = cand, canonicalSignature(cand)
+		if v.reason != none || v.conflicts != 0 {
+			return nil
 		}
+		sol, err := ctx.rebuild(g, name, p, 0, reach.Options{Arena: ws.arena})
+		if err != nil {
+			return err
+		}
+		ctx.costed.Inc()
+		ctx.memoMisses.Inc()
+		if sol.Literals, err = complexLiterals(sol.SG); err != nil {
+			return fmt.Errorf("encoding: costing %s: %w", sol.Description, err)
+		}
+		results[i].sol = sol
 		return nil
 	})
 	if err != nil {
@@ -238,71 +236,33 @@ func evalPairs(g *stg.STG, name string, pr *product, pairs []insPair, ctx *evalC
 	}
 
 	ctx.candidates.Add(int64(len(pairs)))
-	ctx.explored.Add(int64(len(explore)))
-	classOf := make(map[string]int)
-	var reps []int // pair index of each class's first member
-	accepted := 0
-	for i := range results {
-		res := &results[i]
-		if rep := pairs[i].rep; rep != i {
-			res.v, res.sig = results[rep].v, results[rep].sig
-		}
-		ctx.rejected[res.v.reason].Inc()
-		if res.v.reason == none {
-			accepted++
-		}
-		if res.sig == "" {
+	ctx.explored.Add(int64(len(reps)))
+	var rejected [numReasons]int64 // rejected[none] counts the accepted pairs
+	for _, p := range pairs {
+		rejected[results[p.rep].v.reason]++
+	}
+	for r := rejectInvalid; r < numReasons; r++ {
+		ctx.rejected[r].Add(rejected[r])
+	}
+	all := make([]scored, 0, rejected[none])
+	var hits int64 // solved pairs that take their representative's cost
+	for i, p := range pairs {
+		rep := &results[p.rep]
+		if rep.v.reason != none {
 			continue
 		}
-		if _, ok := classOf[res.sig]; ok {
-			ctx.memoHits.Inc()
-			continue
-		}
-		// The first pair of a signature class is the first of its pair
-		// class too, so it carries its candidate.
-		ctx.memoMisses.Inc()
-		classOf[res.sig] = len(reps)
-		reps = append(reps, i)
-	}
-	type class struct {
-		sg   *ts.SG
-		lits int
-	}
-	classes := make([]class, len(reps))
-	err = ctx.runPool(len(reps), func(ws *workerScratch, c int) error {
-		p := pairs[reps[c]]
-		desc := describeInsertion(g, name, p.r, p.f)
-		sg, err := ctx.rebuildSG(results[reps[c]].cand, desc, 0, reach.Options{Arena: ws.arena})
-		if err != nil {
-			return err
-		}
-		ctx.costed.Inc()
-		lits, err := complexLiterals(sg)
-		if err != nil {
-			return fmt.Errorf("encoding: costing %s: %w", desc, err)
-		}
-		classes[c] = class{sg: sg, lits: lits}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	all := make([]scored, 0, accepted)
-	for i, res := range results {
-		if res.v.reason != none {
-			continue
-		}
-		s := scored{pair: pairs[i], key: [3]int{res.v.conflicts, unsolvedLiteralCost, pairs[i].order}}
-		if res.sig != "" {
-			c := classOf[res.sig]
-			s.key[1], s.stg = classes[c].lits, res.cand
-			if reps[c] == i {
-				s.sg = classes[c].sg
+		s := scored{pair: p, key: [3]int{rep.v.conflicts, unsolvedLiteralCost, p.order}}
+		if rep.sol != nil {
+			s.key[1] = rep.sol.Literals
+			if p.rep == i {
+				s.sol = rep.sol
+			} else {
+				hits++
 			}
 		}
 		all = append(all, s)
 	}
+	ctx.memoHits.Add(hits)
 	return all, nil
 }
 
@@ -363,9 +323,10 @@ func pointClasses(g *stg.STG, points []Point) []int {
 // themselves sorted. Generated place names are deliberately excluded —
 // symmetric insertion points ("after t" vs "before u" across an unmarked
 // chain t -> p -> u) build isomorphic nets differing only in those names,
-// and the memo must identify exactly such pairs. Two STGs over the same
-// signal set with equal signatures are isomorphic: transition names fix the
-// transition bijection and the descriptor multiset fixes the places.
+// and firstRound's twin skip must identify exactly such nets. Two STGs
+// over the same signal set with equal signatures are isomorphic:
+// transition names fix the transition bijection and the descriptor
+// multiset fixes the places.
 func canonicalSignature(g *stg.STG) string {
 	net := g.Net
 	descs := make([]string, len(net.Places))

@@ -35,7 +35,8 @@ func doublePulseSeq() *stg.STG {
 // TestSolutionsDeterministicAcrossWorkers: the solution list —
 // descriptions, literal costs, order, and the solved state graphs
 // themselves — is identical at every worker count. Run under -race this
-// also exercises the memo and result slots concurrently.
+// also exercises the result slots and the costing in the pool's tasks
+// concurrently.
 func TestSolutionsDeterministicAcrossWorkers(t *testing.T) {
 	models := []struct {
 		name  string
@@ -103,11 +104,11 @@ func TestVMETieBreakPinned(t *testing.T) {
 	}
 }
 
-// TestCanonicalSignature pins the memo key's isomorphism contract on the
-// symmetric-insertion case it exists for: across an unmarked chain t -> u,
-// "after t" and "before u" build the same net up to generated place names —
-// equal signatures. Across a marked chain the token ends up on opposite
-// sides of the new transition — different signatures.
+// TestCanonicalSignature pins the twin skip key's isomorphism contract on
+// the symmetric-insertion case: across an unmarked chain t -> u, "after t"
+// and "before u" build the same net up to generated place names — equal
+// signatures. Across a marked chain the token ends up on opposite sides of
+// the new transition — different signatures.
 func TestCanonicalSignature(t *testing.T) {
 	chain := func(tokens int) *stg.STG {
 		g := stg.New("chain")

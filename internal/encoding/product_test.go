@@ -13,6 +13,16 @@ import (
 	"repro/internal/vme"
 )
 
+// explored explores g as the base of a ranking round.
+func explored(t *testing.T, g *stg.STG) *Solution {
+	t.Helper()
+	base, err := explore(g, reach.Options{})
+	if err != nil {
+		t.Fatalf("%s: %v", g.Name(), err)
+	}
+	return base
+}
+
 // productRound is one ranking round the differential test checks pair by
 // pair.
 type productRound struct {
@@ -83,7 +93,7 @@ func productRounds(t *testing.T) []productRound {
 	var rounds []productRound
 	for _, m := range rankedModels(t, 2, 3, 4) {
 		rounds = append(rounds, productRound{name: m.name, g: m.g, signal: "csc0"})
-		all, err := scoreInsertions(m.g, "csc0", rankedFirstRound, newEvalCtx(Options{Workers: 2}))
+		all, err := scoreInsertions(explored(t, m.g), "csc0", rankedFirstRound, newEvalCtx(Options{Workers: 2}))
 		if err != nil {
 			continue
 		}
@@ -181,7 +191,7 @@ func TestProductMatchesRebuild(t *testing.T) {
 	pairs := 0
 	for _, rd := range productRounds(t) {
 		ctx := newEvalCtx(Options{Workers: 2})
-		pr, prs, err := newRound(rd.g, rd.signal, ctx)
+		pr, prs, err := newRound(explored(t, rd.g), rd.signal)
 		if err != nil {
 			t.Fatalf("%s: %v", rd.name, err)
 		}
@@ -257,7 +267,7 @@ func TestProductMatchesRebuild(t *testing.T) {
 func TestScoreAllocatesNothing(t *testing.T) {
 	for _, m := range []namedSTG{{"vme-read-write", vme.ReadWriteSTG()}, {"cscring-4", gen.CSCRing(4)}} {
 		ctx := newEvalCtx(Options{})
-		pr, pairs, err := newRound(m.g, "csc0", ctx)
+		pr, pairs, err := newRound(explored(t, m.g), "csc0")
 		if err != nil {
 			t.Fatal(err)
 		}

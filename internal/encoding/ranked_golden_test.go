@@ -102,7 +102,7 @@ func TestRankedGolden(t *testing.T) {
 	for _, m := range rankedModels(t, 2, 3, 4) {
 		fmt.Fprintf(&b, "== %s\n", m.name)
 		ctx := newEvalCtx(Options{Workers: 2})
-		all, err := scoreInsertions(m.g, "csc0", 0, ctx)
+		all, err := scoreInsertions(explored(t, m.g), "csc0", 0, ctx)
 		writeRound(&b, "base", m.g, "csc0", all, err)
 		for i, s := range all {
 			if i == rankedFirstRound {
@@ -115,7 +115,7 @@ func TestRankedGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: rebuilding survivor %d: %v", m.name, i, err)
 			}
-			next, err := scoreInsertions(cand, "csc1", 0, ctx)
+			next, err := scoreInsertions(explored(t, cand), "csc1", 0, ctx)
 			writeRound(&b, fmt.Sprintf("after %s", describeInsertion(m.g, "csc0", s.pair.r, s.pair.f)),
 				cand, "csc1", next, err)
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/reach"
 )
 
 const reductionGolden = "testdata/reduction.golden"
@@ -23,12 +25,12 @@ func TestReductionGolden(t *testing.T) {
 		for _, m := range rankedModels(t, 2, 3) {
 			fmt.Fprintf(&b, "== %s\n", m.name)
 			ctx := newEvalCtx(opts)
-			sg, err := ctx.buildSG(m.g)
+			spec, err := explore(m.g, reach.Options{})
 			if err != nil {
 				fmt.Fprintf(&b, "error: %v\n", err)
 				continue
 			}
-			base := len(sg.CSCConflicts())
+			base := len(spec.SG.CSCConflicts())
 			fmt.Fprintf(&b, "base conflicts: %d\n", base)
 			if base > 0 {
 				all, err := scoreReductions(m.g, base, ctx)

@@ -21,7 +21,7 @@ func TestTwinSurvivorsContinueAlike(t *testing.T) {
 	twins := make(map[string]int)
 	for _, m := range rankedModels(t, 2, 3, 4) {
 		ctx := newEvalCtx(Options{Workers: 2})
-		ranked, err := rankedInsertions(m.g, "csc0", rankedFirstRound, ctx)
+		ranked, err := rankedInsertions(explored(t, m.g), "csc0", rankedFirstRound, ctx)
 		if err != nil {
 			continue
 		}
@@ -59,7 +59,7 @@ func TestTwinSurvivorsContinueAlike(t *testing.T) {
 // nextRound renders survivor s's csc1 round: every candidate's description
 // and key in rank order, or the round's error.
 func nextRound(s *Solution, ctx *evalCtx) []string {
-	all, err := scoreInsertions(s.STG, "csc1", 0, ctx)
+	all, err := scoreInsertions(s, "csc1", 0, ctx)
 	if err != nil {
 		return []string{"error: " + err.Error()}
 	}

@@ -247,9 +247,9 @@ func TestCorePipeline(t *testing.T) {
 		}
 	}
 	// vme-read-write continues greedily from its first-round survivors, and
-	// these checks fall in continuation rounds (the first round's scoring
-	// ends at check 311 at one worker, of about 2,330): the search must
-	// return their trips, not move on to the next survivor.
+	// these checks fall in continuation rounds (the first round ends at
+	// check 311 at one worker, of 2,256): the search must return their
+	// trips, not move on to the next survivor.
 	rwPlans := []Plan{
 		{Mode: Limit, N: 2000, Site: "encoding.eval"},
 		{Mode: Panic, N: 2200, Site: "encoding.eval"},

@@ -52,12 +52,15 @@ go test -fuzz=FuzzPropParse -fuzztime=5s -run '^$' ./internal/prop/
 # rebuilt graph's persistency also checked against the pair scan), the
 # class check (every pair of those rounds and of a choice-merge spec, scored
 # on its own, gets the verdict of the representative the search explores in
-# its place, and both build nets with one canonical signature), twin
+# its place, and both build nets with one canonical signature; no two
+# solved representatives of a round do), twin
 # first-round survivors ranking and continuing
 # alike (the premise of skipping a twin's exhausted continuation, and
-# cscring-4's counters with the skip), and the pooled
-# concurrency-reduction search matching its golden at one and two workers.
-go test -timeout 60s -race -run 'Deterministic|MatchesSequential|TieBreak|CSCError|ProductMatchesRebuild|InsertionClassesMatchPairs|Twin|ReductionGolden' ./internal/encoding/ ./internal/logic/
+# cscring-4's counters with the skip), the search exploring each STG once
+# (its reach.label budget checks pinned at one and two workers), and the
+# pooled concurrency-reduction search matching its golden at one and two
+# workers.
+go test -timeout 60s -race -run 'Deterministic|MatchesSequential|TieBreak|CSCError|ProductMatchesRebuild|InsertionClassesMatchPairs|Twin|ExploresEachSTGOnce|ReductionGolden' ./internal/encoding/ ./internal/logic/
 # One state graph per flow under the race detector: Verify handed the
 # flow's state graph returns exactly what it returns when it builds its own,
 # and a spec that already has CSC runs no encoding search. Concurrency
