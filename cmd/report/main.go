@@ -7,6 +7,7 @@
 //	go run ./cmd/report                    # experiment tables
 //	go test -bench ... | go run ./cmd/report -bench-json > BENCH_synth.json
 //	go run ./cmd/report -regress [-threshold 0.15] OLD.json NEW.json
+//	go run ./cmd/report -ab PARENT.txt CHANGE.txt
 //
 // -merge-metrics file1,file2 embeds validated metrics snapshots (from
 // cmd/synth/cmd/reach -metrics runs) into the bench JSON under
@@ -16,6 +17,11 @@
 // benchmark present in both slowed down by more than -threshold (a
 // fraction; 0.15 allows +15%). Benchmarks in only one record are
 // informational, never failures.
+//
+// -ab compares the `go test -bench -benchmem` output of interleaved runs of
+// a parent and a change on one host (scripts/bench.sh -ab REV): per-row
+// ranges of ns/op, B/op and allocs/op, rows whose ns/op ranges separate
+// flagged, and a non-zero exit when a row's states differ.
 package main
 
 import (
@@ -23,6 +29,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 	"strings"
 
 	"repro/internal/core"
@@ -54,7 +61,18 @@ func main() {
 		"relative ns/op growth tolerated by -regress before it fails (0.15 = +15%)")
 	minNs := flag.Float64("min-ns", 1000,
 		"baseline ns/op floor under which -regress reports but never gates (too fast to time reliably)")
+	ab := flag.Bool("ab", false,
+		"compare interleaved bench runs of a parent and a change (positional args: PARENT.txt CHANGE.txt); exit non-zero when states differ")
 	flag.Parse()
+	if *ab {
+		if flag.NArg() != 2 {
+			log.Fatal("usage: report -ab PARENT.txt CHANGE.txt")
+		}
+		if err := runAB(os.Stdout, flag.Arg(0), flag.Arg(1), runtime.GOMAXPROCS(0)); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
 	if *benchJSON {
 		if err := writeBenchJSON(os.Stdin, os.Stdout, *mergeMetrics); err != nil {
 			log.Fatal(err)

@@ -10,8 +10,8 @@ import (
 )
 
 // Arena is a reusable scratch workspace for repeated explorations of nets of
-// similar size — the state-encoding candidate search rebuilds thousands of
-// state graphs, and without reuse every rebuild pays for a fresh visited
+// similar size — the state-encoding candidate search rebuilds tens of state
+// graphs a search, and without reuse every rebuild pays for a fresh visited
 // index and step arrays. An Arena keeps them: the index and the flat step
 // arrays are cleared and reused in place.
 //
@@ -36,10 +36,8 @@ type Arena struct {
 	markings []petri.Marking
 	out      [][]Step
 
-	// BuildSG scratch (code labeling passes).
+	// BuildSG scratch: each state's code relative to the initial one.
 	delta []ts.Code
-	seen  []bool
-	queue []int
 }
 
 // NewArena returns an empty arena.
@@ -83,6 +81,11 @@ func (a *Arena) explore(n *petri.Net, c *petri.Codec, opts Options) (bool, error
 			}
 		}
 		a.first = append(a.first, int32(len(a.steps)))
+		if len(a.steps)+len(n.Transitions) > cap(a.steps) {
+			// Room for this state's steps, doubling: append would grow a
+			// large array by 1.25× and copy it about four times over.
+			a.steps = append(make([]Step, 0, 2*cap(a.steps)+len(n.Transitions)), a.steps...)
+		}
 		m := a.index.Key(int32(head))
 		for t := range n.Transitions {
 			if !c.Enabled(m, t) {
@@ -133,19 +136,12 @@ func (a *Arena) stepsOf(s int) []Step {
 	return a.steps[lo:hi:hi]
 }
 
-// sgScratch returns reusable delta/seen buffers for n states plus an empty
-// BFS queue. The caller hands the queue back via putQueue so a grown backing
-// array survives to the next build.
-func (a *Arena) sgScratch(n int) (delta []ts.Code, seen []bool, queue []int) {
+// sgScratch returns a cleared, reusable delta buffer for n states.
+func (a *Arena) sgScratch(n int) []ts.Code {
 	if cap(a.delta) < n {
 		a.delta = make([]ts.Code, n)
-		a.seen = make([]bool, n)
 	}
-	delta = a.delta[:n]
-	seen = a.seen[:n]
+	delta := a.delta[:n]
 	clear(delta)
-	clear(seen)
-	return delta, seen, a.queue[:0]
+	return delta
 }
-
-func (a *Arena) putQueue(q []int) { a.queue = q[:0] }

@@ -75,18 +75,19 @@ func buildSG(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, error) 
 	// code from the (unknown) initial code; fixed/value constrain initial
 	// bits: firing a+ from s requires code(s).a == 0, i.e.
 	// initial.a == delta[s].a; firing a- requires initial.a != delta[s].a.
-	delta, seen, queue := a.sgScratch(states)
-	seen[0] = true
+	// The exploration numbered states breadth-first, so walking them in id
+	// order repeats its search: a step leads to a labelled state (id below
+	// labelled), whose code it must agree with, or to the next one.
+	delta := a.sgScratch(states)
 	var initKnown, initVal ts.Code
-	queue = append(queue, 0)
+	labelled := 1
 	hooked := opts.Budget.Hooked()
-	for head := 0; head < len(queue); head++ {
-		if hooked || head%budget.CheckEvery == 0 {
+	for s := range states {
+		if hooked || s%budget.CheckEvery == 0 {
 			if err := opts.Budget.Check("reach.label"); err != nil {
 				return nil, nil, err
 			}
 		}
-		s := queue[head]
 		for _, step := range a.stepsOf(s) {
 			l := g.Labels[step.Transition]
 			next := delta[s]
@@ -111,7 +112,7 @@ func buildSG(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, error) 
 					initVal = initVal.Set(l.Sig, want)
 				}
 			}
-			if seen[step.To] {
+			if step.To < labelled {
 				if delta[step.To] != next {
 					return nil, nil, inconsistent(
 						"reach: STG %s is not consistent: marking %s reachable with different signal codes",
@@ -119,12 +120,10 @@ func buildSG(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, error) 
 				}
 				continue
 			}
-			seen[step.To] = true
 			delta[step.To] = next
-			queue = append(queue, step.To)
+			labelled++
 		}
 	}
-	a.putQueue(queue)
 
 	// Phase 2: assemble the SG. Signals that never switch keep initial 0.
 	events := transitionEvents(g)

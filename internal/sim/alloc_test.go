@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -9,9 +10,26 @@ import (
 	"repro/internal/sim"
 )
 
+// bytesPerRun returns the bytes f allocates per call, averaged over runs
+// calls after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // TestMullerStateStoreAllocs pins the packed state store on muller-6
 // (5,168 states): building the spec's state graph and verifying the flow's
-// netlist each allocate fewer than 200 times, not once or more per state.
+// netlist each allocate fewer than 80 times, not once or more per state.
+// It also bounds their bytes: BuildSG's step array and index slab double
+// rather than grow by append's 1.25× (at most 2.6 MB), and Verify handed
+// the flow's state graph sizes its store from it and never grows it (at
+// most 0.40 MB).
 func TestMullerStateStoreAllocs(t *testing.T) {
 	g := gen.MullerPipeline(6)
 	rep, err := core.Synthesize(g, core.Options{SkipVerify: true})
@@ -21,19 +39,24 @@ func TestMullerStateStoreAllocs(t *testing.T) {
 	if rep.SG.NumStates() != 5168 {
 		t.Fatalf("muller-6 has %d states, want 5168", rep.SG.NumStates())
 	}
-	build := testing.AllocsPerRun(3, func() {
+	build := func() {
 		if _, err := reach.BuildSG(g, reach.Options{}); err != nil {
 			t.Fatal(err)
 		}
-	})
-	verify := testing.AllocsPerRun(3, func() {
+	}
+	verify := func() {
 		res, err := sim.Verify(rep.Netlist, rep.Spec, sim.Options{SG: rep.SG})
 		if err != nil || !res.OK() {
 			t.Fatalf("verify: %v %v", err, res)
 		}
-	})
-	if build >= 200 || verify >= 200 {
-		t.Fatalf("BuildSG allocates %.0f times, Verify %.0f; want fewer than 200 each", build, verify)
 	}
-	t.Logf("BuildSG %.0f allocs, Verify %.0f allocs", build, verify)
+	buildAllocs, verifyAllocs := testing.AllocsPerRun(3, build), testing.AllocsPerRun(3, verify)
+	if buildAllocs >= 80 || verifyAllocs >= 80 {
+		t.Fatalf("BuildSG allocates %.0f times, Verify %.0f; want fewer than 80 each", buildAllocs, verifyAllocs)
+	}
+	buildBytes, verifyBytes := bytesPerRun(3, build), bytesPerRun(3, verify)
+	if buildBytes > 2_600_000 || verifyBytes > 400_000 {
+		t.Fatalf("BuildSG allocates %d bytes, Verify %d; want at most 2.6 MB and 0.40 MB", buildBytes, verifyBytes)
+	}
+	t.Logf("BuildSG %.0f allocs, %d bytes; Verify %.0f allocs, %d bytes", buildAllocs, buildBytes, verifyAllocs, verifyBytes)
 }

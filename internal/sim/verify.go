@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/boolmin"
 	"repro/internal/budget"
 	"repro/internal/logic"
 	"repro/internal/petri"
@@ -154,6 +155,11 @@ type verifier struct {
 	// earlier[i] and later[i] are the netlist signals named by constraint
 	// i's Earlier and Later events.
 	earlier, later []uint64
+	// fan[j] holds the outputs of the gates a move of netlist signal j can
+	// excite or disable: those whose covers read j, and j's own gate.
+	// gateOf[out] is the index of the gate driving signal out.
+	fan    [64]uint64
+	gateOf [64]int
 
 	codec *petri.Codec // the spec's bit markings
 	res   *Result
@@ -225,6 +231,7 @@ func newVerifier(nl *logic.Netlist, spec *stg.STG, opts Options) (*verifier, uin
 			ver.mutex |= 1 << uint(g.Output)
 		}
 	}
+	ver.setFan()
 	ver.edges = make([][]int, 2*len(spec.Signals))
 	for t := range spec.Net.Transitions {
 		l := spec.Labels[t]
@@ -277,6 +284,40 @@ func newVerifier(nl *logic.Netlist, spec *stg.STG, opts Options) (*verifier, uin
 		return nil, 0, err
 	}
 	return ver, v0, nil
+}
+
+// setFan builds fan and gateOf from the netlist's gates.
+func (ver *verifier) setFan() {
+	for i := range ver.nl.Gates {
+		g := &ver.nl.Gates[i]
+		out := uint64(1) << uint(g.Output)
+		ver.gateOf[g.Output] = i
+		ver.fan[g.Output] |= out
+		for _, cv := range []boolmin.Cover{g.F, g.Set, g.Reset} {
+			for _, c := range cv.Cubes {
+				for rest := c.Care; rest != 0; rest &= rest - 1 {
+					ver.fan[bits.TrailingZeros64(rest)] |= out
+				}
+			}
+		}
+	}
+}
+
+// excitedAfter returns the excited gates at nv, the vector a move of
+// netlist signal j leads to from a state whose excited gates are exc. It
+// evaluates only the gates of fan[j]: Gate.Next reads nothing but the
+// variables of the gate's covers and its own output, so flipping j leaves
+// every other gate's excitation as it was, at any vector.
+func (ver *verifier) excitedAfter(exc uint64, j int, nv uint64) uint64 {
+	fan := ver.fan[j]
+	exc &^= fan
+	for rest := fan; rest != 0; rest &= rest - 1 {
+		out := bits.TrailingZeros64(rest)
+		if ver.nl.Gates[ver.gateOf[out]].Next(nv) != (nv>>uint(out)&1 != 0) {
+			exc |= 1 << uint(out)
+		}
+	}
+	return exc
 }
 
 // settleExtras finds stable values for implementation-only wires given the
@@ -390,7 +431,7 @@ func (ver *verifier) explore(v0 uint64, permits0 uint32) error {
 			if mv.netSig >= 0 {
 				fired = 1 << uint(mv.netSig)
 				nv ^= fired
-				nexc = ver.nl.ExcitedMask(nv)
+				nexc = ver.excitedAfter(nd.exc, mv.netSig, nv)
 			}
 			// Semimodularity: every excited gate other than the fired one
 			// must stay excited, lowest signal reported first. Mutex grant
@@ -583,11 +624,16 @@ type space struct {
 }
 
 // newSpace returns the composed system's space with the spec's initial
-// marking in its key scratch.
+// marking in its key scratch. Handed the spec's state graph, it sizes the
+// index for as many states: a correct circuit composes to exactly that many
+// when it adds no wire and the spec no dummy.
 func (ver *verifier) newSpace() (*space, error) {
 	w := ver.codec.Words()
 	sp := &space{ver: ver, w: w, index: stateindex.New(w + 2), key: make([]uint64, w+2),
 		tmp: [2][]uint64{make([]uint64, w), make([]uint64, w)}}
+	if ver.opts.SG != nil {
+		sp.index.Reserve(min(ver.opts.SG.NumStates(), ver.opts.maxStates()))
+	}
 	init := ver.spec.Net.InitialMarking()
 	if !init.Safe() {
 		return nil, fmt.Errorf("sim: spec rejected: %w: initial marking %s", reach.ErrUnsafe,

@@ -10,8 +10,8 @@ package stateindex
 import "math"
 
 // minSlots is the table size of a fresh or reset index. Small nets, whose
-// state graphs the encoding search rebuilds thousands of times, never grow
-// past a few hundred slots.
+// state graphs the encoding search rebuilds tens of times a search, never
+// grow past a few hundred slots.
 const minSlots = 64
 
 // Index maps width-word keys to ids 0, 1, 2, ... in insertion order. The
@@ -47,6 +47,28 @@ func (x *Index) Reset(width, limit int) {
 		x.slots = make([]uint64, minSlots)
 	} else {
 		clear(x.slots)
+	}
+}
+
+// Reserve sizes an empty index so that n keys fit without growing: the
+// table takes the smallest power-of-two size of at least minSlots slots
+// that holds n keys under the 3/4 load limit, and the slab room for n keys.
+// n is clamped to the index's limit; storage already larger is kept. It is
+// a hint: keys past n grow the index as usual.
+func (x *Index) Reserve(n int) {
+	if x.n != 0 {
+		panic("stateindex: Reserve on a non-empty index")
+	}
+	n = min(n, x.limit)
+	slots := minSlots
+	for 4*n > 3*slots {
+		slots *= 2
+	}
+	if slots > len(x.slots) {
+		x.slots = make([]uint64, slots)
+	}
+	if cap(x.keys) < n*x.width {
+		x.keys = make([]uint64, 0, n*x.width)
 	}
 }
 
@@ -96,9 +118,14 @@ func (x *Index) Visit(key []uint64) (int32, bool) {
 	return int32(n), true
 }
 
-// grow doubles the table and reinserts every key.
+// grow doubles the table and reinserts every key. It also makes the slab
+// room for the keys the new table takes before it grows again, so the slab
+// doubles with the table instead of growing by append's 1.25×.
 func (x *Index) grow() {
 	x.slots = make([]uint64, 2*len(x.slots))
+	if room := (3*len(x.slots)/4 + 1) * x.width; cap(x.keys) < room {
+		x.keys = append(make([]uint64, 0, room), x.keys...)
+	}
 	mask := uint64(len(x.slots) - 1)
 	for id := range x.n {
 		h := hash(x.Key(int32(id)))

@@ -143,3 +143,59 @@ func TestEmptyKeys(t *testing.T) {
 		t.Fatalf("second empty key: id %d added %v len %d", id, added, x.Len())
 	}
 }
+
+// TestReserve pins that n distinct keys fit a Reserve(n) index without an
+// allocation, get the ids and slab of an index that grew to hold them, and
+// that Reserve clamps n to the index's limit.
+func TestReserve(t *testing.T) {
+	const n, width = 5000, 3
+	keys := make([][]uint64, n)
+	for i := range keys {
+		keys[i] = keyOf(i, width)
+	}
+	grown := New(width)
+	for _, k := range keys {
+		grown.Visit(k)
+	}
+	// AllocsPerRun calls its function once more than it averages over, and
+	// each call fills its own reserved index.
+	reserved := make([]*Index, 4)
+	for i := range reserved {
+		reserved[i] = New(width)
+		reserved[i].Reserve(n)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(len(reserved)-1, func() {
+		x := reserved[next]
+		next++
+		for i, k := range keys {
+			if id, added := x.Visit(k); !added || id != int32(i) {
+				t.Fatalf("key %d: id %d added %v", i, id, added)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d visits after Reserve(%d) allocate %.0f times, want 0", n, n, allocs)
+	}
+	x := reserved[0]
+	if !reflect.DeepEqual(x.Keys(), grown.Keys()) {
+		t.Fatal("reserved index's slab differs from the grown index's")
+	}
+	for i := 0; i < n; i += 37 {
+		if id, added := x.Visit(keys[i]); added || id != int32(i) {
+			t.Fatalf("key %d revisited: id %d added %v", i, id, added)
+		}
+	}
+	if len(x.slots) != 8192 || cap(x.keys) != n*width {
+		t.Fatalf("Reserve(%d) gave %d slots and %d slab words, want 8192 and %d",
+			n, len(x.slots), cap(x.keys), n*width)
+	}
+
+	limited := New(width)
+	limited.Reset(width, 10)
+	limited.Reserve(1 << 30)
+	if len(limited.slots) != minSlots || cap(limited.keys) != 10*width {
+		t.Fatalf("Reserve past a limit of 10 gave %d slots and %d slab words, want %d and %d",
+			len(limited.slots), cap(limited.keys), minSlots, 10*width)
+	}
+}

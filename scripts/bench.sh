@@ -9,9 +9,19 @@
 #                               # record, then diffs it against the committed
 #                               # trajectory via cmd/report -regress (used by
 #                               # scripts/verify.sh)
+#   scripts/bench.sh -ab REV [ROWS] [N]
+#                               # judges the working tree against commit REV on
+#                               # this host: extracts REV with git archive into
+#                               # a temp dir, builds the root test binary there
+#                               # and here, runs the -bench pattern ROWS
+#                               # (default '(BuildSG|Verify|FullFlow)/muller-8')
+#                               # N times (default 3) with -benchmem,
+#                               # interleaved, REV first, and prints each row's
+#                               # ranges via cmd/report -ab
 #
 # Environment:
-#   BENCHTIME               go test -benchtime for the full run (default 1s)
+#   BENCHTIME               go test -benchtime for the full run and -ab
+#                           (default 1s)
 #   OUT                     output path for the full run (default BENCH_synth.json)
 #   SMOKE_REGRESS_THRESHOLD -regress threshold for the smoke diff (default 8.0,
 #                           i.e. +800% — a blowup guard, not a timing gate)
@@ -22,6 +32,28 @@ BENCHES='^(BenchmarkSolveCSC|BenchmarkEquationDerivation|BenchmarkFullFlow|Bench
 # The obs overhead guards live in their own package; the root package holds
 # everything else.
 BENCH_PKGS='. ./internal/obs'
+
+if [ "${1:-}" = "-ab" ]; then
+    rev=${2:?usage: scripts/bench.sh -ab REV [ROWS] [N]}
+    rows=${3:-'(BuildSG|Verify|FullFlow)/muller-8'}
+    runs=${4:-3}
+    abdir=$(mktemp -d "${TMPDIR:-/tmp}/bench_ab.XXXXXX")
+    trap 'rm -rf "$abdir"' EXIT
+    mkdir "$abdir/parent"
+    git archive "$rev" | tar -x -C "$abdir/parent"
+    (cd "$abdir/parent" && go test -c -o "$abdir/parent.test" .)
+    go test -c -o "$abdir/change.test" .
+    for i in $(seq "$runs"); do
+        echo "bench -ab: run $i of $runs" >&2
+        # Each binary runs in its own tree, where its tests find testdata/.
+        (cd "$abdir/parent" && "$abdir/parent.test" -test.run '^$' -test.bench "$rows" \
+            -test.benchtime "${BENCHTIME:-1s}" -test.benchmem) >> "$abdir/parent.txt"
+        "$abdir/change.test" -test.run '^$' -test.bench "$rows" \
+            -test.benchtime "${BENCHTIME:-1s}" -test.benchmem >> "$abdir/change.txt"
+    done
+    go run ./cmd/report -ab "$abdir/parent.txt" "$abdir/change.txt"
+    exit 0
+fi
 
 # Instrumented flow run: the metrics snapshot from cmd/synth -metrics on the
 # VME example is merged into the bench record so the trajectory carries the

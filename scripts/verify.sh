@@ -67,10 +67,12 @@ go test -timeout 60s -race -run 'Deterministic|MatchesSequential|TieBreak|CSCErr
 # reduction runs inside the same flow: its counters and span in core, and
 # cmd/synth -method reduce matching -method insert where no encoding runs.
 # Verify and StateGraph return exactly what the reference explorer returns,
-# StateGraph honours its budget, HasUSC/HasCSC agree with the pair lists,
-# and IsPersistent's mask rule agrees with the PersistencyViolations pair
-# scan on the corpus and on every graph with one arc deleted.
-go test -timeout 60s -race -run 'TestVerifySpecSGMatchesRebuild|TestVerifyMatchesReference|TestStateGraphMatchesReference|TestStateGraphBudget|TestHasUSCMatchesPairList|TestIsPersistentMatchesPairScan|TestCSCSpecSkipsEncoding|TestReduceInFlow' ./internal/sim/ ./internal/ts/ ./internal/core/
+# the verifier's fan rule (re-evaluating only the gates that read or drive
+# the fired signal) gives ExcitedMask's answer at every flip it is checked
+# on, StateGraph honours its budget, HasUSC/HasCSC agree with the pair
+# lists, and IsPersistent's mask rule agrees with the PersistencyViolations
+# pair scan on the corpus and on every graph with one arc deleted.
+go test -timeout 60s -race -run 'TestVerifySpecSGMatchesRebuild|TestVerifyMatchesReference|TestStateGraphMatchesReference|TestExcitedAfterMatchesExcitedMask|TestStateGraphBudget|TestHasUSCMatchesPairList|TestIsPersistentMatchesPairScan|TestCSCSpecSkipsEncoding|TestReduceInFlow' ./internal/sim/ ./internal/ts/ ./internal/core/
 go test -timeout 60s -race -run 'TestSynthReduce|TestSynthUnknownMethod' ./cmd/synth/
 # Observability gate: instrumented runs of cmd/synth and cmd/reach on the
 # VME example must export a metrics snapshot with non-zero counters for the
@@ -115,9 +117,10 @@ go test -timeout 120s -race -run TestDaemonSmokeAndGracefulShutdown -count=1 ./c
 # pprof listener (the public mux must 404 /debug/pprof/).
 go test -timeout 120s -race -run 'TestLiveTelemetryE2E|TestBadLogFormatIsUsageError' -count=1 ./cmd/serve/
 go test -timeout 60s -race -run 'Trace|SSE|Prom|Metrics' -count=1 ./internal/serve/ ./internal/obs/
-# Bench regression comparator unit gate (the smoke diff below exercises the
-# real records).
-go test -timeout 30s -run Regress -count=1 ./cmd/report/
+# Bench comparator unit gate: the -regress diff of two records (the smoke
+# diff below exercises the real ones) and the -ab ranges of interleaved
+# parent and change runs on canned go test -bench output.
+go test -timeout 30s -run 'Regress|AB' -count=1 ./cmd/report/
 # Chaos gate under the race detector (goroutine-leak-checked): cmd/serve as
 # a real subprocess SIGKILLed at the journal-append, mid-job and
 # mid-cache-write kill sites, restarted on the same data dir. Invariants:
