@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -31,18 +30,15 @@ func readRuns(path string, procs int) (*runs, error) {
 		return nil, fmt.Errorf("ab: %w", err)
 	}
 	defer f.Close()
+	results, _, err := parseBenchOutput(f, procs)
+	if err != nil {
+		return nil, fmt.Errorf("ab: %s: %w", path, err)
+	}
+	if len(results) == 0 {
+		return nil, fmt.Errorf("ab: %s holds no benchmark lines", path)
+	}
 	r := &runs{values: map[string]map[string][]float64{}}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
-		res, err := parseBenchLine(line, procs)
-		if err != nil {
-			return nil, fmt.Errorf("ab: %s: %w", path, err)
-		}
+	for _, res := range results {
 		units := r.values[res.Name]
 		if units == nil {
 			units = map[string][]float64{}
@@ -53,12 +49,6 @@ func readRuns(path string, procs int) (*runs, error) {
 		for unit, v := range res.Metrics {
 			units[unit] = append(units[unit], v)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("ab: %s: %w", path, err)
-	}
-	if len(r.rows) == 0 {
-		return nil, fmt.Errorf("ab: %s holds no benchmark lines", path)
 	}
 	return r, nil
 }

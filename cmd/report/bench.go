@@ -56,26 +56,12 @@ func writeBenchJSON(r io.Reader, w io.Writer, merge string) error {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Benchmarks: []benchResult{},
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if cpu, ok := strings.CutPrefix(line, "cpu:"); ok {
-			out.CPU = strings.TrimSpace(cpu)
-			continue
-		}
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
-		res, err := parseBenchLine(line, out.GOMAXPROCS)
-		if err != nil {
-			return fmt.Errorf("bench-json: %w", err)
-		}
-		out.Benchmarks = append(out.Benchmarks, res)
+	results, cpu, err := parseBenchOutput(r, out.GOMAXPROCS)
+	if err != nil {
+		return fmt.Errorf("bench-json: %w", err)
 	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
+	out.Benchmarks = append(out.Benchmarks, results...)
+	out.CPU = cpu
 	if err := checkUnique(out.Benchmarks); err != nil {
 		return fmt.Errorf("bench-json: %w", err)
 	}
@@ -85,6 +71,30 @@ func writeBenchJSON(r io.Reader, w io.Writer, merge string) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
+}
+
+// parseBenchOutput parses the result lines of `go test -bench` output from
+// a run at procs GOMAXPROCS, in order, and its cpu header line if any.
+// Other lines (goos/goarch/pkg, PASS, ok) are skipped.
+func parseBenchOutput(r io.Reader, procs int) (results []benchResult, cpu string, err error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if c, ok := strings.CutPrefix(line, "cpu:"); ok {
+			cpu = strings.TrimSpace(c)
+			continue
+		}
+		if !strings.HasPrefix(line, "Benchmark") {
+			continue
+		}
+		res, err := parseBenchLine(line, procs)
+		if err != nil {
+			return nil, "", err
+		}
+		results = append(results, res)
+	}
+	return results, cpu, sc.Err()
 }
 
 // checkUnique rejects a repeated benchmark name: records are compared by

@@ -2,6 +2,7 @@ package reach
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/budget"
 	"repro/internal/petri"
@@ -84,7 +85,7 @@ func (a *Arena) explore(n *petri.Net, c *petri.Codec, opts Options) (bool, error
 		if len(a.steps)+len(n.Transitions) > cap(a.steps) {
 			// Room for this state's steps, doubling: append would grow a
 			// large array by 1.25× and copy it about four times over.
-			a.steps = append(make([]Step, 0, 2*cap(a.steps)+len(n.Transitions)), a.steps...)
+			a.steps = slices.Grow(a.steps, cap(a.steps)+len(n.Transitions))
 		}
 		m := a.index.Key(int32(head))
 		for t := range n.Transitions {
