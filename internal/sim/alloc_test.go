@@ -29,7 +29,7 @@ func bytesPerRun(runs int, f func()) uint64 {
 // It also bounds their bytes: BuildSG's step array and index slab double
 // rather than grow by append's 1.25× (at most 2.6 MB), and Verify handed
 // the flow's state graph sizes its store from it and never grows it (at
-// most 0.40 MB).
+// most 0.40 MB); the byte bounds do not apply under the race detector.
 func TestMullerStateStoreAllocs(t *testing.T) {
 	g := gen.MullerPipeline(6)
 	rep, err := core.Synthesize(g, core.Options{SkipVerify: true})
@@ -55,7 +55,7 @@ func TestMullerStateStoreAllocs(t *testing.T) {
 		t.Fatalf("BuildSG allocates %.0f times, Verify %.0f; want fewer than 80 each", buildAllocs, verifyAllocs)
 	}
 	buildBytes, verifyBytes := bytesPerRun(3, build), bytesPerRun(3, verify)
-	if buildBytes > 2_600_000 || verifyBytes > 400_000 {
+	if !raceEnabled && (buildBytes > 2_600_000 || verifyBytes > 400_000) {
 		t.Fatalf("BuildSG allocates %d bytes, Verify %d; want at most 2.6 MB and 0.40 MB", buildBytes, verifyBytes)
 	}
 	t.Logf("BuildSG %.0f allocs, %d bytes; Verify %.0f allocs, %d bytes", buildAllocs, buildBytes, verifyAllocs, verifyBytes)

@@ -626,7 +626,8 @@ type space struct {
 // newSpace returns the composed system's space with the spec's initial
 // marking in its key scratch. Handed the spec's state graph, it sizes the
 // index for as many states: a correct circuit composes to exactly that many
-// when it adds no wire and the spec no dummy.
+// when it adds no wire, the spec has no dummy and no timing constraint
+// splits a state by its permits.
 func (ver *verifier) newSpace() (*space, error) {
 	w := ver.codec.Words()
 	sp := &space{ver: ver, w: w, index: stateindex.New(w + 2), key: make([]uint64, w+2),
