@@ -29,6 +29,7 @@ import (
 	"repro/internal/encoding"
 	"repro/internal/gen"
 	"repro/internal/logic"
+	"repro/internal/obs"
 	"repro/internal/petri"
 	"repro/internal/prop"
 	"repro/internal/reach"
@@ -115,13 +116,15 @@ func BenchmarkFig7CSC(b *testing.B) {
 // worker sweep on the generated conflict-rich ring measures the scoring
 // pass's fan-out over the pool; w1 already reuses per-worker scratch. The
 // chosen insertion is identical at every worker count. cscring-4 exhausts
-// its three signal insertions without solving CSC.
+// its three signal insertions without solving CSC. Every row also reports
+// its search's account (reportSearch).
 func BenchmarkSolveCSC(b *testing.B) {
 	for _, spec := range []struct {
 		name string
 		g    *stg.STG
 	}{{"vme-read", vme.ReadSTG()}, {"vme-read-write", vme.ReadWriteSTG()}} {
 		b.Run(spec.name, func(b *testing.B) {
+			reportSearch(b, spec.g, 0, 1, encoding.Options{})
 			for i := 0; i < b.N; i++ {
 				if _, err := encoding.SolveCSC(spec.g, 0); err != nil {
 					b.Fatal(err)
@@ -131,6 +134,7 @@ func BenchmarkSolveCSC(b *testing.B) {
 	}
 	b.Run("cscring-4", func(b *testing.B) {
 		g := gen.CSCRing(4)
+		reportSearch(b, g, 3, 1, encoding.Options{})
 		for i := 0; i < b.N; i++ {
 			_, err := encoding.SolveCSC(g, 3)
 			if err == nil || !strings.Contains(err.Error(), "CSC not solved") {
@@ -142,6 +146,7 @@ func BenchmarkSolveCSC(b *testing.B) {
 	// workers, so the search continues from ten first-round survivors.
 	b.Run("cscring-4/flow", func(b *testing.B) {
 		g := gen.CSCRing(4)
+		reportSearch(b, g, 3, 5, encoding.Options{Workers: 2})
 		for i := 0; i < b.N; i++ {
 			_, err := encoding.SolutionsOpts(g, 3, 5, encoding.Options{Workers: 2})
 			if err == nil || !strings.Contains(err.Error(), "CSC not solved") {
@@ -152,12 +157,31 @@ func BenchmarkSolveCSC(b *testing.B) {
 	ring := gen.CSCRing(3)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("cscring-3/w%d", w), func(b *testing.B) {
+			reportSearch(b, ring, 3, 1, encoding.Options{Workers: w})
 			for i := 0; i < b.N; i++ {
 				if _, err := encoding.SolutionsOpts(ring, 3, 1, encoding.Options{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// reportSearch runs a SolveCSC row's search once with the encoding counters
+// on, before the timed loop, and reports its account on the row: the
+// insertion pairs judged (candidates), the pairs explored on the product
+// and the candidates rebuilt as STGs. The counts are deterministic, so
+// cmd/report -ab requires both sides of a comparison to agree on them.
+func reportSearch(b *testing.B, g *stg.STG, maxSignals, limit int, opts encoding.Options) {
+	reg := obs.NewRegistry()
+	root := reg.Root("bench")
+	opts.Obs = root
+	_, _ = encoding.SolutionsOpts(g, maxSignals, limit, opts) // the timed loop checks the outcome
+	root.End()
+	b.ResetTimer() // also clears the reported metrics, so report after it
+	counters := reg.Snapshot().Counters
+	for _, unit := range []string{"candidates", "explored", "rebuilt"} {
+		b.ReportMetric(float64(counters["encoding."+unit]), unit)
 	}
 }
 

@@ -13,8 +13,12 @@ import (
 // by scripts/bench.sh -ab) and prints, for every row in both, each side's
 // range of ns/op, B/op and allocs/op over its runs. A row whose ns/op
 // ranges do not overlap is flagged faster or slower; timing stays a
-// judgement call. The states metric has no noise, so a row that reports
-// other state counts on the two sides fails the comparison.
+// judgement call. The exactMetrics have no noise, so a row that reports
+// other values of one of them on the two sides fails the comparison.
+
+// exactMetrics are the deterministic counts a row may report: the states
+// of an exploration and the CSC search's account (BenchmarkSolveCSC).
+var exactMetrics = []string{"states", "candidates", "explored", "rebuilt"}
 
 // runs holds one side's values per row and unit, rows in first-seen order.
 type runs struct {
@@ -54,7 +58,8 @@ func readRuns(path string, procs int) (*runs, error) {
 }
 
 // runAB prints the per-row comparison of the parent's and the change's runs
-// and returns an error naming every row whose states differ.
+// and returns an error naming every row and exact metric whose values
+// differ.
 func runAB(w io.Writer, parentPath, changePath string, procs int) error {
 	parent, err := readRuns(parentPath, procs)
 	if err != nil {
@@ -84,10 +89,12 @@ func runAB(w io.Writer, parentPath, changePath string, procs int) error {
 			span(a["ns/op"], fmtNs), span(b["ns/op"], fmtNs),
 			span(a["B/op"], fmtBytes), span(b["B/op"], fmtBytes),
 			span(a["allocs/op"], fmtCount), span(b["allocs/op"], fmtCount), verdict)
-		// states must read one value over every run of both sides.
-		if sa, sb := a["states"], b["states"]; (sa != nil || sb != nil) &&
-			(minOf(sa) != maxOf(sb) || maxOf(sa) != minOf(sb)) {
-			differ = append(differ, fmt.Sprintf("%s (%s against %s)", row, span(sa, fmtCount), span(sb, fmtCount)))
+		// An exact metric must read one value over every run of both sides.
+		for _, unit := range exactMetrics {
+			if sa, sb := a[unit], b[unit]; (sa != nil || sb != nil) &&
+				(minOf(sa) != maxOf(sb) || maxOf(sa) != minOf(sb)) {
+				differ = append(differ, fmt.Sprintf("%s of %s (%s against %s)", unit, row, span(sa, fmtCount), span(sb, fmtCount)))
+			}
 		}
 	}
 	var onlyChange []string
@@ -103,7 +110,7 @@ func runAB(w io.Writer, parentPath, changePath string, procs int) error {
 		fmt.Fprintf(w, "only in the change's runs: %s\n", strings.Join(onlyChange, ", "))
 	}
 	if len(differ) > 0 {
-		return fmt.Errorf("ab: states differ between the parent and the change: %s", strings.Join(differ, "; "))
+		return fmt.Errorf("ab: counts differ between the parent and the change: %s", strings.Join(differ, "; "))
 	}
 	return nil
 }

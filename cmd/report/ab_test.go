@@ -81,3 +81,26 @@ func TestABRejectsEmptyRuns(t *testing.T) {
 		t.Fatal("a file without benchmark lines was accepted")
 	}
 }
+
+// SolveCSC rows report the CSC search's account next to ns/op; a change in
+// any of its counts fails the comparison, and equal counts pass.
+const searchRuns = `BenchmarkSolveCSC/cscring-4/flow-2  	      80	  13500000 ns/op	     30916 candidates	      8736 explored	        20.00 rebuilt	 4330000 B/op	    4890 allocs/op
+BenchmarkSolveCSC/vme-read-2         	     600	   1900000 ns/op	       132.0 candidates	       112.0 explored	        32.00 rebuilt	  823000 B/op	   12460 allocs/op
+`
+
+func TestABSearchCountsDiffer(t *testing.T) {
+	if err := runAB(&bytes.Buffer{}, writeRuns(t, "parent.txt", searchRuns), writeRuns(t, "change.txt", searchRuns), 2); err != nil {
+		t.Fatalf("equal search counts failed: %v", err)
+	}
+	for _, tc := range []struct{ from, to, want string }{
+		{"30916 candidates", "30917 candidates", "candidates of SolveCSC/cscring-4/flow (30916 against 30917)"},
+		{"8736 explored", "8737 explored", "explored of SolveCSC/cscring-4/flow (8736 against 8737)"},
+		{"32.00 rebuilt", "33.00 rebuilt", "rebuilt of SolveCSC/vme-read (32 against 33)"},
+	} {
+		changed := strings.Replace(searchRuns, tc.from, tc.to, 1)
+		err := runAB(&bytes.Buffer{}, writeRuns(t, "parent.txt", searchRuns), writeRuns(t, "change.txt", changed), 2)
+		if want := "ab: counts differ between the parent and the change: " + tc.want; err == nil || err.Error() != want {
+			t.Errorf("%s → %s: got %v, want %q", tc.from, tc.to, err, want)
+		}
+	}
+}

@@ -21,7 +21,8 @@
 // -ab compares the `go test -bench -benchmem` output of interleaved runs of
 // a parent and a change on one host (scripts/bench.sh -ab REV): per-row
 // ranges of ns/op, B/op and allocs/op, rows whose ns/op ranges separate
-// flagged, and a non-zero exit when a row's states differ.
+// flagged, and a non-zero exit when a row's states or CSC search counts
+// (candidates, explored, rebuilt) differ.
 package main
 
 import (
@@ -62,7 +63,7 @@ func main() {
 	minNs := flag.Float64("min-ns", 1000,
 		"baseline ns/op floor under which -regress reports but never gates (too fast to time reliably)")
 	ab := flag.Bool("ab", false,
-		"compare interleaved bench runs of a parent and a change (positional args: PARENT.txt CHANGE.txt); exit non-zero when states differ")
+		"compare interleaved bench runs of a parent and a change (positional args: PARENT.txt CHANGE.txt); exit non-zero when a row's states or search counts differ")
 	flag.Parse()
 	if *ab {
 		if flag.NArg() != 2 {

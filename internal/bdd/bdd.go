@@ -415,9 +415,6 @@ func (m *Manager) Not(f Ref) Ref { return m.ITE(f, False, True) }
 // Xor returns f ⊕ g.
 func (m *Manager) Xor(f, g Ref) Ref { return m.ITE(f, m.Not(g), g) }
 
-// Implies returns f → g.
-func (m *Manager) Implies(f, g Ref) Ref { return m.ITE(f, g, True) }
-
 // Diff returns f ∧ ¬g — the frontier-set simplification primitive of
 // symbolic traversal (new states = image \ reached).
 func (m *Manager) Diff(f, g Ref) Ref { return m.ITE(g, False, f) }
@@ -726,22 +723,6 @@ func (m *Manager) AnySat(f Ref) (uint64, bool) {
 		f = m.hi(f)
 	}
 	return env, true
-}
-
-// NodeCount returns the number of distinct internal nodes of f.
-func (m *Manager) NodeCount(f Ref) int {
-	seen := map[Ref]bool{}
-	var walk func(Ref)
-	walk = func(g Ref) {
-		if g == True || g == False || seen[g] {
-			return
-		}
-		seen[g] = true
-		walk(m.lo(g))
-		walk(m.hi(g))
-	}
-	walk(f)
-	return len(seen)
 }
 
 // Cube builds the conjunction of literals: vars[i] at polarity pols[i].

@@ -184,26 +184,25 @@ func describeInsertion(g *stg.STG, name string, r, f Point) string {
 // rankedInsertions tries every (rise, fall) pair of insertion points around
 // non-input transitions of base's STG and returns the property-preserving
 // candidates that reduce the conflict count, ranked by (conflicts, literal
-// cost, order). A survivor that evalPairs has not built already — one that
-// leaves conflicts, or a solved pair its class's representative stands
-// for — is rebuilt now.
-func rankedInsertions(base *Solution, name string, limit int, ctx *evalCtx) ([]*Solution, error) {
+// cost, order), each with its Solution. A survivor that evalPairs has not
+// built already — one that leaves conflicts, or a solved pair its class's
+// representative stands for — is rebuilt now.
+func rankedInsertions(base *Solution, name string, limit int, ctx *evalCtx) ([]scored, error) {
 	all, err := scoreInsertions(base, name, limit, ctx)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*Solution, len(all))
-	for i, s := range all {
-		sol := s.sol
-		if sol == nil {
-			if sol, err = ctx.rebuild(base.STG, name, s.pair, s.key[0], reach.Options{Arena: ctx.arena, Budget: ctx.bgt}); err != nil {
-				return nil, err
-			}
-			sol.Literals = s.key[1]
+	for i := range all {
+		s := &all[i]
+		if s.sol != nil {
+			continue
 		}
-		out[i] = sol
+		if s.sol, err = ctx.rebuild(base.STG, name, s.pair, s.key[0], reach.Options{Budget: ctx.bgt}); err != nil {
+			return nil, err
+		}
+		s.sol.Literals = s.key[1]
 	}
-	return out, nil
+	return all, nil
 }
 
 // scoreInsertions scores every insertion pair of the ranking round on base
@@ -321,16 +320,16 @@ var (
 
 // firstRound explores g once — a spec that has CSC is its own solution —
 // then ranks the first insertions on that graph and completes up to limit
-// of them greedily. A survivor whose canonical signature matches one that
-// already ran out of insertions is skipped: both come from g by one
-// InsertSignalAt, so they have the same transitions under the same names
-// and indexes and differ only in place names and order. Every later round
-// — product exploration, blocked sets, conflict counts, literal costs and
+// of them greedily. A survivor whose pair shares its class (pointClasses)
+// with one that already ran out of insertions is skipped: pairs of one
+// class build the same net up to place names, with the same transitions
+// under the same names and indexes. Every later round — product
+// exploration, blocked sets, conflict counts, literal costs and
 // enumeration order — depends only on transitions, so the twin's
 // continuation would pick the same pairs and run out the same way. Solved
 // continuations are not memoized: each Solution carries its own STG.
 func firstRound(g *stg.STG, maxSignals, limit int, ctx *evalCtx) ([]*Solution, error) {
-	base, err := explore(g, reach.Options{Arena: ctx.arena, Budget: ctx.bgt})
+	base, err := explore(g, reach.Options{Budget: ctx.bgt})
 	if err != nil {
 		return nil, err
 	}
@@ -348,27 +347,26 @@ func firstRound(g *stg.STG, maxSignals, limit int, ctx *evalCtx) ([]*Solution, e
 		return nil, err
 	}
 	var out []*Solution
-	exhausted := make(map[string]bool)
-	for _, cand := range ranked {
+	exhausted := make(map[int]bool) // the classes of exhausted survivors
+	for _, s := range ranked {
 		if len(out) >= limit {
 			break
 		}
-		if cand.SG.HasCSC() {
-			out = append(out, cand)
+		if s.sol.SG.HasCSC() {
+			out = append(out, s.sol)
 			continue
 		}
 		// Greedy continuation for multi-signal cases.
-		sig := canonicalSignature(cand.STG)
-		if exhausted[sig] {
+		if exhausted[s.pair.rep] {
 			ctx.twinSkips.Inc()
 			continue
 		}
-		sol, err := continueGreedy(cand, maxSignals-1, ctx)
+		sol, err := continueGreedy(s.sol, maxSignals-1, ctx)
 		switch {
 		case err == nil:
 			out = append(out, sol)
 		case errors.Is(err, errNoInsertion), errors.Is(err, errUnsolved):
-			exhausted[sig] = true
+			exhausted[s.pair.rep] = true
 		default:
 			return nil, err
 		}
@@ -389,7 +387,7 @@ func continueGreedy(start *Solution, rounds int, ctx *evalCtx) (*Solution, error
 		if err != nil {
 			return nil, err
 		}
-		next := ranked[0]
+		next := ranked[0].sol
 		next.Description = cur.Description + "; " + next.Description
 		cur = next
 	}
@@ -414,7 +412,7 @@ func SolveByReduction(g *stg.STG, maxOrders int, opts Options) (sol *Solution, e
 	}
 	ctx := newEvalCtx(opts)
 	defer func() { ctx.finish(err) }()
-	if sol, err = explore(g, reach.Options{Arena: ctx.arena, Budget: ctx.bgt}); err != nil {
+	if sol, err = explore(g, reach.Options{Budget: ctx.bgt}); err != nil {
 		return nil, err
 	}
 	for round := 0; !sol.SG.HasCSC(); round++ {
@@ -487,7 +485,7 @@ func scoreReductions(g *stg.STG, baseConflicts int, ctx *evalCtx) ([]reduction, 
 		}
 	}
 	all := make([]reduction, len(pairs))
-	err := ctx.runPool(len(pairs), func(ws *workerScratch, i int) error {
+	err := ctx.runPool(len(pairs), func(_ *productScratch, i int) error {
 		delayed, until := pairs[i][0], pairs[i][1]
 		r := &all[i]
 		r.desc = fmt.Sprintf("delay %s until %s", g.Net.Transitions[delayed].Name, g.Net.Transitions[until].Name)
@@ -496,7 +494,7 @@ func scoreReductions(g *stg.STG, baseConflicts int, ctx *evalCtx) ([]reduction, 
 			r.v.reason = rejectInvalid
 			return nil
 		}
-		sg, v := evaluateCandidate(cand, baseConflicts, reach.Options{Arena: ws.arena})
+		sg, v := evaluateCandidate(cand, baseConflicts, reach.Options{})
 		if r.v = v; v.reason != none {
 			return nil
 		}

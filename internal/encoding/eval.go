@@ -2,9 +2,7 @@ package encoding
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/budget"
 	"repro/internal/obs"
@@ -52,14 +50,12 @@ func (o Options) workers() int {
 }
 
 // evalCtx carries the per-solve evaluation state: the worker count and
-// per-worker scratch, the reusable reachability arena for the solve's own
-// state-graph builds, the solve budget and the observability handles
-// (engine span plus the encoding.* counters, all nil no-ops when
+// each worker's product scratch, the solve budget and the observability
+// handles (engine span plus the encoding.* counters, all nil no-ops when
 // observability is off).
 type evalCtx struct {
 	workers int
-	scratch []*workerScratch
-	arena   *reach.Arena
+	scratch []*productScratch
 	bgt     *budget.Budget
 
 	sp         *obs.Span
@@ -77,18 +73,11 @@ type evalCtx struct {
 	checks    *obs.Counter
 }
 
-// workerScratch is one pool worker's reusable memory.
-type workerScratch struct {
-	prod  productScratch
-	arena *reach.Arena
-}
-
 func newEvalCtx(opts Options) *evalCtx {
 	sp := opts.Obs.Child("engine:encoding")
 	reg := sp.Registry()
 	c := &evalCtx{
 		workers:    opts.workers(),
-		arena:      reach.NewArena(),
 		bgt:        opts.Budget,
 		sp:         sp,
 		candidates: reg.Counter("encoding.candidates"),
@@ -104,7 +93,7 @@ func newEvalCtx(opts Options) *evalCtx {
 		c.rejected[r] = reg.Counter("encoding.rejected_" + reasonNames[r])
 	}
 	for range c.workers {
-		c.scratch = append(c.scratch, &workerScratch{arena: reach.NewArena()})
+		c.scratch = append(c.scratch, &productScratch{})
 	}
 	return c
 }
@@ -156,10 +145,10 @@ func (c *evalCtx) rebuild(g *stg.STG, name string, p insPair, conflicts int, opt
 	return sol, nil
 }
 
-// runPool runs task(ws, i) for every i < n across the worker pool, each
-// worker on its own scratch, polling the budget at encoding.eval once per
-// task; see budget.Run.
-func (c *evalCtx) runPool(n int, task func(ws *workerScratch, i int) error) error {
+// runPool runs task(sc, i) for every i < n across the worker pool, each
+// worker on its own product scratch, polling the budget at encoding.eval
+// once per task; see budget.Run.
+func (c *evalCtx) runPool(n int, task func(sc *productScratch, i int) error) error {
 	return budget.Run(c.workers, n, c.bgt, "encoding.eval", c.sp, c.checks, func(w, i int) error {
 		return task(c.scratch[w], i)
 	})
@@ -178,7 +167,7 @@ type insPair struct {
 
 // scored is one accepted candidate with its ranking key. A solved
 // candidate that represents its class of pairs carries the Solution it was
-// costed on.
+// costed on, and rankedInsertions gives every survivor its Solution.
 type scored struct {
 	pair insPair
 	key  [3]int
@@ -211,15 +200,15 @@ func evalPairs(g *stg.STG, name string, pr *product, pairs []insPair, ctx *evalC
 			reps = append(reps, i)
 		}
 	}
-	err := ctx.runPool(len(reps), func(ws *workerScratch, k int) error {
+	err := ctx.runPool(len(reps), func(sc *productScratch, k int) error {
 		i := reps[k]
 		p := pairs[i]
-		v := pr.score(&ws.prod, p.r, p.f)
+		v := pr.score(sc, p.r, p.f)
 		results[i].v = v
 		if v.reason != none || v.conflicts != 0 {
 			return nil
 		}
-		sol, err := ctx.rebuild(g, name, p, 0, reach.Options{Arena: ws.arena})
+		sol, err := ctx.rebuild(g, name, p, 0, reach.Options{})
 		if err != nil {
 			return err
 		}
@@ -288,8 +277,8 @@ func evalPairs(g *stg.STG, name string, pr *product, pairs []insPair, ctx *evalC
 //
 // The rule covers one-place links only. If t's postset is two such places
 // {p1, p2}, "after t" gives one place t→x and two places x→u, while "before
-// u" gives two places t→x and one x→u: different nets, which
-// canonicalSignature tells apart.
+// u" gives two places t→x and one x→u: different nets, which the encoding
+// tests' canonical signature tells apart.
 func pointClasses(g *stg.STG, points []Point) []int {
 	net := g.Net
 	before := make([]int, len(net.Transitions)) // 1 + the point "before u"
@@ -315,44 +304,4 @@ func pointClasses(g *stg.STG, points []Point) []int {
 		}
 	}
 	return cls
-}
-
-// canonicalSignature renders a name-independent structural signature of an
-// STG: transitions are identified by their (unique) names and every place by
-// "sorted preset > sorted postset > tokens", with the place descriptors
-// themselves sorted. Generated place names are deliberately excluded —
-// symmetric insertion points ("after t" vs "before u" across an unmarked
-// chain t -> p -> u) build isomorphic nets differing only in those names,
-// and firstRound's twin skip must identify exactly such nets. Two STGs
-// over the same signal set with equal signatures are isomorphic:
-// transition names fix the transition bijection and the descriptor
-// multiset fixes the places.
-func canonicalSignature(g *stg.STG) string {
-	net := g.Net
-	descs := make([]string, len(net.Places))
-	var sb strings.Builder
-	var names []string
-	appendNames := func(ts []int) {
-		names = names[:0]
-		for _, t := range ts {
-			names = append(names, net.Transitions[t].Name)
-		}
-		sort.Strings(names)
-		for _, nm := range names {
-			sb.WriteString(nm)
-			sb.WriteByte(',')
-		}
-	}
-	for i := range net.Places {
-		p := &net.Places[i]
-		sb.Reset()
-		appendNames(p.Pre)
-		sb.WriteByte('>')
-		appendNames(p.Post)
-		sb.WriteByte('>')
-		sb.WriteString(strconv.Itoa(p.Initial))
-		descs[i] = sb.String()
-	}
-	sort.Strings(descs)
-	return strings.Join(descs, ";")
 }

@@ -104,7 +104,7 @@ func TestVMETieBreakPinned(t *testing.T) {
 	}
 }
 
-// TestCanonicalSignature pins the twin skip key's isomorphism contract on
+// TestCanonicalSignature pins the class oracle's isomorphism contract on
 // the symmetric-insertion case: across an unmarked chain t -> u, "after t"
 // and "before u" build the same net up to generated place names — equal
 // signatures. Across a marked chain the token ends up on opposite sides of

@@ -200,14 +200,14 @@ func TestProductMatchesRebuild(t *testing.T) {
 			pr.maxStates = rd.maxStates
 		}
 		want := make([]outcome, len(prs))
-		if err := ctx.runPool(len(prs), func(ws *workerScratch, i int) error {
+		if err := ctx.runPool(len(prs), func(_ *productScratch, i int) error {
 			p := prs[i]
 			cand, err := InsertSignalAt(rd.g, rd.signal, p.r, p.f)
 			if err != nil {
 				want[i].v = verdict{reason: rejectInvalid}
 				return nil
 			}
-			sg, v := evaluateCandidate(cand, base, reach.Options{Arena: ws.arena, MaxStates: rd.maxStates})
+			sg, v := evaluateCandidate(cand, base, reach.Options{MaxStates: rd.maxStates})
 			if sg != nil && sg.IsPersistent() != (len(sg.PersistencyViolations()) == 0) {
 				return fmt.Errorf("%s, %s: IsPersistent = %v, but %d persistency violations", rd.name,
 					describeInsertion(rd.g, rd.signal, p.r, p.f), sg.IsPersistent(), len(sg.PersistencyViolations()))
@@ -221,15 +221,15 @@ func TestProductMatchesRebuild(t *testing.T) {
 			var mu sync.Mutex
 			var bad []string
 			wctx := newEvalCtx(Options{Workers: w})
-			if err := wctx.runPool(len(prs), func(ws *workerScratch, i int) error {
+			if err := wctx.runPool(len(prs), func(sc *productScratch, i int) error {
 				p := prs[i]
 				// score explores again into the same scratch, so take
 				// the shape first.
 				var got outcome
-				if pr.graph(&ws.prod, p.r, p.f) == none {
-					got.shape = productShape(pr, &ws.prod)
+				if pr.graph(sc, p.r, p.f) == none {
+					got.shape = productShape(pr, sc)
 				}
-				got.v = pr.score(&ws.prod, p.r, p.f)
+				got.v = pr.score(sc, p.r, p.f)
 				if got.v != want[i].v || !got.shape.equal(want[i].shape) {
 					mu.Lock()
 					bad = append(bad, fmt.Sprintf("%s: product %+v %+v, rebuild %+v %+v",
@@ -271,7 +271,7 @@ func TestScoreAllocatesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := &ctx.scratch[0].prod
+		sc := ctx.scratch[0]
 		for _, p := range pairs {
 			pr.score(sc, p.r, p.f)
 			if a := testing.AllocsPerRun(3, func() { pr.score(sc, p.r, p.f) }); a != 0 {

@@ -12,11 +12,12 @@ import (
 )
 
 // TestTwinSurvivorsContinueAlike checks the premise of firstRound's skip:
-// two first-round survivors with one canonical signature rank their next
-// round alike — the same (description, key) list — and their greedy
-// continuations end alike: the same exhaustion, or the same literal cost
-// and the same insertions after the first. It covers every pair of twins
-// among the first rankedFirstRound survivors of every golden model.
+// two first-round survivors share a canonical signature exactly when their
+// pairs share a class, and two such twins rank their next round alike —
+// the same (description, key) list — and their greedy continuations end
+// alike: the same exhaustion, or the same literal cost and the same
+// insertions after the first. It covers every pair of survivors among the
+// first rankedFirstRound of every golden model.
 func TestTwinSurvivorsContinueAlike(t *testing.T) {
 	twins := make(map[string]int)
 	for _, m := range rankedModels(t, 2, 3, 4) {
@@ -27,15 +28,20 @@ func TestTwinSurvivorsContinueAlike(t *testing.T) {
 		}
 		sigs := make([]string, len(ranked))
 		for i, s := range ranked {
-			sigs[i] = canonicalSignature(s.STG)
+			sigs[i] = canonicalSignature(s.sol.STG)
 		}
 		for i := range ranked {
 			for j := i + 1; j < len(ranked); j++ {
-				if sigs[i] != sigs[j] {
+				a, b := ranked[i].sol, ranked[j].sol
+				sameClass := ranked[i].pair.rep == ranked[j].pair.rep
+				if sameSig := sigs[i] == sigs[j]; sameSig != sameClass {
+					t.Errorf("%s: survivors %q and %q share a class: %v, a signature: %v",
+						m.name, a.Description, b.Description, sameClass, sameSig)
+				}
+				if !sameClass {
 					continue
 				}
 				twins[m.name]++
-				a, b := ranked[i], ranked[j]
 				if ra, rb := nextRound(a, ctx), nextRound(b, ctx); !slices.Equal(ra, rb) {
 					t.Errorf("%s: twins %q and %q rank their next round differently:\n%v\n%v",
 						m.name, a.Description, b.Description, ra, rb)
@@ -89,7 +95,7 @@ func continuation(s *Solution, ctx *evalCtx) string {
 // (encoding.twin_skips), so it judges 30,916 insertion pairs (59,576
 // without the skip), explores 8,736 of them on the product, one per class
 // of isomorphic pairs, and rebuilds 20 survivors (30). A skip keyed on
-// anything coarser than the canonical signature changes these counts.
+// anything coarser than the pair class changes these counts.
 func TestTwinSkipCounters(t *testing.T) {
 	for _, w := range []int{1, 2} {
 		reg := obs.NewRegistry()

@@ -27,9 +27,10 @@ type BoundedResult struct {
 // criterion: a branch reaching a marking that strictly covers one of its
 // ancestors proves unboundedness. Verdicts are sound in both directions —
 // "bounded" means the full (finite) reachability set was enumerated,
-// "unbounded" carries a covering-pair witness; an inconclusive run (the
-// maxStates budget, 0 = 1<<20, ran out first) returns an error instead of a
-// verdict.
+// "unbounded" carries a covering-pair witness. An inconclusive run returns
+// an error instead of a verdict: the maxStates budget (0 = 1<<20) ran out
+// first, or a firing would put a 256th token in a place, which a byte
+// marking cannot count (petri.ErrTokenOverflow).
 func CheckBounded(n *petri.Net, maxStates int) (*BoundedResult, error) {
 	if maxStates <= 0 {
 		maxStates = 1 << 20
@@ -61,15 +62,9 @@ func CheckBounded(n *petri.Net, maxStates int) (*BoundedResult, error) {
 			if !n.Enabled(fr.m, t) {
 				continue
 			}
-			next := n.Fire(fr.m, t)
-			// Token counts near the byte-marking ceiling are treated as
-			// unboundedness evidence before the representation could wrap.
-			for _, v := range next {
-				if v >= 200 {
-					res.Bounded = false
-					res.Witness = [2]petri.Marking{fr.m.Clone(), next.Clone()}
-					return res, nil
-				}
+			next, err := fire(n, fr.m, t)
+			if err != nil {
+				return nil, err
 			}
 			for _, anc := range append(fr.path, fr.m) {
 				if strictlyCovers(next, anc) {
@@ -87,6 +82,24 @@ func CheckBounded(n *petri.Net, maxStates int) (*BoundedResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// fire returns the marking reached by firing the enabled transition t from
+// m, or an error when a place would receive a 256th token.
+func fire(n *petri.Net, m petri.Marking, t int) (petri.Marking, error) {
+	next := m.Clone()
+	tr := &n.Transitions[t]
+	for _, p := range tr.Pre {
+		next[p]--
+	}
+	for _, p := range tr.Post {
+		if next[p] == 255 {
+			return nil, fmt.Errorf("reach: boundedness check: %w: firing %s puts a 256th token in %s",
+				petri.ErrTokenOverflow, tr.Name, n.Places[p].Name)
+		}
+		next[p]++
+	}
+	return next, nil
 }
 
 // strictlyCovers reports a >= b componentwise with at least one strict

@@ -1,6 +1,9 @@
 package reach
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -84,5 +87,42 @@ func TestUnboundedProducerChain(t *testing.T) {
 func TestBoundedStateLimit(t *testing.T) {
 	if _, err := CheckBounded(gen.IndependentToggles(12), 10); err == nil {
 		t.Fatal("state limit must be enforced")
+	}
+}
+
+// drainNet moves the tokens of each source place, one firing at a time,
+// into one shared sink: a bounded net whose sink ends up holding the sum.
+func drainNet(sources ...int) *petri.Net {
+	net := petri.New("drain")
+	sink := net.AddPlace("sink", 0)
+	for i, k := range sources {
+		p := net.AddPlace(fmt.Sprintf("src%d", i), k)
+		t := net.AddTransition(fmt.Sprintf("t%d", i))
+		net.ArcPT(p, t)
+		net.ArcTP(t, sink)
+	}
+	return net
+}
+
+// TestBoundedLargeCounts: a place of 201 tokens draining into an empty
+// one is bounded with bound 201, however large the counts get; no
+// marking of it strictly covers another.
+func TestBoundedLargeCounts(t *testing.T) {
+	res, err := CheckBounded(drainNet(201), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Bounded || res.Bound != 201 {
+		t.Fatalf("bounded=%v bound=%d witness=%v, want bounded with bound 201", res.Bounded, res.Bound, res.Witness)
+	}
+}
+
+// TestBoundedTokenOverflow: draining 255 and 1 tokens into one place
+// would put a 256th token there, which a byte marking cannot count, so
+// the check is inconclusive and says which place overflowed.
+func TestBoundedTokenOverflow(t *testing.T) {
+	res, err := CheckBounded(drainNet(255, 1), 0)
+	if !errors.Is(err, petri.ErrTokenOverflow) || !strings.Contains(err.Error(), "256th token in sink") {
+		t.Fatalf("got %+v, %v; want a token overflow in sink", res, err)
 	}
 }

@@ -32,10 +32,6 @@ type Options struct {
 	// the first firing that would put a 256th token in a place fails with
 	// petri.ErrTokenOverflow.
 	RequireSafe bool
-	// Arena, when non-nil, runs the exploration on reusable scratch memory:
-	// the returned Graph aliases the arena and stays valid only until the
-	// arena's next use. nil explores on a fresh arena the Graph owns.
-	Arena *Arena
 	// Obs is the parent observability span (usually a phase of the synthesis
 	// flow): the explorer records an "engine:explicit" child span and the
 	// reach.* counters into its registry. nil — the default — disables
@@ -112,15 +108,11 @@ func Explore(n *petri.Net, opts Options) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := opts.Arena
-	if a == nil {
-		a = NewArena()
-	}
-	kept, err := a.run(n, c, opts)
-	if !kept {
+	e, err := run(n, c, opts)
+	if e == nil {
 		return nil, err
 	}
-	return a.graph(n, c), err
+	return e.graph(n, c), err
 }
 
 // run is explore inside the explorer's engine span: it records the
@@ -128,16 +120,16 @@ func Explore(n *petri.Net, opts Options) (*Graph, error) {
 // the span's registry. Partial graphs from budget trips still report their
 // explored totals. The wall-clock start is sampled only when observability
 // is on, so the disabled path stays a nil check.
-func (a *Arena) run(n *petri.Net, c *petri.Codec, opts Options) (bool, error) {
+func run(n *petri.Net, c *petri.Codec, opts Options) (*explorer, error) {
 	sp := opts.Obs.Child("engine:explicit")
 	if sp == nil {
-		return a.explore(n, c, opts)
+		return explore(n, c, opts)
 	}
 	start := time.Now()
-	kept, err := a.explore(n, c, opts)
+	e, err := explore(n, c, opts)
 	states, arcs := 0, 0
-	if kept {
-		states, arcs = a.index.Len(), len(a.steps)
+	if e != nil {
+		states, arcs = e.index.Len(), len(e.steps)
 	}
 	reg := sp.Registry()
 	reg.Counter("reach.states").Add(int64(states))
@@ -151,7 +143,7 @@ func (a *Arena) run(n *petri.Net, c *petri.Codec, opts Options) (bool, error) {
 		reg.Gauge("reach.states_per_sec").Set(int64(float64(states) / sec))
 	}
 	sp.End()
-	return kept, err
+	return e, err
 }
 
 // NumStates returns the number of reachable markings.

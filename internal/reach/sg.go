@@ -17,12 +17,12 @@ import (
 // inconsistent.
 //
 // Dummy transitions are allowed: they change the marking but not the code.
-// Toggle transitions are rejected (normalize the spec first).
+// A spec with a toggle transition is explored as (marking, code) pairs,
+// every signal starting at 0, and each toggle arc is labelled with the edge
+// it takes in its state (see HasToggle).
 //
-// Options.Arena runs the exploration and the labeling scratch on reusable
-// memory — the returned SG owns its own storage either way. Consistency
-// failures match ErrInconsistent under errors.Is; a net whose transition
-// lists a place twice fails with petri.ErrRepeatedArc.
+// Consistency failures match ErrInconsistent under errors.Is; a net whose
+// transition lists a place twice fails with petri.ErrRepeatedArc.
 func BuildSG(g *stg.STG, opts Options) (*ts.SG, error) {
 	sg, _, err := buildSG(g, opts, false)
 	return sg, err
@@ -55,21 +55,18 @@ func buildSG(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	a := opts.Arena
-	if a == nil {
-		a = NewArena()
-	}
 	if HasToggle(g) {
 		// Toggle transitions make the code path-dependent: states are
 		// (marking, code) pairs and every toggle arc is normalized to a
 		// concrete rising or falling edge per state.
-		return buildSGToggle(g, c, a, opts, withTrans)
+		return buildSGToggle(g, c, opts, withTrans)
 	}
 	opts.RequireSafe = true
-	if _, err := a.run(g.Net, c, opts); err != nil {
+	e, err := run(g.Net, c, opts)
+	if err != nil {
 		return nil, nil, err
 	}
-	states := a.index.Len()
+	states := e.index.Len()
 
 	// Phase 1: relative codes. delta[s] is the XOR distance of state s's
 	// code from the (unknown) initial code; fixed/value constrain initial
@@ -78,7 +75,7 @@ func buildSG(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, error) 
 	// The exploration numbered states breadth-first, so walking them in id
 	// order repeats its search: a step leads to a labelled state (id below
 	// labelled), whose code it must agree with, or to the next one.
-	delta := a.sgScratch(states)
+	delta := make([]ts.Code, states)
 	var initKnown, initVal ts.Code
 	labelled := 1
 	hooked := opts.Budget.Hooked()
@@ -88,7 +85,7 @@ func buildSG(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, error) 
 				return nil, nil, err
 			}
 		}
-		for _, step := range a.stepsOf(s) {
+		for _, step := range e.stepsOf(s) {
 			l := g.Labels[step.Transition]
 			next := delta[s]
 			if l.Sig >= 0 {
@@ -105,7 +102,7 @@ func buildSG(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, error) 
 							"reach: STG %s is not consistent: signal %s needs contradictory initial values (witness transition %s at %s)",
 							g.Name(), g.Signals[l.Sig].Name,
 							g.Net.Transitions[step.Transition].Name,
-							c.Format(a.index.Key(int32(s))))
+							c.Format(e.index.Key(int32(s))))
 					}
 				} else {
 					initKnown |= 1 << bit
@@ -116,7 +113,7 @@ func buildSG(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, error) 
 				if delta[step.To] != next {
 					return nil, nil, inconsistent(
 						"reach: STG %s is not consistent: marking %s reachable with different signal codes",
-						g.Name(), c.Format(a.index.Key(int32(step.To))))
+						g.Name(), c.Format(e.index.Key(int32(step.To))))
 				}
 				continue
 			}
@@ -127,29 +124,29 @@ func buildSG(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, error) 
 
 	// Phase 2: assemble the SG. Signals that never switch keep initial 0.
 	events := transitionEvents(g)
-	arcs := make([]ts.Arc, len(a.steps))
+	arcs := make([]ts.Arc, len(e.steps))
 	var fired []int
 	if withTrans {
-		fired = make([]int, len(a.steps))
+		fired = make([]int, len(e.steps))
 	}
-	for i, step := range a.steps {
+	for i, step := range e.steps {
 		arcs[i] = ts.Arc{Event: events[step.Transition], To: step.To}
 		if withTrans {
 			fired[i] = step.Transition
 		}
 	}
-	sg, trans := a.assemble(g, func(s int) ts.Code { return initVal ^ delta[s] }, arcs, fired, withTrans)
+	sg, trans := e.assemble(g, func(s int) ts.Code { return initVal ^ delta[s] }, arcs, fired, withTrans)
 	return sg, trans, nil
 }
 
-// assemble returns the state graph of g over the arena's states. State s
+// assemble returns the state graph of g over the explored states. State s
 // has code(s), its index key as its Key, and the arcs
 // arcs[first[s]:first[s+1]], fired by the transitions at the same places
 // of fired when withTrans. Every state's key is a slice of one string of
 // all the keys, and its arcs and transitions capped sub-slices of arcs and
 // fired.
-func (a *Arena) assemble(g *stg.STG, code func(s int) ts.Code, arcs []ts.Arc, fired []int, withTrans bool) (*ts.SG, [][]int) {
-	states := a.index.Len()
+func (e *explorer) assemble(g *stg.STG, code func(s int) ts.Code, arcs []ts.Arc, fired []int, withTrans bool) (*ts.SG, [][]int) {
+	states := e.index.Len()
 	sg := &ts.SG{
 		Name:    g.Name(),
 		Signals: append([]stg.Signal(nil), g.Signals...),
@@ -163,10 +160,10 @@ func (a *Arena) assemble(g *stg.STG, code func(s int) ts.Code, arcs []ts.Arc, fi
 	if withTrans {
 		trans = make([][]int, states)
 	}
-	keys, w := petri.KeyString(a.index.Keys()), 8*a.index.Width()
+	keys, w := petri.KeyString(e.index.Keys()), 8*e.index.Width()
 	for s := range states {
 		sg.States[s] = ts.State{Code: code(s), Key: keys[s*w : (s+1)*w]}
-		lo, hi := a.first[s], a.first[s+1]
+		lo, hi := e.first[s], e.first[s+1]
 		if lo == hi {
 			continue
 		}
@@ -188,21 +185,21 @@ func transitionEvents(g *stg.STG) []ts.Event {
 }
 
 // buildSGToggle explores (marking, code) pairs directly, keyed in the
-// arena's index as the packed marking followed by one code word: toggle
+// explorer's index as the packed marking followed by one code word: toggle
 // transitions flip their signal's bit, rising/falling transitions
 // additionally assert the expected previous value (consistency). All
 // signals start at 0; arcs are labeled with the concrete edge taken.
-func buildSGToggle(g *stg.STG, c *petri.Codec, a *Arena, opts Options, withTrans bool) (*ts.SG, [][]int, error) {
+func buildSGToggle(g *stg.STG, c *petri.Codec, opts Options, withTrans bool) (*ts.SG, [][]int, error) {
 	w := c.Words()
 	maxStates := opts.maxStates()
-	a.reset(w+1, maxStates)
+	e := newExplorer(w+1, maxStates)
 	init := g.Net.InitialMarking()
 	if !init.Safe() {
 		return nil, nil, fmt.Errorf("%w: initial marking", ErrUnsafe)
 	}
-	c.Pack(a.next, init)
-	a.next[w] = 0
-	a.index.Visit(a.next) // the limit is at least 1
+	c.Pack(e.next, init)
+	e.next[w] = 0
+	e.index.Visit(e.next) // the limit is at least 1
 	events := transitionEvents(g)
 	// edges[2*sig+dir] names the concrete edge a toggle of sig takes.
 	edges := make([]string, 2*len(g.Signals))
@@ -213,14 +210,14 @@ func buildSGToggle(g *stg.STG, c *petri.Codec, a *Arena, opts Options, withTrans
 	var arcs []ts.Arc
 	var fired []int
 	hooked := opts.Budget.Hooked()
-	for head := 0; head < a.index.Len(); head++ {
+	for head := 0; head < e.index.Len(); head++ {
 		if hooked || head%budget.CheckEvery == 0 {
 			if err := opts.Budget.Check("reach.toggle"); err != nil {
 				return nil, nil, err
 			}
 		}
-		a.first = append(a.first, int32(len(arcs)))
-		cur := a.index.Key(int32(head))
+		e.first = append(e.first, int32(len(arcs)))
+		cur := e.index.Key(int32(head))
 		m, code := cur[:w], ts.Code(cur[w])
 		for t := range g.Net.Transitions {
 			if !c.Enabled(m, t) {
@@ -252,13 +249,13 @@ func buildSGToggle(g *stg.STG, c *petri.Codec, a *Arena, opts Options, withTrans
 				}
 				nextCode = code.Flip(l.Sig)
 			}
-			if c.Fire(a.next, m, t) >= 0 {
+			if c.Fire(e.next, m, t) >= 0 {
 				return nil, nil, fmt.Errorf("%w: firing %s", ErrUnsafe, g.Net.Transitions[t].Name)
 			}
-			a.next[w] = uint64(nextCode)
-			to, _ := a.index.Visit(a.next)
+			e.next[w] = uint64(nextCode)
+			to, _ := e.index.Visit(e.next)
 			if to < 0 {
-				return nil, nil, budget.LimitStates(maxStates, a.index.Len())
+				return nil, nil, budget.LimitStates(maxStates, e.index.Len())
 			}
 			arcs = append(arcs, ts.Arc{Event: ev, To: int(to)})
 			if withTrans {
@@ -266,8 +263,8 @@ func buildSGToggle(g *stg.STG, c *petri.Codec, a *Arena, opts Options, withTrans
 			}
 		}
 	}
-	a.first = append(a.first, int32(len(arcs)))
+	e.first = append(e.first, int32(len(arcs)))
 
-	sg, trans := a.assemble(g, func(s int) ts.Code { return ts.Code(a.index.Key(int32(s))[w]) }, arcs, fired, withTrans)
+	sg, trans := e.assemble(g, func(s int) ts.Code { return ts.Code(e.index.Key(int32(s))[w]) }, arcs, fired, withTrans)
 	return sg, trans, nil
 }

@@ -34,6 +34,9 @@ func FuzzSTGParse(f *testing.F) {
 	f.Add([]byte(".model m2\n.inputs a\n.outputs b\n.graph\na+ b+\nb+ a+\n.marking { <a+,b+>=2 }\n.end\n"))
 	// An arc listed twice, rejected rather than read as a weight-2 arc.
 	f.Add([]byte(".model r\n.inputs a b\n.graph\np0 a+ a+\na+ b+\nb+ a-\na- b-\nb- p0\n.marking { p0 }\n.end\n"))
+	// Token counts outside 0..255, rejected rather than wrapped into a byte.
+	f.Add([]byte(handshakeMarking("p=-1")))
+	f.Add([]byte(handshakeMarking("p=256 <b-,a+>")))
 	f.Add([]byte(".model m3\n.inputs a b c d e\n.graph\na+ <x\n<x b+\nc+ <a+,b+>\ne+ <a+,b+>\n<a+,b+> d+\nb+ a+\nd+ c+\nd+ e+\n.marking { <b+,a+> <d+,c+> <d+,e+> }\n.end\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -242,9 +242,10 @@ func parseMarking(g *STG, placeIdx map[string]int, line string) error {
 		// be an implicit "<a,b>" name — so only an '=' after the closing '>'
 		// (or any '=' in a bracketless name) is a count.
 		if i := strings.LastIndexByte(tok, '='); i >= 0 && i > strings.LastIndexByte(tok, '>') {
+			// A marking holds 0..255 tokens a place.
 			n, err := strconv.Atoi(tok[i+1:])
-			if err != nil {
-				return fmt.Errorf("stg: bad marking count in %q", tok)
+			if err != nil || n < 0 || n > 255 {
+				return fmt.Errorf("stg: bad marking count in %q (want 0..255)", tok)
 			}
 			count = n
 			tok = tok[:i]

@@ -177,11 +177,21 @@ a- a+
 	}
 }
 
+// handshakeMarking is a four-transition handshake with one explicit place p
+// between a+ and b+, under the given .marking body.
+func handshakeMarking(marking string) string {
+	return ".model h\n.inputs a\n.outputs b\n.graph\na+ p\np b+\nb+ a-\na- b-\nb- a+\n.marking { " +
+		marking + " }\n.end\n"
+}
+
 func TestParseGErrors(t *testing.T) {
 	cases := []string{
 		".model m\n.inputs a\n.graph\np q\n.end\n",                      // place->place arc
 		".model m\n.inputs a a\n.graph\n.end\n",                         // duplicate signal
 		".model m\n.inputs a\n.graph\na+ a-\n.marking { nope }\n.end\n", // unknown marked place
+		// Token counts outside 0..255, which a byte marking cannot hold.
+		handshakeMarking("p=-1"),
+		handshakeMarking("p=256 <b-,a+>"),
 		"stray line\n", // text outside .graph
 	}
 	for i, src := range cases {

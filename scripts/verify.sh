@@ -53,8 +53,9 @@ go test -fuzz=FuzzPropParse -fuzztime=5s -run '^$' ./internal/prop/
 # class check (every pair of those rounds and of a choice-merge spec, scored
 # on its own, gets the verdict of the representative the search explores in
 # its place, and both build nets with one canonical signature; no two
-# solved representatives of a round do), twin
-# first-round survivors ranking and continuing
+# accepted representatives of a round do, so survivors share a signature
+# exactly when they share a class), twin first-round survivors (one pair
+# class, the key firstRound's twin skip uses) ranking and continuing
 # alike (the premise of skipping a twin's exhausted continuation, and
 # cscring-4's counters with the skip), the search exploring each STG once
 # (its reach.label budget checks pinned at one and two workers), and the
