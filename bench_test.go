@@ -774,7 +774,7 @@ func BenchmarkConformance(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		viol, err := sim.ConformsSTG(impl, g, 0)
+		viol, err := sim.ConformsSTG(impl, g)
 		if err != nil || len(viol) != 0 {
 			b.Fatal("conformance must hold")
 		}

@@ -131,17 +131,17 @@ func maxOf(vs []float64) float64 {
 	return m
 }
 
-// span renders the range of vs, one value when they agree and "—" when
-// there are none.
+// span renders the range of vs, one value when its ends format alike and
+// "—" when there are none.
 func span(vs []float64, format func(float64) string) string {
-	switch lo, hi := minOf(vs), maxOf(vs); {
-	case len(vs) == 0:
+	if len(vs) == 0 {
 		return "—"
-	case lo == hi:
-		return format(lo)
-	default:
-		return format(lo) + "–" + format(hi)
 	}
+	lo, hi := format(minOf(vs)), format(maxOf(vs))
+	if lo == hi {
+		return lo
+	}
+	return lo + "–" + hi
 }
 
 func fmtNs(ns float64) string {

@@ -54,7 +54,23 @@ func TestABRanges(t *testing.T) {
 			t.Fatalf("missing %q in:\n%s", want, out.String())
 		}
 	}
+
+	// Runs 40 ns and 60 bytes apart format alike, so each side prints one
+	// value, not a range with equal ends such as "823.2 KB–823.2 KB".
+	out.Reset()
+	if err := runAB(&out, writeRuns(t, "parent.txt", nearRuns), writeRuns(t, "change.txt", nearRuns), 2); err != nil {
+		t.Fatal(err)
+	}
+	if want := "| SolveCSC/vme-read | 1.9 ms | 1.9 ms | 823.2 KB | 823.2 KB | 12460 | 12460 | overlap |"; !strings.Contains(out.String(), want) {
+		t.Fatalf("missing %q in:\n%s", want, out.String())
+	}
 }
+
+// nearRuns are two runs of one row whose ns/op and B/op differ below the
+// printed precision.
+const nearRuns = `BenchmarkSolveCSC/vme-read-2         	     600	   1900000 ns/op	  823180 B/op	   12460 allocs/op
+BenchmarkSolveCSC/vme-read-2         	     600	   1900040 ns/op	  823240 B/op	   12460 allocs/op
+`
 
 func TestABSlowerRow(t *testing.T) {
 	var out bytes.Buffer

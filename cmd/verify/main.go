@@ -140,7 +140,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 		if err != nil {
 			return fmt.Errorf("impl: %w", err)
 		}
-		viol, err := sim.ConformsSTG(impl, spec, 0)
+		viol, err := sim.ConformsSTG(impl, spec)
 		if err != nil {
 			return err
 		}

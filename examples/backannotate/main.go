@@ -73,7 +73,7 @@ func main() {
 	fmt.Println("\nround trip: extracted STG's state graph is isomorphic to the circuit's")
 
 	// ... and conforms to the original interface.
-	viol, err := sim.ConformsSTG(back, g, 0)
+	viol, err := sim.ConformsSTG(back, g)
 	if err != nil {
 		log.Fatal(err)
 	}

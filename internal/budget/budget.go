@@ -56,8 +56,9 @@ type Budget struct {
 	// context.Background()).
 	Ctx context.Context
 	// MaxStates, MaxNodes and MaxEvents are per-resource ceilings
-	// (0 = unlimited). Engines with their own Options.MaxStates-style caps
-	// apply whichever bound is tighter.
+	// (0 = unlimited). They are the only way to cap an engine: each
+	// explorer has a default state or event cap and applies whichever
+	// bound is tighter.
 	MaxStates int
 	MaxNodes  int
 	MaxEvents int
@@ -234,7 +235,7 @@ func (b *Budget) Check(site string) error {
 }
 
 // StateLimit returns the effective state ceiling: the tighter of the
-// engine's own cap and the budget's MaxStates (0 = no budget ceiling).
+// engine's default cap and the budget's MaxStates (0 = no budget ceiling).
 func (b *Budget) StateLimit(engineCap int) int {
 	if b == nil || b.MaxStates <= 0 {
 		return engineCap

@@ -31,9 +31,6 @@ type Options struct {
 	// MaxFanIn, when > 0, runs decomposition/technology mapping to the
 	// given gate input budget after synthesis.
 	MaxFanIn int
-	// MaxCSCSignals bounds the inserted state signals, or with Reduce the
-	// added orderings (default 3).
-	MaxCSCSignals int
 	// Reduce resolves CSC conflicts by concurrency reduction, delaying
 	// non-input transitions, instead of by state-signal insertion.
 	Reduce bool
@@ -42,8 +39,6 @@ type Options struct {
 	// Constraints are relative timing assumptions applied during
 	// verification (Section 5).
 	Constraints []sim.RelativeOrder
-	// Reach bounds state-graph construction.
-	Reach reach.Options
 	// Workers sizes the worker pools of the encoding candidate search and
 	// the per-signal logic derivation (0 or 1 = one worker). It changes only
 	// how the work fans out: every count produces identical results.
@@ -228,16 +223,9 @@ func synthesize(g *stg.STG, opts Options, flow *obs.Span) (*Report, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	ropts := opts.Reach
-	if ropts.Budget == nil {
-		ropts.Budget = opts.Budget
-	}
 	sgSpan := flow.Child("phase:sg")
-	if ropts.Obs == nil {
-		ropts.Obs = sgSpan
-	}
 	phase := time.Now()
-	baseSG, err := reach.BuildSG(g, ropts)
+	baseSG, err := reach.BuildSG(g, reach.Options{Budget: opts.Budget, Obs: sgSpan})
 	if err != nil {
 		sgSpan.End()
 		sgDur := time.Since(phase)
@@ -245,7 +233,7 @@ func synthesize(g *stg.STG, opts Options, flow *obs.Span) (*Report, error) {
 		if opts.Fallback && errors.As(err, &le) {
 			// A resource ceiling tripped the explicit build: try the
 			// cheaper engines.
-			return degrade(g, opts, ropts, err, le, sgDur, flow)
+			return degrade(g, opts, err, le, sgDur, flow)
 		}
 		wrapped := fmt.Errorf("core: state graph: %w", err)
 		if budgetErr(err) {
@@ -296,10 +284,11 @@ func synthesize(g *stg.STG, opts Options, flow *obs.Span) (*Report, error) {
 		phase = time.Now()
 		encSpan := flow.Child("phase:encoding")
 		eopts := encoding.Options{Workers: opts.Workers, Budget: opts.Budget, Obs: encSpan}
+		// Up to 3 inserted state signals, or with Reduce 3 orderings.
 		if opts.Reduce {
-			sols[0], err = encoding.SolveByReduction(g, opts.MaxCSCSignals, eopts)
+			sols[0], err = encoding.SolveByReduction(g, 3, eopts)
 		} else {
-			sols, err = encoding.SolutionsOpts(g, opts.MaxCSCSignals, 5, eopts)
+			sols, err = encoding.SolutionsOpts(g, 3, 5, eopts)
 		}
 		encSpan.End()
 		if err != nil {
@@ -396,7 +385,7 @@ func budgetErr(err error) bool {
 // (deadlock-preserving), then capped explicit exploration — the guaranteed
 // floor, whose partial graph is accepted as the degraded result. Each rung
 // runs under the same (remaining) budget; cancellation aborts the ladder.
-func degrade(g *stg.STG, opts Options, ropts reach.Options, sgErr error, le budget.ErrLimit, sgDur time.Duration, flow *obs.Span) (*Report, error) {
+func degrade(g *stg.STG, opts Options, sgErr error, le budget.ErrLimit, sgDur time.Duration, flow *obs.Span) (*Report, error) {
 	fb := flow.Child("phase:fallback")
 	defer fb.End()
 	transitions := fb.Registry().Counter("core.fallback_transitions")
@@ -446,8 +435,7 @@ func degrade(g *stg.STG, opts Options, ropts reach.Options, sgErr error, le budg
 	transitions.Inc()
 	fb.Event("degrade", "to", "explicit-capped")
 	start = time.Now()
-	ropts.Obs = fb
-	gph, err := reach.Explore(g.Net, ropts)
+	gph, err := reach.Explore(g.Net, reach.Options{Budget: opts.Budget, Obs: fb})
 	att = Attempt{Engine: "explicit-capped", Err: err, Duration: time.Since(start)}
 	if gph != nil {
 		att.States = gph.NumStates()

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/budget"
 	"repro/internal/gen"
 	"repro/internal/reach"
 	"repro/internal/stg"
@@ -207,7 +208,7 @@ func TestProductMatchesRebuild(t *testing.T) {
 				want[i].v = verdict{reason: rejectInvalid}
 				return nil
 			}
-			sg, v := evaluateCandidate(cand, base, reach.Options{MaxStates: rd.maxStates})
+			sg, v := evaluateCandidate(cand, base, reach.Options{Budget: &budget.Budget{MaxStates: rd.maxStates}})
 			if sg != nil && sg.IsPersistent() != (len(sg.PersistencyViolations()) == 0) {
 				return fmt.Errorf("%s, %s: IsPersistent = %v, but %d persistency violations", rd.name,
 					describeInsertion(rd.g, rd.signal, p.r, p.f), sg.IsPersistent(), len(sg.PersistencyViolations()))

@@ -45,9 +45,12 @@ func TestMullerPipelineGrowth(t *testing.T) {
 
 func TestIndependentToggles(t *testing.T) {
 	net := IndependentToggles(6)
-	rg, err := reach.Explore(net, reach.Options{RequireSafe: true})
+	rg, err := reach.Explore(net, reach.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !rg.IsSafe() {
+		t.Fatal("the net must be safe")
 	}
 	if rg.NumStates() != 64 {
 		t.Fatalf("toggles-6: %d states, want 64", rg.NumStates())
@@ -62,9 +65,12 @@ func TestMarkedGraphRing(t *testing.T) {
 	if !net.IsMarkedGraph() || !net.StronglyConnected() {
 		t.Fatal("ring must be a strongly connected MG")
 	}
-	rg, err := reach.Explore(net, reach.Options{RequireSafe: true})
+	rg, err := reach.Explore(net, reach.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !rg.IsSafe() {
+		t.Fatal("the net must be safe")
 	}
 	if rg.NumStates() != 5 {
 		t.Fatalf("single-token ring of 5: %d states", rg.NumStates())
@@ -73,9 +79,12 @@ func TestMarkedGraphRing(t *testing.T) {
 
 func TestPhilosophers(t *testing.T) {
 	net := Philosophers(3)
-	rg, err := reach.Explore(net, reach.Options{RequireSafe: true})
+	rg, err := reach.Explore(net, reach.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !rg.IsSafe() {
+		t.Fatal("the net must be safe")
 	}
 	if len(rg.Deadlocks()) == 0 {
 		t.Fatal("philosophers must be able to deadlock")

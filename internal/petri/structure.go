@@ -72,18 +72,6 @@ func (n *Net) MergePlaces() []int {
 	return out
 }
 
-// ImplicitCandidates returns places with exactly one input and one output arc
-// — the places conventionally drawn as plain arcs between two transitions.
-func (n *Net) ImplicitCandidates() []int {
-	var out []int
-	for i, p := range n.Places {
-		if len(p.Pre) == 1 && len(p.Post) == 1 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // ConflictPairs returns all pairs of distinct transitions that share at least
 // one input place (structural conflict).
 func (n *Net) ConflictPairs() [][2]int {

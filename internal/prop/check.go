@@ -65,16 +65,6 @@ func (r *Report) Violations() int {
 	return n
 }
 
-// Holds reports whether every property holds.
-func (r *Report) Holds() bool {
-	for _, v := range r.Verdicts {
-		if v.Status != StatusHolds {
-			return false
-		}
-	}
-	return true
-}
-
 // Engine selects the evaluation strategy.
 type Engine string
 

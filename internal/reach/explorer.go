@@ -33,14 +33,16 @@ func newExplorer(width, limit int) *explorer {
 
 // explore is the breadth-first token game behind Explore and BuildSG. It
 // numbers n's markings, packed by c, in discovery order and records each
-// state's steps in ascending transition order. c is a bit codec under
-// RequireSafe and a byte codec otherwise; the loop is the same. It returns
-// the explorer when it holds a graph: a complete one, or the partial one of
-// a state-limit trip or cancellation (the error says which). A model error —
-// an unsafe or overfull marking — returns none.
-func explore(n *petri.Net, c *petri.Codec, opts Options) (*explorer, error) {
+// state's steps in ascending transition order. BuildSG requires a safe net
+// and passes a bit codec with safe set, so the first marking with a second
+// token in a place fails with ErrUnsafe; Explore passes a byte codec. The
+// loop is the same. It returns the explorer when it holds a graph: a
+// complete one, or the partial one of a state-limit trip or cancellation
+// (the error says which). A model error — an unsafe or overfull marking —
+// returns none.
+func explore(n *petri.Net, c *petri.Codec, safe bool, opts Options) (*explorer, error) {
 	init := n.InitialMarking()
-	if opts.RequireSafe && !init.Safe() {
+	if safe && !init.Safe() {
 		return nil, fmt.Errorf("%w: initial marking %s", ErrUnsafe, init.Format(n))
 	}
 	maxStates := opts.maxStates()
@@ -69,7 +71,7 @@ func explore(n *petri.Net, c *petri.Codec, opts Options) (*explorer, error) {
 				continue
 			}
 			if p := c.Fire(e.next, m, t); p >= 0 {
-				if opts.RequireSafe {
+				if safe {
 					return nil, fmt.Errorf("%w: firing %s from %s", ErrUnsafe,
 						n.Transitions[t].Name, c.Format(m))
 				}

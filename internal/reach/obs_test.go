@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/budget"
 	"repro/internal/gen"
 	"repro/internal/obs"
 )
@@ -40,13 +41,13 @@ func TestObsCountersSequential(t *testing.T) {
 // still reports the states and arcs it explored, as Explore does.
 func TestObsBuildSGStateLimit(t *testing.T) {
 	g := gen.MullerPipeline(3)
-	partial, err := Explore(g.Net, Options{RequireSafe: true, MaxStates: 17})
+	partial, err := Explore(g.Net, Options{Budget: &budget.Budget{MaxStates: 17}})
 	if !errors.Is(err, ErrStateLimit) {
 		t.Fatalf("Explore: want ErrStateLimit, got %v", err)
 	}
 	reg := obs.NewRegistry()
 	root := reg.Root("flow:test")
-	if _, err := BuildSG(g, Options{MaxStates: 17, Obs: root}); !errors.Is(err, ErrStateLimit) {
+	if _, err := BuildSG(g, Options{Budget: &budget.Budget{MaxStates: 17}, Obs: root}); !errors.Is(err, ErrStateLimit) {
 		t.Fatalf("BuildSG: want ErrStateLimit, got %v", err)
 	}
 	root.End()

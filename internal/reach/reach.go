@@ -17,21 +17,12 @@ import (
 
 // Options bound an exploration.
 type Options struct {
-	// MaxStates aborts the exploration when it would exceed this many
-	// states (0 = DefaultMaxStates). The cap is enforced at insertion time:
-	// exactly MaxStates states are explored before ErrStateLimit fires.
-	MaxStates int
 	// Budget, when non-nil, adds cancellation and resource ceilings: the
 	// context is polled (amortized, every budget.CheckEvery expansions) and
-	// Budget.MaxStates tightens MaxStates. Aborts surface as the typed
-	// budget errors (ErrStateLimit remains errors.Is-compatible).
+	// Budget.MaxStates tightens DefaultMaxStates. The cap is enforced at
+	// insertion time: exactly that many states are explored before the
+	// typed budget error fires (ErrStateLimit remains errors.Is-compatible).
 	Budget *budget.Budget
-	// RequireSafe makes the exploration fail on the first marking with more
-	// than one token in a place; markings are then explored as bits. When
-	// false, markings up to 255 tokens per place are explored as bytes, and
-	// the first firing that would put a 256th token in a place fails with
-	// petri.ErrTokenOverflow.
-	RequireSafe bool
 	// Obs is the parent observability span (usually a phase of the synthesis
 	// flow): the explorer records an "engine:explicit" child span and the
 	// reach.* counters into its registry. nil — the default — disables
@@ -39,19 +30,14 @@ type Options struct {
 	Obs *obs.Span
 }
 
-// DefaultMaxStates is the state cap of an exploration whose
-// Options.MaxStates is 0.
+// DefaultMaxStates is the state cap of an exploration whose budget sets
+// no tighter one.
 const DefaultMaxStates = 1 << 22
 
-func (o Options) maxStates() int {
-	cap := o.MaxStates
-	if cap <= 0 {
-		cap = DefaultMaxStates
-	}
-	return o.Budget.StateLimit(cap)
-}
+func (o Options) maxStates() int { return o.Budget.StateLimit(DefaultMaxStates) }
 
-// ErrUnsafe is returned when RequireSafe is set and a 2-token place is found.
+// ErrUnsafe is returned by BuildSG when a marking puts a second token in a
+// place.
 var ErrUnsafe = fmt.Errorf("reach: net is not safe (1-bounded)")
 
 // ErrInconsistent is the errors.Is anchor of BuildSG's consistency
@@ -90,25 +76,23 @@ type Step struct {
 
 // Explore computes the reachability graph of the net under the options: a
 // breadth-first token game numbering states in discovery order, with each
-// state's steps in ascending transition order.
+// state's steps in ascending transition order. Markings hold up to 255
+// tokens per place, and the first firing that would put a 256th token in a
+// place fails with petri.ErrTokenOverflow.
 //
 // On a state-limit trip (errors.Is(err, ErrStateLimit)) the partial graph
-// explored so far — exactly MaxStates states — is returned alongside the
-// typed budget.ErrLimit error; on cancellation the partial graph explored
-// so far is returned too.
+// explored so far — exactly the cap's count of states — is returned
+// alongside the typed budget.ErrLimit error; on cancellation the partial
+// graph explored so far is returned too.
 //
 // A net whose transition lists a place twice fails with
 // petri.ErrRepeatedArc.
 func Explore(n *petri.Net, opts Options) (*Graph, error) {
-	newCodec := petri.NewByteCodec
-	if opts.RequireSafe {
-		newCodec = petri.NewBitCodec
-	}
-	c, err := newCodec(n)
+	c, err := petri.NewByteCodec(n)
 	if err != nil {
 		return nil, err
 	}
-	e, err := run(n, c, opts)
+	e, err := run(n, c, false, opts)
 	if e == nil {
 		return nil, err
 	}
@@ -120,13 +104,13 @@ func Explore(n *petri.Net, opts Options) (*Graph, error) {
 // the span's registry. Partial graphs from budget trips still report their
 // explored totals. The wall-clock start is sampled only when observability
 // is on, so the disabled path stays a nil check.
-func run(n *petri.Net, c *petri.Codec, opts Options) (*explorer, error) {
+func run(n *petri.Net, c *petri.Codec, safe bool, opts Options) (*explorer, error) {
 	sp := opts.Obs.Child("engine:explicit")
 	if sp == nil {
-		return explore(n, c, opts)
+		return explore(n, c, safe, opts)
 	}
 	start := time.Now()
-	e, err := explore(n, c, opts)
+	e, err := explore(n, c, safe, opts)
 	states, arcs := 0, 0
 	if e != nil {
 		states, arcs = e.index.Len(), len(e.steps)
@@ -169,8 +153,7 @@ func (g *Graph) Deadlocks() []int {
 	return out
 }
 
-// IsSafe reports whether every reachable marking is 1-bounded. (Only
-// meaningful when Explore ran without RequireSafe.)
+// IsSafe reports whether every reachable marking is 1-bounded.
 func (g *Graph) IsSafe() bool {
 	for _, m := range g.Markings {
 		if !m.Safe() {

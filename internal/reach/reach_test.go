@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/budget"
 	"repro/internal/gen"
 	"repro/internal/petri"
 	"repro/internal/stg"
@@ -58,7 +59,9 @@ func TestExploreDetectsUnsafe(t *testing.T) {
 	n.ArcPT(pb, b)
 	n.ArcTP(a, sink)
 	n.ArcTP(b, sink)
-	if _, err := Explore(n, Options{RequireSafe: true}); !errors.Is(err, ErrUnsafe) {
+	// BuildSG requires safety: over the same net, with a and b dummies.
+	spec := &stg.STG{Net: n, Labels: []stg.Label{{Sig: -1}, {Sig: -1}}}
+	if _, err := BuildSG(spec, Options{}); !errors.Is(err, ErrUnsafe) {
 		t.Fatalf("want ErrUnsafe, got %v", err)
 	}
 	g, err := Explore(n, Options{})
@@ -84,7 +87,7 @@ func TestExploreStateLimit(t *testing.T) {
 		n.ArcPT(p1, t1)
 		n.ArcTP(t1, p0)
 	}
-	if _, err := Explore(n, Options{MaxStates: 100}); !errors.Is(err, ErrStateLimit) {
+	if _, err := Explore(n, Options{Budget: &budget.Budget{MaxStates: 100}}); !errors.Is(err, ErrStateLimit) {
 		t.Fatalf("want ErrStateLimit, got %v", err)
 	}
 	g, err := Explore(n, Options{})
@@ -96,19 +99,19 @@ func TestExploreStateLimit(t *testing.T) {
 	}
 }
 
-// TestStateLimitExactAtInsertion pins the MaxStates cap: the abort happens
-// at insertion time, with exactly MaxStates states explored, and a cap the
-// space fits exactly is not an error.
+// TestStateLimitExactAtInsertion pins the budget's state cap: the abort
+// happens at insertion time, with exactly MaxStates states explored, and a
+// cap the space fits exactly is not an error.
 func TestStateLimitExactAtInsertion(t *testing.T) {
 	net := gen.IndependentToggles(6) // 64 states
-	g, err := Explore(net, Options{MaxStates: 17})
+	g, err := Explore(net, Options{Budget: &budget.Budget{MaxStates: 17}})
 	if !errors.Is(err, ErrStateLimit) {
 		t.Fatalf("want ErrStateLimit, got %v", err)
 	}
 	if g == nil || len(g.Markings) != 17 {
 		t.Fatalf("abort must leave exactly MaxStates explored states, got %v", g)
 	}
-	g, err = Explore(net, Options{MaxStates: 64})
+	g, err = Explore(net, Options{Budget: &budget.Budget{MaxStates: 64}})
 	if err != nil || g.NumStates() != 64 {
 		t.Fatalf("exact-fit cap must succeed: %v %v", g, err)
 	}
@@ -118,7 +121,7 @@ func TestStateLimitExactAtInsertion(t *testing.T) {
 // (marking, code) toggle exploration.
 func TestBuildSGToggleStateLimit(t *testing.T) {
 	g := toggleRingSpec(8)
-	if _, err := BuildSG(g, Options{MaxStates: 3}); !errors.Is(err, ErrStateLimit) {
+	if _, err := BuildSG(g, Options{Budget: &budget.Budget{MaxStates: 3}}); !errors.Is(err, ErrStateLimit) {
 		t.Fatalf("want ErrStateLimit, got %v", err)
 	}
 	if _, err := BuildSG(g, Options{}); err != nil {

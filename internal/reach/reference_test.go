@@ -98,7 +98,8 @@ type refState struct {
 	trans []int
 }
 
-// refBuildSG is the reference of reach.BuildSGTrans with MaxStates set.
+// refBuildSG is the reference of reach.BuildSGTrans under a budget of
+// maxStates states.
 func refBuildSG(g *stg.STG, maxStates int) ([]refState, error) {
 	for _, l := range g.Labels {
 		if l.Sig >= 0 && l.Dir == stg.Toggle {
@@ -347,7 +348,7 @@ func TestBuildSGMatchesReference(t *testing.T) {
 				refCap = reach.DefaultMaxStates
 			}
 			want, wantErr := refBuildSG(g, refCap)
-			sg, trans, err := reach.BuildSGTrans(g, reach.Options{MaxStates: maxStates})
+			sg, trans, err := reach.BuildSGTrans(g, reach.Options{Budget: &budget.Budget{MaxStates: maxStates}})
 			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 				t.Fatalf("%s cap %d: error %v, reference %v", name, maxStates, err, wantErr)
 			}
@@ -382,9 +383,9 @@ func TestBuildSGMatchesReference(t *testing.T) {
 		len(names), compared, failed, tripped, unsafe)
 }
 
-// TestExploreMatchesReference is the twin for Explore on byte markings
-// (RequireSafe off): nets that are not safe, one whose token counts would
-// pass 255, and a spec sample, with and without state caps.
+// TestExploreMatchesReference is the twin for Explore on byte markings:
+// nets that are not safe, one whose token counts would pass 255, and a spec
+// sample, with and without state caps.
 func TestExploreMatchesReference(t *testing.T) {
 	nets := []*petri.Net{
 		gen.MarkedGraphRing(9, 4),
@@ -401,7 +402,7 @@ func TestExploreMatchesReference(t *testing.T) {
 				refCap = reach.DefaultMaxStates
 			}
 			want, wantErr := refExplore(n, false, refCap)
-			got, err := reach.Explore(n, reach.Options{MaxStates: maxStates})
+			got, err := reach.Explore(n, reach.Options{Budget: &budget.Budget{MaxStates: maxStates}})
 			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 				t.Fatalf("%s cap %d: error %v, reference %v", n.Name, maxStates, err, wantErr)
 			}

@@ -21,8 +21,9 @@ import (
 // every signal starting at 0, and each toggle arc is labelled with the edge
 // it takes in its state (see HasToggle).
 //
-// Consistency failures match ErrInconsistent under errors.Is; a net whose
-// transition lists a place twice fails with petri.ErrRepeatedArc.
+// Consistency failures match ErrInconsistent under errors.Is; a marking
+// with a second token in a place fails with ErrUnsafe, and a net whose
+// transition lists a place twice with petri.ErrRepeatedArc.
 func BuildSG(g *stg.STG, opts Options) (*ts.SG, error) {
 	sg, _, err := buildSG(g, opts, false)
 	return sg, err
@@ -61,8 +62,7 @@ func buildSG(g *stg.STG, opts Options, withTrans bool) (*ts.SG, [][]int, error) 
 		// concrete rising or falling edge per state.
 		return buildSGToggle(g, c, opts, withTrans)
 	}
-	opts.RequireSafe = true
-	e, err := run(g.Net, c, opts)
+	e, err := run(g.Net, c, true, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -125,7 +125,7 @@ func (s *Server) interruptJob(rec *journalRecord, attempts []string, why string)
 		kind:   rec.Kind,
 		key:    rec.Key,
 		trace:  recoveredTrace(rec),
-		events: newBroadcaster(s.cfg.StreamQueue, s.sseDropped.Add),
+		events: newBroadcaster(s.sseDropped.Add),
 		ctx:    context.Background(),
 		cancel: func() {},
 		done:   make(chan struct{}),
@@ -197,7 +197,7 @@ func (s *Server) rebuildJob(rec *journalRecord) (*job, error) {
 		g:      g,
 		nl:     nl,
 		props:  props,
-		events: newBroadcaster(s.cfg.StreamQueue, s.sseDropped.Add),
+		events: newBroadcaster(s.sseDropped.Add),
 		ctx:    ctx,
 		cancel: cancel,
 		done:   make(chan struct{}),

@@ -68,8 +68,6 @@ type Config struct {
 	// JobTimeout is a wall-clock ceiling applied to every job on top of
 	// the per-request timeout_ms (default none).
 	JobTimeout time.Duration
-	// JobHistory bounds how many finished jobs stay pollable (default 1024).
-	JobHistory int
 	// DataDir enables durability: a write-ahead job journal
 	// (<DataDir>/journal.jsonl, replayed on startup — accepted jobs are
 	// re-enqueued, jobs that died mid-run are reported as interrupted) and
@@ -99,9 +97,6 @@ type Config struct {
 	// TraceEntries negative disables retention.
 	TraceEntries int
 	TraceBytes   int64
-	// StreamQueue bounds each SSE subscriber's event queue; a slow reader
-	// drops its oldest undelivered records (default 256).
-	StreamQueue int
 	// StreamHeartbeat is the SSE comment-heartbeat interval (default 15s).
 	StreamHeartbeat time.Duration
 }
@@ -121,9 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AsyncThreshold <= 0 {
 		c.AsyncThreshold = 256
-	}
-	if c.JobHistory <= 0 {
-		c.JobHistory = 1024
 	}
 	if c.ShedCost == 0 {
 		c.ShedCost = 4 * int64(c.Queue) * defaultJobCost
@@ -145,9 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TraceBytes == 0 {
 		c.TraceBytes = 16 << 20
-	}
-	if c.StreamQueue <= 0 {
-		c.StreamQueue = 256
 	}
 	if c.StreamHeartbeat <= 0 {
 		c.StreamHeartbeat = 15 * time.Second
@@ -613,7 +602,7 @@ func (s *Server) admit(kind, key, trace string, req *Request, g *stg.STG, nl *lo
 		g:      g,
 		nl:     nl,
 		props:  props,
-		events: newBroadcaster(s.cfg.StreamQueue, s.sseDropped.Add),
+		events: newBroadcaster(s.sseDropped.Add),
 		ctx:    ctx,
 		cancel: cancel,
 		done:   make(chan struct{}),
@@ -669,8 +658,12 @@ func (s *Server) jobTimeout(o ReqOptions) time.Duration {
 	return t
 }
 
-// evictHistoryLocked drops the oldest finished jobs beyond the history
-// bound. Live jobs are never dropped.
+// jobHistory bounds how many jobs stay pollable: past it the oldest
+// finished ones are dropped.
+const jobHistory = 1024
+
+// evictHistoryLocked drops the oldest finished jobs beyond jobHistory. Live
+// jobs are never dropped.
 func (s *Server) evictHistoryLocked() {
 	finished := func(j *job) bool {
 		select {
@@ -680,7 +673,7 @@ func (s *Server) evictHistoryLocked() {
 			return false
 		}
 	}
-	for len(s.order) > s.cfg.JobHistory {
+	for len(s.order) > jobHistory {
 		idx := -1
 		for i, id := range s.order {
 			if j := s.jobs[id]; j == nil || finished(j) {

@@ -244,6 +244,30 @@ func TestAsyncJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestJobHistoryBound: the daemon keeps the newest 1,024 jobs pollable.
+// With the cache off every request runs a job, so after 1,030 of them the
+// first six have been dropped and j7 through j1030 are still there.
+func TestJobHistoryBound(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{CacheEntries: -1})
+	body := map[string]any{"spec": vmeSpec(t)}
+	for i := 1; i <= 1030; i++ {
+		code, resp := postJSON(t, ts.URL+"/v1/analyze", body)
+		if code != http.StatusOK || resp.JobID != fmt.Sprintf("j%d", i) {
+			t.Fatalf("request %d: code %d, job %q, error %q", i, code, resp.JobID, resp.Error)
+		}
+	}
+	for _, id := range []string{"j1", "j6"} {
+		if code, _ := getJSON(t, ts.URL+"/v1/jobs/"+id); code != http.StatusNotFound {
+			t.Fatalf("%s: code %d, want 404", id, code)
+		}
+	}
+	for _, id := range []string{"j7", "j1030"} {
+		if code, resp := getJSON(t, ts.URL+"/v1/jobs/"+id); code != http.StatusOK || resp.Status != "done" {
+			t.Fatalf("%s: code %d, status %q", id, code, resp.Status)
+		}
+	}
+}
+
 // TestBudgetExceeded: a sync run whose state budget trips fails with HTTP
 // 422 and carries the partial degradation-ladder attempts.
 func TestBudgetExceeded(t *testing.T) {

@@ -16,10 +16,10 @@ import (
 // subscriber channel closes. Subscribers attaching after the job finished
 // get the terminal event immediately.
 //
-// Backpressure is drop-oldest: each subscriber has a bounded queue
-// (Config.StreamQueue) and a slow reader loses its oldest undelivered
-// records — counted in serve.sse_dropped — never stalls the engine
-// goroutines publishing. The terminal "done" event is always delivered:
+// Backpressure is drop-oldest: each subscriber has a queue of streamQueue
+// records, and a slow reader loses its oldest undelivered records —
+// counted in serve.sse_dropped — never stalls the engine goroutines
+// publishing. The terminal "done" event is always delivered:
 // close displaces queued records to make room for it if it must.
 
 // streamMsg is one SSE frame: the event name and its JSON data line.
@@ -28,10 +28,13 @@ type streamMsg struct {
 	data  []byte
 }
 
+// streamQueue bounds each SSE subscriber's event queue: room for a burst
+// of span records while the reader writes the earlier ones out.
+const streamQueue = 256
+
 // broadcaster fans one job's event stream out to its SSE subscribers.
 type broadcaster struct {
-	queueCap int
-	dropped  func(int64) // records lost to slow subscribers
+	dropped func(int64) // records lost to slow subscribers
 
 	mu       sync.Mutex
 	subs     map[chan streamMsg]struct{}
@@ -39,17 +42,13 @@ type broadcaster struct {
 	terminal *streamMsg // retained for post-finish subscribers
 }
 
-func newBroadcaster(queueCap int, dropped func(int64)) *broadcaster {
-	if queueCap < 1 {
-		queueCap = 1
-	}
+func newBroadcaster(dropped func(int64)) *broadcaster {
 	if dropped == nil {
 		dropped = func(int64) {}
 	}
 	return &broadcaster{
-		queueCap: queueCap,
-		dropped:  dropped,
-		subs:     map[chan streamMsg]struct{}{},
+		dropped: dropped,
+		subs:    map[chan streamMsg]struct{}{},
 	}
 }
 
@@ -137,7 +136,7 @@ func (b *broadcaster) subscribe() chan streamMsg {
 		close(ch)
 		return ch
 	}
-	ch := make(chan streamMsg, b.queueCap)
+	ch := make(chan streamMsg, streamQueue)
 	b.subs[ch] = struct{}{}
 	return ch
 }

@@ -37,12 +37,10 @@ func (v ConformanceViolation) String() string {
 
 // ConformsSTG explores the parallel composition of implementation and
 // specification token games, synchronizing on the specification's signals.
-// It returns the violations found (empty = conforms). maxStates bounds the
-// product exploration (0 = 1<<20).
-func ConformsSTG(impl, spec *stg.STG, maxStates int) ([]ConformanceViolation, error) {
-	if maxStates <= 0 {
-		maxStates = 1 << 20
-	}
+// It returns the violations found (empty = conforms). The product
+// exploration stops with an error past 1<<20 states.
+func ConformsSTG(impl, spec *stg.STG) ([]ConformanceViolation, error) {
+	const maxStates = 1 << 20
 	// Map spec signals into impl signal indexes.
 	specToImpl := make([]int, len(spec.Signals))
 	for i, s := range spec.Signals {

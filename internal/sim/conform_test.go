@@ -15,7 +15,7 @@ import (
 // An STG trivially conforms to itself.
 func TestConformsReflexive(t *testing.T) {
 	g := vme.ReadSTG()
-	viol, err := sim.ConformsSTG(g, g, 0)
+	viol, err := sim.ConformsSTG(g, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestConformsWithInternalSignal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viol, err := sim.ConformsSTG(impl, g, 0)
+	viol, err := sim.ConformsSTG(impl, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestBackAnnotationConforms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viol, err := sim.ConformsSTG(back, g, 0)
+	viol, err := sim.ConformsSTG(back, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRetriggerDoesNotConform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viol, err := sim.ConformsSTG(early, g, 0)
+	viol, err := sim.ConformsSTG(early, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestReductionConforms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viol, err := sim.ConformsSTG(reduced, g, 0)
+	viol, err := sim.ConformsSTG(reduced, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestReceptivenessViolation(t *testing.T) {
 	// Starve DSr+: require an extra never-marked place.
 	blocked := impl.Net.AddPlace("never", 0)
 	impl.Net.ArcPT(blocked, impl.Net.TransitionIndex("DSr+"))
-	viol, err := sim.ConformsSTG(impl, g, 0)
+	viol, err := sim.ConformsSTG(impl, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestReceptivenessViolation(t *testing.T) {
 func TestConformsErrors(t *testing.T) {
 	g := vme.ReadSTG()
 	rw := vme.ReadWriteSTG()
-	if _, err := sim.ConformsSTG(g, rw, 0); err == nil {
+	if _, err := sim.ConformsSTG(g, rw); err == nil {
 		t.Fatal("missing DSw in impl must error")
 	}
 }

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -55,13 +56,7 @@ type refMove struct {
 	specPath []int
 }
 
-func refMaxStates(o sim.Options) int {
-	cap := o.MaxStates
-	if cap <= 0 {
-		cap = 1 << 20
-	}
-	return o.Budget.StateLimit(cap)
-}
+func refMaxStates(o sim.Options) int { return o.Budget.StateLimit(1 << 20) }
 
 func refMaxViol(o sim.Options) int {
 	if o.MaxViolations > 0 {
@@ -602,14 +597,16 @@ func collectReferenceCases(t *testing.T) []refCase {
 }
 
 // refOptions lists the option sets every case runs under: MaxViolations 1,
-// 3 and 16, with and without the flow's state graph, with no state cap and
-// with a 7-state cap.
+// 3 and 16, with and without the flow's state graph, with no budget and
+// with a 7-state budget. Without the flow's graph the budget also caps the
+// spec's BuildSG, so the capped runs that trip in the composed search are
+// the ones handed the graph.
 func refOptions(c refCase) []sim.Options {
 	var out []sim.Options
 	for _, maxViol := range []int{1, 3, 16} {
 		for _, sg := range []*ts.SG{nil, c.sg} {
-			for _, maxStates := range []int{0, 7} {
-				out = append(out, sim.Options{MaxViolations: maxViol, SG: sg, MaxStates: maxStates, Constraints: c.cons})
+			for _, bgt := range []*budget.Budget{nil, {MaxStates: 7}} {
+				out = append(out, sim.Options{MaxViolations: maxViol, SG: sg, Budget: bgt, Constraints: c.cons})
 			}
 		}
 	}
@@ -625,7 +622,7 @@ func TestVerifyMatchesReference(t *testing.T) {
 	if len(cases) < 500 {
 		t.Fatalf("only %d netlists collected", len(cases))
 	}
-	var compared, failing, tripped, wires, constrained int
+	var compared, failing, tripped, searchTrips, wires, constrained int
 	for _, c := range cases {
 		if len(c.nl.Signals) > len(c.spec.Signals) {
 			wires++
@@ -648,12 +645,15 @@ func TestVerifyMatchesReference(t *testing.T) {
 			}
 			if wantErr != nil {
 				tripped++
+				if errors.Is(wantErr, reach.ErrStateLimit) && opts.SG != nil {
+					searchTrips++
+				}
 			}
 		}
 	}
-	if failing == 0 || tripped == 0 || wires == 0 || constrained == 0 {
-		t.Fatalf("the cases exercise too little: %d violating, %d erroring, %d with implementation-only wires, %d constrained violating runs",
-			failing, tripped, wires, constrained)
+	if failing == 0 || tripped == 0 || searchTrips == 0 || wires == 0 || constrained == 0 {
+		t.Fatalf("the cases exercise too little: %d violating, %d erroring (%d state-limit trips of the composed search), %d with implementation-only wires, %d constrained violating runs",
+			failing, tripped, searchTrips, wires, constrained)
 	}
 	t.Logf("%d netlists, %d comparisons, %d with violations, %d with errors", len(cases), compared, failing, tripped)
 }
@@ -678,17 +678,17 @@ func sameSG(a, b *ts.SG) bool {
 
 // TestStateGraphMatchesReference requires sim.StateGraph to return the
 // reference's states, keys and arcs, or its error, on every case that
-// verifies: with and without the flow's state graph, with no state cap and
-// with a 7-state cap.
+// verifies: with and without the flow's state graph, with no budget and
+// with a 7-state budget.
 func TestStateGraphMatchesReference(t *testing.T) {
-	var built, tripped int
+	var built, tripped, searchTrips int
 	for _, c := range referenceCases(t) {
 		if res, err := sim.Verify(c.nl, c.spec, sim.Options{Constraints: c.cons}); err != nil || !res.OK() {
 			continue
 		}
 		for _, sg := range []*ts.SG{nil, c.sg} {
-			for _, maxStates := range []int{0, 7} {
-				opts := sim.Options{SG: sg, MaxStates: maxStates}
+			for _, bgt := range []*budget.Budget{nil, {MaxStates: 7}} {
+				opts := sim.Options{SG: sg, Budget: bgt}
 				want, wantErr := referenceStateGraph(c.nl, c.spec, opts)
 				got, gotErr := sim.StateGraph(c.nl, c.spec, opts)
 				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
@@ -699,13 +699,17 @@ func TestStateGraphMatchesReference(t *testing.T) {
 				}
 				if wantErr != nil {
 					tripped++
+					if errors.Is(wantErr, reach.ErrStateLimit) && opts.SG != nil {
+						searchTrips++
+					}
 				} else {
 					built++
 				}
 			}
 		}
 	}
-	if built == 0 || tripped == 0 {
-		t.Fatalf("%d state graphs built, %d errors: the cases exercise too little", built, tripped)
+	if built == 0 || tripped == 0 || searchTrips == 0 {
+		t.Fatalf("%d state graphs built, %d errors (%d state-limit trips of the composed search): the cases exercise too little",
+			built, tripped, searchTrips)
 	}
 }

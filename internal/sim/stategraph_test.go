@@ -27,7 +27,11 @@ func TestStateGraphBudget(t *testing.T) {
 		t.Fatalf("cancel at sim.explore #1: fired %v, state graph %v, error %v", in.Fired(), sg, err)
 	}
 
-	sg, err = sim.StateGraph(nl, spec, sim.Options{MaxStates: 5})
+	specSG, err := reach.BuildSG(spec, reach.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg, err = sim.StateGraph(nl, spec, sim.Options{SG: specSG, Budget: &budget.Budget{MaxStates: 5}})
 	var le budget.ErrLimit
 	if !errors.Is(err, reach.ErrStateLimit) || !errors.As(err, &le) || le.Limit != 5 || le.Used != 5 || sg != nil {
 		t.Fatalf("MaxStates 5: state graph %v, error %v", sg, err)

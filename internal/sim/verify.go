@@ -108,29 +108,23 @@ func (r *Result) OK() bool { return len(r.Violations) == 0 }
 
 // Options configure a verification run.
 type Options struct {
-	// MaxStates bounds the composed exploration (default 1<<20). Exceeding
-	// it aborts with a typed budget.ErrLimit (errors.Is-compatible with
-	// reach.ErrStateLimit) alongside the partial Result.
-	MaxStates int
 	// MaxViolations stops the search after this many failures (default 1).
 	MaxViolations int
 	// Constraints are relative timing assumptions pruning interleavings.
 	Constraints []RelativeOrder
-	// Budget adds cancellation and tightens MaxStates; nil is unlimited.
+	// Budget adds cancellation, and its MaxStates tightens the composed
+	// exploration's default cap of 1<<20 states; nil adds neither.
+	// Exceeding the cap aborts with a typed budget.ErrLimit
+	// (errors.Is-compatible with reach.ErrStateLimit) alongside the
+	// partial Result.
 	Budget *budget.Budget
 	// SG is the spec's state graph when the caller has already built it
 	// (the synthesis flow does): the initial code is read from it. nil
-	// builds it with reach.BuildSG.
+	// builds it with reach.BuildSG under Budget.
 	SG *ts.SG
 }
 
-func (o Options) maxStates() int {
-	cap := o.MaxStates
-	if cap <= 0 {
-		cap = 1 << 20
-	}
-	return o.Budget.StateLimit(cap)
-}
+func (o Options) maxStates() int { return o.Budget.StateLimit(1 << 20) }
 
 func (o Options) maxViol() int {
 	if o.MaxViolations > 0 {

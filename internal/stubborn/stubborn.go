@@ -25,8 +25,8 @@ type Result struct {
 
 // Options bound the exploration.
 type Options struct {
-	MaxStates int // default 1<<22
-	// Budget adds cancellation and tightens MaxStates; nil is unlimited.
+	// Budget adds cancellation, and its MaxStates tightens the default
+	// cap of 1<<22 states; nil adds neither.
 	Budget *budget.Budget
 	// Obs is the parent observability span: the exploration records an
 	// "engine:stubborn" child span and the stubborn.* counters (states,
@@ -35,13 +35,7 @@ type Options struct {
 	Obs *obs.Span
 }
 
-func (o Options) maxStates() int {
-	cap := o.MaxStates
-	if cap <= 0 {
-		cap = 1 << 22
-	}
-	return o.Budget.StateLimit(cap)
-}
+func (o Options) maxStates() int { return o.Budget.StateLimit(1 << 22) }
 
 // ErrStateLimit is the errors.Is anchor for state-limit aborts — an alias of
 // budget.Sentinel(budget.States), shared with reach.ErrStateLimit, so the

@@ -88,7 +88,7 @@ func TestDeadlockFoundInChain(t *testing.T) {
 
 func TestStateLimit(t *testing.T) {
 	net := gen.Philosophers(5)
-	res, err := Explore(net, Options{MaxStates: 3})
+	res, err := Explore(net, Options{Budget: &budget.Budget{MaxStates: 3}})
 	if !errors.Is(err, ErrStateLimit) {
 		t.Fatalf("want ErrStateLimit, got %v", err)
 	}

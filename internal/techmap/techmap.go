@@ -29,20 +29,14 @@ import (
 type Options struct {
 	// MaxFanIn is the gate input budget (e.g. 2 for Figure 9).
 	MaxFanIn int
-	// MaxNewSignals bounds decomposition depth (default 8).
-	MaxNewSignals int
 	// Sim configures every trial verification. Its SG, the spec's state
 	// graph when the caller has it, and its Budget also serve the care-set
 	// exploration.
 	Sim sim.Options
 }
 
-func (o Options) maxNew() int {
-	if o.MaxNewSignals > 0 {
-		return o.MaxNewSignals
-	}
-	return 16
-}
+// maxNewSignals bounds decomposition depth: the wires Map may add.
+const maxNewSignals = 16
 
 // Map decomposes nl (complex-gate style, combinational gates) into gates of
 // at most MaxFanIn inputs, preserving speed-independence against spec. The
@@ -59,7 +53,7 @@ func Map(nl *logic.Netlist, spec *stg.STG, opts Options) (*logic.Netlist, error)
 		return nil, fmt.Errorf("techmap: input netlist is not SI: %v", res.Violations)
 	}
 	cur := cloneNetlist(nl)
-	for round := 0; round < opts.maxNew(); round++ {
+	for round := 0; round < maxNewSignals; round++ {
 		gi := worstGate(cur, opts.MaxFanIn)
 		if gi < 0 {
 			return cur, nil // everything fits
@@ -71,7 +65,7 @@ func Map(nl *logic.Netlist, spec *stg.STG, opts Options) (*logic.Netlist, error)
 		cur = next
 	}
 	if worstGate(cur, opts.MaxFanIn) >= 0 {
-		return nil, fmt.Errorf("techmap: fan-in target not reached within %d new signals", opts.maxNew())
+		return nil, fmt.Errorf("techmap: fan-in target not reached within %d new signals", maxNewSignals)
 	}
 	return cur, nil
 }

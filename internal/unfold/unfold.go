@@ -59,9 +59,8 @@ type Prefix struct {
 
 // Options bound the construction.
 type Options struct {
-	MaxEvents int // default 1 << 16
-	// Budget adds cancellation and tightens MaxEvents (Budget.MaxEvents);
-	// nil is unlimited.
+	// Budget adds cancellation, and its MaxEvents tightens the default
+	// cap of 1<<16 events; nil adds neither.
 	Budget *budget.Budget
 	// Obs is the parent observability span: the construction records an
 	// "engine:unfold" child span and the unfold.* counters (events,
@@ -70,13 +69,7 @@ type Options struct {
 	Obs *obs.Span
 }
 
-func (o Options) maxEvents() int {
-	cap := o.MaxEvents
-	if cap <= 0 {
-		cap = 1 << 16
-	}
-	return o.Budget.EventLimit(cap)
-}
+func (o Options) maxEvents() int { return o.Budget.EventLimit(1 << 16) }
 
 // ErrEventLimit is the errors.Is anchor for event-ceiling aborts — an alias
 // of budget.Sentinel(budget.Events).

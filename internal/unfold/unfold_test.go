@@ -3,6 +3,7 @@ package unfold
 import (
 	"testing"
 
+	"repro/internal/budget"
 	"repro/internal/gen"
 	"repro/internal/petri"
 	"repro/internal/reach"
@@ -132,7 +133,7 @@ func TestOrderingRelationsReadCycle(t *testing.T) {
 
 func TestPrefixLimits(t *testing.T) {
 	net := gen.IndependentToggles(4)
-	if _, err := Build(net, Options{MaxEvents: 2}); err == nil {
+	if _, err := Build(net, Options{Budget: &budget.Budget{MaxEvents: 2}}); err == nil {
 		t.Fatal("event limit must be enforced")
 	}
 	unsafe := gen.MarkedGraphRing(2, 1)
@@ -158,7 +159,7 @@ func TestPrefixUnsafeNet(t *testing.T) {
 	}
 	net.ArcTP(up, q)
 	net.ArcTP(down, r)
-	u, err := Build(net, Options{MaxEvents: 1000})
+	u, err := Build(net, Options{Budget: &budget.Budget{MaxEvents: 1000}})
 	if err == nil || err.Error() != "unfold: net not safe: firing a+ puts a second token in q" {
 		t.Fatalf("got error %v, want a second token in q", err)
 	}

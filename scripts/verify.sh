@@ -13,6 +13,10 @@ fi
 
 go vet ./...
 go build ./...
+# The benchmark has its own module (bench/go.mod, replacing repro with
+# ../), so ./... above skips it: vet, build and test it against this tree
+# so that an API change it depends on fails here, not at the benchmark run.
+(cd bench && go vet . && go build -o /dev/null . && go test -count=1 .)
 # -timeout 30s per test binary: a hang in a budget/cancellation path must
 # fail the gate, not wedge it. internal/conformance runs on its own line:
 # its synthesis golden alone takes ~20 s, and with the other test binaries
